@@ -19,10 +19,9 @@
 //	vms -server URL optimize -async [...]
 //	vms -server URL jobs [-id J [-wait]] [-cancel J]
 //
-// optimize dispatches through the unified solver registry; `vms solvers`
-// lists every registered solver with its paper problem and constraint. The
-// legacy -objective names (min-storage, sum-recreation, max-recreation)
-// remain accepted when -solver is not given. A local optimize honors
+// optimize dispatches through the unified solver registry (-solver
+// defaults to lmg); `vms solvers` lists every registered solver with its
+// paper problem and constraint. A local optimize honors
 // Ctrl-C: interrupting a long solve cancels it cleanly instead of killing
 // the process mid-rewrite. Weight-consuming solvers (lmg) pick up access
 // telemetry automatically; -no-auto-weights forces the uniform objective.
@@ -76,7 +75,6 @@ import (
 
 	"versiondb/internal/bench"
 	"versiondb/internal/repo"
-	"versiondb/internal/solve"
 	"versiondb/internal/store"
 	"versiondb/internal/store/remote"
 	"versiondb/internal/vcs"
@@ -275,24 +273,9 @@ func runLocal(dir, backend, remoteURL string, tier remote.Options, cache int, ca
 		if async {
 			return fmt.Errorf("optimize -async requires -server (a local process would just wait for its own job)")
 		}
-		solver := wire.Solver
-		if solver == "" {
-			if solver, err = repo.ObjectiveSolverName(wire.Objective); err != nil {
-				return err
-			}
-		}
-		opts := repo.OptimizeOptions{
-			Request: solve.Request{
-				Solver: solver,
-				Budget: wire.Budget,
-				Theta:  wire.Theta,
-				Alpha:  wire.Alpha,
-				Iters:  wire.Iters,
-			},
-			BudgetFactor:  wire.BudgetFactor,
-			RevealHops:    wire.RevealHops,
-			Compress:      wire.Compress,
-			NoAutoWeights: wire.NoAutoWeights,
+		opts, err := wire.Options()
+		if err != nil {
+			return err
 		}
 		// Ctrl-C cancels the solve instead of killing the process mid-way.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -414,13 +397,6 @@ func runRemote(c *vcs.Client, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		if wire.Solver == "" {
-			// Validate client-side for a friendly message; the server would
-			// answer 400 anyway.
-			if _, err := repo.ObjectiveSolverName(wire.Objective); err != nil {
-				return err
-			}
-		}
 		if async {
 			id, err := c.OptimizeAsync(wire)
 			if err != nil {
@@ -519,8 +495,7 @@ func printJob(j *vcs.JobInfo) {
 // only the remote path honors.
 func parseOptimizeFlags(args []string) (vcs.OptimizeRequest, bool, error) {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	solver := fs.String("solver", "", "registry solver name (see `vms solvers`); overrides -objective")
-	objective := fs.String("objective", "sum-recreation", "legacy selector: min-storage, sum-recreation or max-recreation")
+	solver := fs.String("solver", "lmg", "registry solver name (see `vms solvers`)")
 	budget := fs.Float64("budget", 0, "storage budget β (lmg, p4); 0 derives from -budget-factor")
 	bf := fs.Float64("budget-factor", 1.25, "default budget as a multiple of minimum storage")
 	theta := fs.Float64("theta", 0, "recreation bound θ (mp/exact: max Φ, p5: Σ Φ)")
@@ -534,7 +509,7 @@ func parseOptimizeFlags(args []string) (vcs.OptimizeRequest, bool, error) {
 		return vcs.OptimizeRequest{}, false, err
 	}
 	return vcs.OptimizeRequest{
-		Solver: *solver, Objective: *objective, Budget: *budget, BudgetFactor: *bf,
+		Solver: *solver, Budget: *budget, BudgetFactor: *bf,
 		Theta: *theta, Alpha: *alpha, Iters: *iters, RevealHops: *hops, Compress: *compress,
 		NoAutoWeights: *noWeights,
 	}, *async, nil

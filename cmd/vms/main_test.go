@@ -39,7 +39,7 @@ func TestCLILocalWorkflow(t *testing.T) {
 		{"-dir", dir, "commit", "-branch", "exp", "-file", f2, "-m", "exp work"},
 		{"-dir", dir, "log"},
 		{"-dir", dir, "stats"},
-		{"-dir", dir, "optimize", "-objective", "sum-recreation", "-hops", "3"},
+		{"-dir", dir, "optimize", "-hops", "3"},
 		{"-dir", dir, "optimize", "-solver", "p4", "-hops", "3"},
 		{"-dir", dir, "optimize", "-solver", "mp", "-hops", "3"},
 		{"solvers"},
@@ -74,12 +74,9 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("%s: no error for %v", name, args)
 		}
 	}
-	// Bad objective after init.
+	// Bad solver after init.
 	if err := run([]string{"-dir", dir, "init"}); err != nil {
 		t.Fatal(err)
-	}
-	if err := run([]string{"-dir", dir, "optimize", "-objective", "bogus"}); err == nil {
-		t.Errorf("bogus objective accepted")
 	}
 	if err := run([]string{"-dir", dir, "optimize", "-solver", "simplex"}); err == nil {
 		t.Errorf("bogus solver accepted")
@@ -126,7 +123,7 @@ func TestCLIRemoteWorkflow(t *testing.T) {
 		{"-server", srv.URL, "commit", "-branch", "b1", "-file", f1, "-m", "again"},
 		{"-server", srv.URL, "log"},
 		{"-server", srv.URL, "stats"},
-		{"-server", srv.URL, "optimize", "-objective", "min-storage", "-hops", "2"},
+		{"-server", srv.URL, "optimize", "-solver", "mst", "-hops", "2"},
 		{"-server", srv.URL, "checkout", "-v", "0", "-out", out},
 	}
 	for _, args := range steps {

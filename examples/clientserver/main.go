@@ -94,7 +94,7 @@ func main() {
 		before.Versions, before.StoredBytes, before.LogicalBytes)
 
 	resp, err := client.Optimize(vcs.OptimizeRequest{
-		Objective:    "sum-recreation",
+		Solver:       "lmg",
 		BudgetFactor: 1.25,
 		RevealHops:   5,
 		Compress:     true,

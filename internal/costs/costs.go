@@ -10,6 +10,7 @@ package costs
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"versiondb/internal/graph"
 )
@@ -123,12 +124,30 @@ func (m *Matrix) Delta(i, j int) (Pair, bool) {
 	return p, ok
 }
 
-// EachDelta calls fn for every revealed delta entry. In the undirected case
-// each unordered pair is visited once, in its canonical (i<j) orientation.
+// EachDelta calls fn for every revealed delta entry, in ascending (i, j)
+// order so that solvers break cost ties the same way on every run. In the
+// undirected case each unordered pair is visited once, in its canonical
+// (i<j) orientation.
 func (m *Matrix) EachDelta(fn func(i, j int, p Pair)) {
-	for k, p := range m.deltas {
-		fn(k[0], k[1], p)
+	for _, k := range sortedKeys(m.deltas, m.n) {
+		fn(k[0], k[1], m.deltas[k])
 	}
+}
+
+// sortedKeys returns the pair keys of a map over n versions in ascending
+// (i, j) order. Keys are packed as i·n+j so the sort compares plain ints,
+// which keeps it cheap next to building the graph.
+func sortedKeys[V any](pairs map[[2]int]V, n int) [][2]int {
+	packed := make([]int, 0, len(pairs))
+	for k := range pairs {
+		packed = append(packed, k[0]*n+k[1])
+	}
+	slices.Sort(packed)
+	keys := make([][2]int, len(packed))
+	for x, p := range packed {
+		keys[x] = [2]int{p / n, p % n}
+	}
+	return keys
 }
 
 func (m *Matrix) key(i, j int) [2]int {
@@ -165,8 +184,8 @@ func (m *Matrix) Augment() (*graph.Graph, error) {
 	})
 	// Additional delta mechanisms become parallel edges; graph solvers pick
 	// per pair whichever mechanism their objective prefers.
-	for k, vs := range m.variants {
-		for _, v := range vs {
+	for _, k := range sortedKeys(m.variants, m.n) {
+		for _, v := range m.variants[k] {
 			g.AddEdge(k[0]+1, k[1]+1, v.Storage, v.Recreate)
 		}
 	}

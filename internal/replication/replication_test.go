@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,6 +151,11 @@ func TestMultiReplicaE2E(t *testing.T) {
 	// Writes against a replica are rejected as read-only (403).
 	if _, err := vcs.NewClient(fl.reps[0].URL).Commit(repo.DefaultBranch, []byte("nope"), "x"); err == nil {
 		t.Fatal("replica accepted a commit")
+	}
+	// A replica keeps no log of its own, so it refuses log-tail reads too:
+	// followers tail the primary.
+	if _, err := vcs.NewClient(fl.reps[0].URL).LogTail(context.Background(), 0, false); err == nil || !strings.Contains(err.Error(), "(403)") {
+		t.Fatalf("replica log tail err = %v, want a 403", err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"versiondb/internal/delta"
 	"versiondb/internal/store"
 	"versiondb/internal/store/faultfs"
 	"versiondb/internal/store/remote"
@@ -257,4 +258,96 @@ func TestAccessStatsSurviveReopen(t *testing.T) {
 			t.Fatalf("Checkout(%d): %v", v, err)
 		}
 	}
+}
+
+// TestOpenMigratesPreMetalogRepository writes a repository in the
+// whole-document format that preceded the metadata log — meta.json,
+// layout.json and access_stats.json, plus a materialized blob and a
+// two-delta chain — and checks that OpenBackend migrates it: every version
+// checks out byte-identical, access telemetry carries over, and a second
+// open recovers from the log alone.
+func TestOpenMigratesPreMetalogRepository(t *testing.T) {
+	mem := store.NewMemStore()
+	payloads := [][]byte{
+		[]byte("id,name\n1,ada\n2,bob\n"),
+		[]byte("id,name\n1,ada\n2,bob\n3,cy\n"),
+		[]byte("id,name\n1,ada\n3,cy\n"),
+	}
+	put := func(b []byte) (store.ID, int) {
+		id, err := mem.Put(b)
+		if err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		return id, len(b)
+	}
+	b0, s0 := put(payloads[0])
+	b1, s1 := put(delta.Encode(delta.DiffLines(payloads[0], payloads[1]), true))
+	b2, s2 := put(delta.Encode(delta.DiffLines(payloads[1], payloads[2]), true))
+	docs := map[string]string{
+		"meta.json": fmt.Sprintf(`{
+  "versions": [
+    {"id": 0, "parents": [], "message": "root", "branch": "master", "size": %d, "time": "2015-06-01T10:00:00Z"},
+    {"id": 1, "parents": [0], "message": "add cy", "branch": "master", "size": %d, "time": "2015-06-01T11:00:00Z"},
+    {"id": 2, "parents": [1], "message": "drop bob", "branch": "dev", "size": %d, "time": "2015-06-01T12:00:00Z"}
+  ],
+  "branches": {"master": 1, "dev": 2}
+}`, len(payloads[0]), len(payloads[1]), len(payloads[2])),
+		"layout.json": fmt.Sprintf(`{
+  "entries": [
+    {"materialized": true, "parent": -1, "blob": %q, "compressed": false, "stored_bytes": %d},
+    {"materialized": false, "parent": 0, "blob": %q, "compressed": false, "stored_bytes": %d},
+    {"materialized": false, "parent": 1, "blob": %q, "compressed": false, "stored_bytes": %d}
+  ]
+}`, b0, s0, b1, s1, b2, s2),
+		"access_stats.json": fmt.Sprintf(`{"half_life_seconds": 3600, "total": 7, "saved_at": %q, "counts": [1, 5, 1]}`,
+			time.Now().UTC().Format(time.RFC3339)),
+	}
+	for name, doc := range docs {
+		if err := mem.PutMeta(name, []byte(doc)); err != nil {
+			t.Fatalf("PutMeta %s: %v", name, err)
+		}
+	}
+
+	check := func(r *Repo, accesses uint64) {
+		t.Helper()
+		if got := r.Stats().Accesses; got != accesses {
+			t.Errorf("accesses = %d, want %d", got, accesses)
+		}
+		if hot := r.HotVersions(1); len(hot) == 0 || hot[0].Version != 1 {
+			t.Errorf("hot version = %+v, want v1 on top", hot)
+		}
+		if tip, err := r.Tip("dev"); err != nil || tip != 2 {
+			t.Errorf("Tip(dev) = %d, %v; want 2", tip, err)
+		}
+		for v, want := range payloads {
+			if got, err := r.Checkout(v); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("Checkout(%d) = %q, %v; want %q", v, got, err, want)
+			}
+		}
+	}
+	r, err := OpenBackend(mem)
+	if err != nil {
+		t.Fatalf("OpenBackend (migrate): %v", err)
+	}
+	if got := r.NumVersions(); got != len(payloads) {
+		t.Fatalf("migrated %d versions, want %d", got, len(payloads))
+	}
+	if c := r.LogStats().Compactions; c != 1 {
+		t.Errorf("migration wrote %d snapshots, want 1", c)
+	}
+	check(r, 7)
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// The documents are dead weight now: the second open must come from the
+	// log even when they are unreadable.
+	if err := mem.PutMeta("meta.json", []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenBackend(mem)
+	if err != nil {
+		t.Fatalf("OpenBackend (recover): %v", err)
+	}
+	check(r2, 7+uint64(len(payloads)))
 }

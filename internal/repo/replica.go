@@ -6,8 +6,8 @@
 // replica's in-memory state is always a whole-record prefix of the
 // primary's history. Replicas never write: not payload blobs, not metadata
 // documents, not log records. Every mutating entry point answers
-// ErrReplica, and save degrades to a no-op so a stray persistence path can
-// never clobber the primary's documents on a shared backend.
+// ErrReplica, and a replica opens no metadata log, so no persistence path
+// can clobber the primary's log on a shared backend.
 package repo
 
 import (
@@ -20,13 +20,10 @@ import (
 	"versiondb/internal/store/metalog"
 )
 
-// ErrReplica marks a mutating operation on a read-only replica. Writes
-// belong on the primary; the routing layer forwards them there.
+// ErrReplica marks a mutating operation or a log-tail read on a read-only
+// replica. Both belong on the primary; the routing layer forwards writes
+// there.
 var ErrReplica = errors.New("read-only replica")
-
-// ErrNoMetaLog marks a log-tail read against a repository on the legacy
-// whole-document path — there is no record log to follow.
-var ErrNoMetaLog = errors.New("no metadata log")
 
 // OpenReplica opens a read-only replica over the primary's shared blob
 // backend. The replica starts empty; feed it the primary's state with
@@ -34,10 +31,9 @@ var ErrNoMetaLog = errors.New("no metadata log")
 // backend is read only for blobs on the checkout path — the replica never
 // opens the metadata log device and never writes a document.
 func OpenReplica(b store.Backend) (*Repo, error) {
-	ms, _ := b.(store.MetaStore)
-	r := newRepoShell(b, ms)
+	r := newRepoShell(b)
 	r.replica = true
-	r.stats = store.NewAccessStats(nil)
+	r.stats = store.NewAccessStats()
 	r.layout = emptyLayout(b)
 	return r, nil
 }
@@ -113,12 +109,12 @@ func (r *Repo) ReplicaStatus() (applied uint64, lastApply time.Time, isReplica b
 // LogTail reads the metadata log past the follower's cursor — the
 // server side of GET /log?from=. With wait set it long-polls: a caught-up
 // follower blocks until the next append or ctx is done (a ctx expiry
-// returns an empty view, the normal "nothing yet" answer). Repositories on
-// the legacy whole-document path have no log to follow and answer
-// ErrNoMetaLog.
+// returns an empty view, the normal "nothing yet" answer). A replica
+// keeps no log of its own and answers ErrReplica: followers tail the
+// primary.
 func (r *Repo) LogTail(ctx context.Context, from uint64, wait bool) (*metalog.TailView, error) {
-	if r.log == nil {
-		return nil, fmt.Errorf("repo: log tail: %w", ErrNoMetaLog)
+	if r.replica {
+		return nil, fmt.Errorf("repo: log tail: %w", ErrReplica)
 	}
 	if wait {
 		return r.log.Tail(ctx, from)

@@ -12,8 +12,8 @@
 // and materializes a shadow layout off-lock, and swaps the layout pointer
 // under a brief write lock with a conflict check — so re-layouts never
 // block checkouts for the duration of a solve. The physical layer is a
-// pluggable store.Backend; metadata is persisted atomically through the
-// backend's MetaStore.
+// pluggable store.Backend; metadata is persisted as an append-only record
+// log on the backend's LogStore (see wal.go).
 package repo
 
 import (
@@ -76,16 +76,12 @@ type meta struct {
 	Branches map[string]int `json:"branches"` // branch → tip version id
 }
 
-// metaName is the metadata document holding the version graph.
-const metaName = "meta.json"
-
 // Repo is a dataset repository over a pluggable storage backend.
 type Repo struct {
-	mu        sync.RWMutex
-	backend   store.Backend
-	metaStore store.MetaStore
-	layout    *store.Layout
-	meta      meta
+	mu      sync.RWMutex
+	backend store.Backend
+	layout  *store.Layout
+	meta    meta
 	// Checkout LRU configuration, re-applied to the fresh layout after
 	// every Optimize swap. cacheBytes > 0 selects the byte-budgeted mode
 	// and wins over cacheSize; cacheSize > 0 is the version-count
@@ -108,7 +104,7 @@ type Repo struct {
 	// checkouts and commits record per-version counters (with exponential
 	// decay), Weights derives normalized frequencies from them, and
 	// Optimize feeds those into weight-consuming solvers by default. The
-	// structure has its own lock and is persisted through the MetaStore.
+	// structure has its own lock and is persisted through the metadata log.
 	stats *store.AccessStats
 
 	// optMu serializes Optimize calls with each other (never with readers
@@ -119,10 +115,10 @@ type Repo struct {
 	// landed mid-solve and had to re-snapshot.
 	optConflicts atomic.Int64
 
-	// log is the append-only metadata record log — the durable form when
-	// the backend supports store.LogStore. nil selects the legacy
-	// whole-document path (save). compactEvery is the tail-record count
-	// that triggers snapshot compaction on the commit path.
+	// log is the append-only metadata record log, the repository's durable
+	// form; nil only on a replica, which never writes. compactEvery is the
+	// tail-record count that triggers snapshot compaction on the commit
+	// path.
 	log          *metalog.Log
 	compactEvery int64
 
@@ -176,10 +172,9 @@ func Init(dir string) (*Repo, error) {
 var errAlreadyInitialized = errors.New("already initialized")
 
 // newRepoShell allocates a repository shell with every map initialized.
-func newRepoShell(b store.Backend, ms store.MetaStore) *Repo {
+func newRepoShell(b store.Backend) *Repo {
 	return &Repo{
 		backend:         b,
-		metaStore:       ms,
 		meta:            meta{Branches: map[string]int{}},
 		compactEvery:    DefaultCompactEvery,
 		shadow:          map[store.ID]int{},
@@ -188,15 +183,28 @@ func newRepoShell(b store.Backend, ms store.MetaStore) *Repo {
 	}
 }
 
-// InitBackend creates a new repository over an arbitrary backend. The
-// backend must also implement store.MetaStore and must not already hold a
-// repository. Backends that additionally implement store.LogStore get
-// metadata-log persistence (commits append records instead of rewriting
-// documents); others use the legacy whole-document path.
-func InitBackend(b store.Backend) (*Repo, error) {
+// logBackend returns b's two persistence capabilities: the MetaStore
+// holding the metadata log's snapshot and the LogStore holding its record
+// device. Every repository persists through both.
+func logBackend(b store.Backend) (store.MetaStore, store.LogStore, error) {
 	ms, ok := b.(store.MetaStore)
 	if !ok {
-		return nil, fmt.Errorf("repo: backend %T does not persist metadata", b)
+		return nil, nil, fmt.Errorf("backend %T does not persist metadata", b)
+	}
+	ls, ok := b.(store.LogStore)
+	if !ok {
+		return nil, nil, fmt.Errorf("backend %T has no metadata log", b)
+	}
+	return ms, ls, nil
+}
+
+// InitBackend creates a new repository over an arbitrary backend. The
+// backend must implement store.MetaStore and store.LogStore and must not
+// already hold a repository; commits append records to its metadata log.
+func InitBackend(b store.Backend) (*Repo, error) {
+	ms, ls, err := logBackend(b)
+	if err != nil {
+		return nil, fmt.Errorf("repo: init: %w", err)
 	}
 	if _, err := ms.GetMeta(metaName); err == nil {
 		return nil, fmt.Errorf("repo: backend: %w", errAlreadyInitialized)
@@ -205,29 +213,22 @@ func InitBackend(b store.Backend) (*Repo, error) {
 		// that may exist behind it.
 		return nil, fmt.Errorf("repo: init: %w", err)
 	}
-	r := newRepoShell(b, ms)
-	r.layout = emptyLayout(b)
-	if ls, ok := b.(store.LogStore); ok {
-		l, rec, err := metalog.Open(ms, ls, walName)
-		if err != nil {
-			return nil, fmt.Errorf("repo: init: %w", err)
-		}
-		if rec.Snapshot != nil || len(rec.Records) > 0 {
-			_ = l.Close()
-			return nil, fmt.Errorf("repo: backend: %w", errAlreadyInitialized)
-		}
-		r.log = l
-		r.stats = store.NewAccessStats(nil)
-		r.stats.SetSink(r.accessSink)
-		// The initial empty snapshot is what marks the repository as
-		// initialized for future opens.
-		if err := r.compact(); err != nil {
-			return nil, err
-		}
-		return r, nil
+	l, rec, err := metalog.Open(ms, ls, walName)
+	if err != nil {
+		return nil, fmt.Errorf("repo: init: %w", err)
 	}
-	r.stats = store.NewAccessStats(ms)
-	if err := r.save(); err != nil {
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
+		_ = l.Close()
+		return nil, fmt.Errorf("repo: backend: %w", errAlreadyInitialized)
+	}
+	r := newRepoShell(b)
+	r.layout = emptyLayout(b)
+	r.log = l
+	r.stats = store.NewAccessStats()
+	r.stats.SetSink(r.accessSink)
+	// The initial empty snapshot is what marks the repository as
+	// initialized for future opens.
+	if err := r.compact(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -242,78 +243,86 @@ func Open(dir string) (*Repo, error) {
 	return OpenBackend(s)
 }
 
-// OpenBackend loads an existing repository from an arbitrary backend.
-// On a store.LogStore backend it recovers from the metadata log: snapshot
-// load plus tail replay, tolerating a torn final record (the signature of
-// a crash mid-append). A legacy whole-document repository opened on a
-// log-capable backend is migrated in place: its state becomes the log's
-// first snapshot and all further writes are appends.
+// OpenBackend loads an existing repository from an arbitrary backend,
+// which must implement store.MetaStore and store.LogStore. It recovers
+// from the metadata log: snapshot load plus tail replay, tolerating a torn
+// final record (the signature of a crash mid-append). A repository written
+// before the metadata log existed is migrated in place: its documents
+// become the log's first snapshot and all further writes are appends.
 func OpenBackend(b store.Backend) (*Repo, error) {
-	ms, ok := b.(store.MetaStore)
-	if !ok {
-		return nil, fmt.Errorf("repo: backend %T does not persist metadata", b)
-	}
-	if ls, ok := b.(store.LogStore); ok {
-		l, rec, err := metalog.Open(ms, ls, walName)
-		if err != nil {
-			return nil, fmt.Errorf("repo: open: %w", err)
-		}
-		if rec.Snapshot != nil || len(rec.Records) > 0 {
-			r := newRepoShell(b, ms)
-			r.log = l
-			if err := r.restore(rec); err != nil {
-				_ = l.Close()
-				return nil, err
-			}
-			r.recoveredOrder = append([]string(nil), r.jobsOrder...)
-			return r, nil
-		}
-		// Empty log: either a legacy whole-document repository to migrate,
-		// or nothing at all.
-		if _, err := ms.GetMeta(metaName); errors.Is(err, fs.ErrNotExist) {
-			_ = l.Close()
-			return nil, fmt.Errorf("repo: open: no repository: %w", fs.ErrNotExist)
-		} else if err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("repo: open: %w", err)
-		}
-		r, err := openLegacy(b, ms)
-		if err != nil {
-			_ = l.Close()
-			return nil, err
-		}
-		r.log = l
-		r.stats.SetSink(r.accessSink)
-		if err := r.compact(); err != nil {
-			return nil, fmt.Errorf("repo: open: migrating to metadata log: %w", err)
-		}
-		return r, nil
-	}
-	return openLegacy(b, ms)
-}
-
-// openLegacy loads a repository from the whole-document metadata files.
-func openLegacy(b store.Backend, ms store.MetaStore) (*Repo, error) {
-	data, err := ms.GetMeta(metaName)
+	ms, ls, err := logBackend(b)
 	if err != nil {
 		return nil, fmt.Errorf("repo: open: %w", err)
 	}
-	r := newRepoShell(b, ms)
-	r.stats = store.LoadAccessStats(ms)
-	if err := json.Unmarshal(data, &r.meta); err != nil {
+	l, rec, err := metalog.Open(ms, ls, walName)
+	if err != nil {
 		return nil, fmt.Errorf("repo: open: %w", err)
 	}
-	if r.meta.Branches == nil {
-		r.meta.Branches = map[string]int{}
-	}
-	if len(r.meta.Versions) > 0 {
-		if r.layout, err = store.LoadLayout(b); err != nil {
+	r := newRepoShell(b)
+	r.log = l
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
+		if err := r.restore(rec); err != nil {
+			_ = l.Close()
 			return nil, err
 		}
-	} else {
-		r.layout = emptyLayout(b)
+		r.recoveredOrder = append([]string(nil), r.jobsOrder...)
+		return r, nil
+	}
+	// Empty log: either a pre-log repository to migrate, or nothing at all.
+	if err := r.openLegacy(ms); err != nil {
+		_ = l.Close()
+		return nil, err
+	}
+	r.stats.SetSink(r.accessSink)
+	if err := r.compact(); err != nil {
+		_ = l.Close()
+		return nil, fmt.Errorf("repo: open: migrating to metadata log: %w", err)
 	}
 	return r, nil
+}
+
+// Documents of the whole-document format that preceded the metadata log.
+// Only openLegacy reads them; nothing writes them.
+const (
+	metaName        = "meta.json"
+	layoutName      = "layout.json"
+	accessStatsName = "access_stats.json"
+)
+
+// openLegacy is the one-way migration reader: it loads a repository from
+// the whole-document meta.json, layout.json and access_stats.json into r,
+// for OpenBackend to compact into the metadata log's first snapshot. A
+// missing meta.json means there is no repository (fs.ErrNotExist).
+func (r *Repo) openLegacy(ms store.MetaStore) error {
+	data, err := ms.GetMeta(metaName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("repo: open: no repository: %w", err)
+	} else if err != nil {
+		return fmt.Errorf("repo: open: %w", err)
+	}
+	var st snapshotState
+	if err := json.Unmarshal(data, &st.Meta); err != nil {
+		return fmt.Errorf("repo: open: %s: %w", metaName, err)
+	}
+	if len(st.Meta.Versions) > 0 {
+		data, err := ms.GetMeta(layoutName)
+		if err != nil {
+			return fmt.Errorf("repo: open: %w", err)
+		}
+		var doc struct {
+			Entries []store.Entry `json:"entries"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("repo: open: %s: %w", layoutName, err)
+		}
+		st.Entries = doc.Entries
+	}
+	// Telemetry is advisory: a missing or unreadable document restarts it
+	// from zero.
+	if data, err := ms.GetMeta(accessStatsName); err == nil {
+		st.Access = data
+	}
+	return r.resetToState(st)
 }
 
 func emptyLayout(b store.Backend) *store.Layout {
@@ -396,35 +405,6 @@ func (r *Repo) BlobReads() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.retiredBlobReads.Load() + r.layout.BlobReads()
-}
-
-// save persists meta and layout; callers hold the write lock (or have
-// exclusive access during construction). In log mode the only way to
-// persist arbitrary in-memory edits (as opposed to incremental records)
-// is a full snapshot, so save compacts. On a replica save is a no-op:
-// the primary owns every document on the shared backend, and a replica
-// writing meta.json would clobber it.
-func (r *Repo) save() error {
-	if r.replica {
-		return nil
-	}
-	if r.log != nil {
-		return r.compact()
-	}
-	data, err := json.MarshalIndent(&r.meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("repo: save: %w", err)
-	}
-	if err := r.metaStore.PutMeta(metaName, data); err != nil {
-		return fmt.Errorf("repo: save: %w", err)
-	}
-	if err := r.layout.Save(); err != nil {
-		return err
-	}
-	// Telemetry rides along best-effort: losing access counters must never
-	// fail a commit (they also auto-flush every few records on their own).
-	_ = r.stats.Flush()
-	return nil
 }
 
 // NumVersions returns the number of committed versions.
@@ -686,7 +666,9 @@ func (r *Repo) VersionHash(v int) (string, error) {
 	r.mu.Lock()
 	if v < len(r.meta.Versions) && r.meta.Versions[v].Hash == "" {
 		r.meta.Versions[v].Hash = h
-		_ = r.persistHash(v, h)
+		if !r.replica {
+			_ = r.persistHash(v, h)
+		}
 	}
 	r.mu.Unlock()
 	return h, nil
@@ -722,7 +704,7 @@ type Stats struct {
 	Accesses uint64
 	// Log is the metadata record log's counters (tail records, device
 	// bytes, appends, compactions, records replayed at startup, torn tails
-	// repaired); all zeros on the legacy whole-document path.
+	// repaired); all zeros on a replica.
 	Log metalog.Stats
 	// GCRuns / GCCollected count mark-and-sweep passes and the orphan
 	// blobs they deleted.
@@ -865,66 +847,20 @@ func (r *Repo) WeightedPhi() float64 {
 	return sum / wsum * r.retrievalFactor()
 }
 
-// OptimizeObjective selects the algorithm used by Optimize when no solver
-// is named explicitly; each maps to a registry name.
-type OptimizeObjective int
-
-const (
-	// MinStorageObjective lays out by minimum-cost arborescence (Problem 1).
-	MinStorageObjective OptimizeObjective = iota
-	// SumRecreationObjective runs LMG under a storage budget (Problem 3).
-	SumRecreationObjective
-	// MaxRecreationObjective runs MP under a recreation bound (Problem 6).
-	MaxRecreationObjective
-)
-
-// objectiveSolver maps the legacy objective enum onto registry names.
-var objectiveSolver = map[OptimizeObjective]string{
-	MinStorageObjective:    "mst",
-	SumRecreationObjective: "lmg",
-	MaxRecreationObjective: "mp",
-}
-
-// ObjectiveSolverName maps the legacy wire objective strings
-// ("min-storage", "sum-recreation", "max-recreation"; empty means
-// "min-storage") onto registry solver names. It is the single mapping the
-// HTTP server and the CLI share; unknown strings surface
-// solve.ErrUnknownSolver.
-func ObjectiveSolverName(objective string) (string, error) {
-	switch objective {
-	case "", "min-storage":
-		return "mst", nil
-	case "sum-recreation":
-		return "lmg", nil
-	case "max-recreation":
-		return "mp", nil
-	default:
-		return "", fmt.Errorf("repo: unknown objective %q: %w", objective, solve.ErrUnknownSolver)
-	}
-}
-
 // OptimizeOptions configure Optimize. The embedded solve.Request selects
 // and parameterizes the solver; the remaining fields control cost-matrix
 // construction, physical rewriting, and knob defaulting.
 type OptimizeOptions struct {
 	// Request names the registry solver ("mst", "lmg", "mp", "p4", ...)
-	// and carries its knobs. An empty Request.Solver falls back to the
-	// legacy Objective enum. Unset knobs the named solver requires are
-	// defaulted from the repository's own cost envelope (see Optimize).
+	// and carries its knobs; an empty Request.Solver runs "mst". Unset
+	// knobs the named solver requires are defaulted from the repository's
+	// own cost envelope (see Optimize).
 	Request solve.Request
-	// Objective is the legacy algorithm selector, honored only when
-	// Request.Solver is empty.
-	Objective OptimizeObjective
 	// BudgetFactor multiplies the MCA storage cost to produce a default
 	// budget for budget-constrained solvers when Request.Budget is unset;
 	// the paper's headline finding is that ~1.1× the minimum collapses
 	// recreation cost. Default 1.25.
 	BudgetFactor float64
-	// Theta is the legacy recreation bound, folded into Request.Theta when
-	// that is unset.
-	//
-	// Deprecated: set Request.Theta.
-	Theta float64
 	// RevealHops bounds the pairwise differencing radius. Default 5.
 	RevealHops int
 	// Compress stores blobs flate-compressed.
@@ -952,8 +888,8 @@ type OptimizeOptions struct {
 // solveRequest resolves opts into a fully-parameterized solve.Request
 // against inst, defaulting any required knob the caller left unset: budgets
 // from BudgetFactor × minimum storage, max-Φ bounds from twice the largest
-// version size, Σ-Φ bounds from 1.25× the SPT minimum, α from 2. Unknown
-// solver names (or objective values) surface solve.ErrUnknownSolver.
+// version size, Σ-Φ bounds from 1.25× the SPT minimum, α from 2. An empty
+// solver name means "mst"; unknown names surface solve.ErrUnknownSolver.
 // versions is the snapshot being optimized — not r.meta — so the request is
 // consistent with the payloads even when commits land mid-solve. The
 // resolved solver's capability record rides along so callers need not look
@@ -963,15 +899,8 @@ type OptimizeOptions struct {
 // Recreate column was scaled for a remote tier.
 func solveRequest(inst *solve.Instance, versions []VersionInfo, opts OptimizeOptions, retrievalFactor float64) (solve.Request, solve.Info, error) {
 	req := opts.Request
-	if req.Theta <= 0 {
-		req.Theta = opts.Theta
-	}
 	if req.Solver == "" {
-		name, ok := objectiveSolver[opts.Objective]
-		if !ok {
-			return req, solve.Info{}, fmt.Errorf("repo: optimize: objective %d: %w", opts.Objective, solve.ErrUnknownSolver)
-		}
-		req.Solver = name
+		req.Solver = "mst"
 	}
 	info, err := solve.Describe(req.Solver)
 	if err != nil {

@@ -272,7 +272,7 @@ func TestCacheSurvivesOptimize(t *testing.T) {
 	if hits == 0 {
 		t.Fatalf("no cache hit before optimize")
 	}
-	if _, err := r.Optimize(context.Background(), OptimizeOptions{Objective: MinStorageObjective, RevealHops: 4}); err != nil {
+	if _, err := r.Optimize(context.Background(), OptimizeOptions{RevealHops: 4}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
 	// The rebuilt layout gets a fresh cache of the same capacity, warmed
@@ -334,15 +334,18 @@ func buildBranchyRepo(t *testing.T, seedOffset int64) (*Repo, [][]byte) {
 	return r, payloads
 }
 
+// TestOptimizeObjectivesPreserveContent runs one solver per paper
+// objective; an unnamed solver must default to "mst".
 func TestOptimizeObjectivesPreserveContent(t *testing.T) {
 	objectives := []struct {
-		name string
-		opts OptimizeOptions
+		name   string
+		opts   OptimizeOptions
+		solver string
 	}{
-		{"min-storage", OptimizeOptions{Objective: MinStorageObjective, RevealHops: 4}},
-		{"sum-recreation", OptimizeOptions{Objective: SumRecreationObjective, BudgetFactor: 1.3, RevealHops: 4}},
-		{"max-recreation", OptimizeOptions{Objective: MaxRecreationObjective, RevealHops: 4}},
-		{"compressed", OptimizeOptions{Objective: MinStorageObjective, RevealHops: 4, Compress: true}},
+		{"min-storage", OptimizeOptions{RevealHops: 4}, "mst"},
+		{"sum-recreation", OptimizeOptions{Request: solve.Request{Solver: "lmg"}, BudgetFactor: 1.3, RevealHops: 4}, "lmg"},
+		{"max-recreation", OptimizeOptions{Request: solve.Request{Solver: "mp"}, RevealHops: 4}, "mp"},
+		{"compressed", OptimizeOptions{RevealHops: 4, Compress: true}, "mst"},
 	}
 	for i, tc := range objectives {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,6 +353,9 @@ func TestOptimizeObjectivesPreserveContent(t *testing.T) {
 			sol, err := r.Optimize(context.Background(), tc.opts)
 			if err != nil {
 				t.Fatalf("Optimize: %v", err)
+			}
+			if sol.Solver != tc.solver {
+				t.Errorf("solver = %q, want %q", sol.Solver, tc.solver)
 			}
 			if sol.Storage <= 0 {
 				t.Errorf("solution storage %g", sol.Storage)
@@ -373,7 +379,7 @@ func TestOptimizeReducesStorage(t *testing.T) {
 	for _, p := range payloads {
 		logical += int64(len(p))
 	}
-	if _, err := r.Optimize(context.Background(), OptimizeOptions{Objective: MinStorageObjective, RevealHops: 6}); err != nil {
+	if _, err := r.Optimize(context.Background(), OptimizeOptions{RevealHops: 6}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
 	st := r.Stats()
@@ -395,9 +401,8 @@ func TestOptimizeEmptyRepo(t *testing.T) {
 	}
 }
 
-// TestOptimizeUnknownSolver pins the normalized sentinel: both a bogus
-// registry name and an out-of-range legacy objective surface
-// solve.ErrUnknownSolver, which the HTTP layer maps to 400.
+// TestOptimizeUnknownSolver pins the normalized sentinel: a bogus registry
+// name surfaces solve.ErrUnknownSolver, which the HTTP layer maps to 400.
 func TestOptimizeUnknownSolver(t *testing.T) {
 	r := newRepo(t)
 	rng := rand.New(rand.NewSource(5))
@@ -408,13 +413,10 @@ func TestOptimizeUnknownSolver(t *testing.T) {
 	if _, err := r.Optimize(ctx, OptimizeOptions{Request: solve.Request{Solver: "simplex"}}); !errors.Is(err, solve.ErrUnknownSolver) {
 		t.Errorf("bogus solver err = %v, want solve.ErrUnknownSolver", err)
 	}
-	if _, err := r.Optimize(ctx, OptimizeOptions{Objective: OptimizeObjective(99)}); !errors.Is(err, solve.ErrUnknownSolver) {
-		t.Errorf("bogus objective err = %v, want solve.ErrUnknownSolver", err)
-	}
 }
 
-// TestOptimizeBySolverName drives Optimize through registry names the
-// legacy objective enum cannot reach, and checks content survives.
+// TestOptimizeBySolverName drives Optimize through the remaining registry
+// names, and checks content survives.
 func TestOptimizeBySolverName(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, name := range []string{"p4", "p5", "last", "gith", "spt"} {
@@ -462,7 +464,7 @@ func TestOptimizeCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Optimize(ctx, OptimizeOptions{Objective: SumRecreationObjective}); !errors.Is(err, solve.ErrCanceled) {
+	if _, err := r.Optimize(ctx, OptimizeOptions{Request: solve.Request{Solver: "lmg"}}); !errors.Is(err, solve.ErrCanceled) {
 		t.Errorf("canceled Optimize err = %v, want solve.ErrCanceled", err)
 	}
 	got, err := r.Checkout(0)

@@ -8,6 +8,7 @@ package repo
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"sync/atomic"
@@ -72,8 +73,8 @@ func TestVersionHashRecordedAndBackfilled(t *testing.T) {
 	for v := range r.meta.Versions {
 		r.meta.Versions[v].Hash = ""
 	}
-	if err := r.save(); err != nil {
-		t.Fatalf("save: %v", err)
+	if err := r.compact(); err != nil {
+		t.Fatalf("compact: %v", err)
 	}
 	want := string(store.HashBytes(payloads[1]))
 	if got, err := r.VersionHash(1); err != nil || got != want {
@@ -91,6 +92,38 @@ func TestVersionHashRecordedAndBackfilled(t *testing.T) {
 	}
 	if _, err := r.VersionHash(99); !errors.Is(err, ErrUnknownVersion) {
 		t.Errorf("VersionHash out of range: err = %v, want ErrUnknownVersion", err)
+	}
+}
+
+// TestReplicaVersionHashBackfill serves the ETag of a version that
+// predates hashes from a replica: the hash is computed in memory, and
+// nothing is persisted, since a replica has no log of its own.
+func TestReplicaVersionHashBackfill(t *testing.T) {
+	mem := store.NewMemStore()
+	r, err := InitBackend(mem)
+	if err != nil {
+		t.Fatalf("InitBackend: %v", err)
+	}
+	payloads := seedRepo(t, r, 2)
+	st := snapshotState{Meta: r.meta, Entries: r.layout.Entries}
+	st.Meta.Versions = append([]VersionInfo(nil), st.Meta.Versions...)
+	for v := range st.Meta.Versions {
+		st.Meta.Versions[v].Hash = ""
+	}
+	snap, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := OpenReplica(mem)
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	if err := rep.ApplySnapshot(snap, 1); err != nil {
+		t.Fatalf("ApplySnapshot: %v", err)
+	}
+	want := string(store.HashBytes(payloads[1]))
+	if got, err := rep.VersionHash(1); err != nil || got != want {
+		t.Fatalf("replica VersionHash(1) = %q, %v; want %q", got, err, want)
 	}
 }
 

@@ -1,13 +1,11 @@
-// Metadata-log persistence: the repository's durable form when the
-// backend supports append-only logs (store.LogStore). Every state change
+// Metadata-log persistence: the repository's durable form, on the
+// backend's append-only logs (store.LogStore). Every state change
 // — a commit, a branch, an Optimize layout swap, a hash backfill, an
 // access-telemetry flush, a job lifecycle event — is one typed record
-// appended to a metalog.Log, instead of rewriting meta.json and
-// layout.json whole. Startup replays the last compaction snapshot plus
-// the record tail; a torn final record (power cut mid-append) is
+// appended to a metalog.Log. Startup replays the last compaction snapshot
+// plus the record tail; a torn final record (power cut mid-append) is
 // truncated away by the log layer, so the repository always reopens onto
-// a whole-record prefix of its history. Backends without LogStore keep
-// the legacy whole-document path (see save).
+// a whole-record prefix of its history.
 package repo
 
 import (
@@ -104,21 +102,17 @@ func (r *Repo) appendJSON(t metalog.Type, v any) error {
 }
 
 // accessSink routes access-telemetry flushes into the log. Installed on
-// the repository's AccessStats in log mode; called under the stats
-// flushMu, which ranks below the log mutex.
+// the repository's AccessStats; called under the stats flushMu, which
+// ranks below the log mutex.
 func (r *Repo) accessSink(delta []byte) error {
 	return r.log.Append(recAccess, delta)
 }
 
 // persistCommit durably records one new version; callers hold the write
-// lock. In log mode this is one O(record) append — the scaling unlock
-// over rewriting meta.json and layout.json whole — plus a best-effort
-// telemetry flush (folded into the log, so an unclean shutdown no longer
-// drops the final decay window) and a compaction check.
+// lock. This is one O(record) append plus a best-effort telemetry flush
+// (folded into the log, so an unclean shutdown no longer drops the final
+// decay window) and a compaction check.
 func (r *Repo) persistCommit(v VersionInfo, e store.Entry) error {
-	if r.log == nil {
-		return r.save()
-	}
 	if err := r.appendJSON(recCommit, commitRecord{Version: v, Entry: e}); err != nil {
 		return err
 	}
@@ -130,9 +124,6 @@ func (r *Repo) persistCommit(v VersionInfo, e store.Entry) error {
 // persistBranch durably records a branch creation; callers hold the write
 // lock.
 func (r *Repo) persistBranch(name string, from int) error {
-	if r.log == nil {
-		return r.save()
-	}
 	if err := r.appendJSON(recBranch, branchRecord{Name: name, From: from}); err != nil {
 		return err
 	}
@@ -143,9 +134,6 @@ func (r *Repo) persistBranch(name string, from int) error {
 // persistSwap durably records an Optimize layout swap; callers hold the
 // write lock with r.layout already pointing at the new table.
 func (r *Repo) persistSwap() error {
-	if r.log == nil {
-		return r.save()
-	}
 	entries := append([]store.Entry(nil), r.layout.Entries...)
 	if err := r.appendJSON(recLayoutSwap, layoutSwapRecord{Entries: entries}); err != nil {
 		return err
@@ -155,11 +143,8 @@ func (r *Repo) persistSwap() error {
 }
 
 // persistHash durably records a hash backfill; callers hold the write
-// lock.
+// lock on a primary.
 func (r *Repo) persistHash(id int, hash string) error {
-	if r.log == nil {
-		return r.save()
-	}
 	return r.appendJSON(recHash, hashRecord{ID: id, Hash: hash})
 }
 
@@ -230,6 +215,12 @@ func (r *Repo) resetToSnapshot(snap []byte) error {
 			return fmt.Errorf("repo: restore: snapshot: %w", err)
 		}
 	}
+	return r.resetToState(st)
+}
+
+// resetToState replaces the repository's whole in-memory state with st,
+// under the same locking rules as resetToSnapshot.
+func (r *Repo) resetToState(st snapshotState) error {
 	if len(st.Entries) != len(st.Meta.Versions) {
 		return fmt.Errorf("repo: restore: %d layout entries for %d versions", len(st.Entries), len(st.Meta.Versions))
 	}
@@ -375,8 +366,7 @@ func (r *Repo) dropJob(id string) {
 
 // SetLogCompactEvery overrides how many tail records may accumulate before
 // the commit path compacts the log (≤ 0 restores the default). Call before
-// concurrent use; no-op for repositories on the legacy whole-document
-// path.
+// concurrent use; no-op on a replica.
 func (r *Repo) SetLogCompactEvery(n int64) {
 	if n <= 0 {
 		n = DefaultCompactEvery
@@ -384,8 +374,7 @@ func (r *Repo) SetLogCompactEvery(n int64) {
 	r.compactEvery = n
 }
 
-// LogStats reports the metadata log's counters; all zeros on the legacy
-// whole-document path.
+// LogStats reports the metadata log's counters; all zeros on a replica.
 func (r *Repo) LogStats() metalog.Stats {
 	if r.log == nil {
 		return metalog.Stats{}
@@ -567,8 +556,8 @@ func (s *shadowRecorder) release() {
 }
 
 // Close flushes pending telemetry and releases the metadata log. The
-// repository must not be used afterwards. Safe on legacy-path
-// repositories (flush only).
+// repository must not be used afterwards. Safe on a replica, which has
+// no log.
 func (r *Repo) Close() error {
 	_ = r.stats.Flush()
 	if r.log == nil {

@@ -3,10 +3,12 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"versiondb/internal/costs"
 	"versiondb/internal/workload"
 )
 
@@ -92,6 +94,50 @@ func TestRegistryConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRegistryDeterministicTies solves one instance full of cost ties 30
+// times per registered solver, rebuilding the augmented graph each time as
+// every repository re-layout does, and requires a single storage tree:
+// ties must break by version index, not by map iteration order.
+func TestRegistryDeterministicTies(t *testing.T) {
+	const n, hops, solves = 40, 3, 30
+	m := costs.NewMatrix(n, true)
+	for i := 0; i < n; i++ {
+		m.SetFull(i, 100, 100)
+		for j := i - hops; j <= i+hops; j++ {
+			if j >= 0 && j < n && j != i {
+				m.SetDelta(i, j, 10, 10)
+			}
+		}
+		if i+1 < n {
+			m.AddDeltaVariant(i, i+1, 10, 10)
+		}
+	}
+	first, err := NewInstance(m)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	for _, info := range Solvers() {
+		t.Run(info.Name, func(t *testing.T) {
+			req := conformanceRequest(t, first, info)
+			trees := map[string]bool{}
+			for k := 0; k < solves; k++ {
+				inst, err := NewInstance(m)
+				if err != nil {
+					t.Fatalf("NewInstance: %v", err)
+				}
+				res, err := Solve(context.Background(), inst, req)
+				if err != nil {
+					t.Fatalf("Solve: %v", err)
+				}
+				trees[fmt.Sprint(res.Tree.Parent)] = true
+			}
+			if len(trees) != 1 {
+				t.Errorf("%d solves gave %d distinct trees, want 1", solves, len(trees))
+			}
+		})
 	}
 }
 

@@ -7,12 +7,6 @@ import (
 	"math"
 )
 
-// Problem3 minimizes Σ recreation cost under a storage budget β — LMG is
-// the paper's heuristic of choice (Table 1, row 3).
-func Problem3(inst *Instance, beta float64) (*Solution, error) {
-	return LMG(inst, LMGOptions{Budget: beta})
-}
-
 // Problem4 minimizes the max recreation cost under storage budget β via an
 // outer binary search on θ over the MP algorithm (paper §4.2: "the solution
 // for Problem 4 is similar"). It returns the best feasible solution found.
@@ -121,12 +115,6 @@ func problem5Run(ctx context.Context, inst *Instance, theta float64, iters int, 
 		}
 	}
 	return best, nil
-}
-
-// Problem6 minimizes total storage under a bound θ on the max recreation
-// cost — the MP algorithm's native problem.
-func Problem6(inst *Instance, theta float64) (*Solution, error) {
-	return MP(inst, theta)
 }
 
 // envelope returns the MST/SPT pair bounding every tradeoff, reusing hints

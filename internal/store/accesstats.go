@@ -9,9 +9,6 @@ import (
 	"time"
 )
 
-// accessStatsName is the metadata document persisting access telemetry.
-const accessStatsName = "access_stats.json"
-
 // Defaults for AccessStats construction.
 const (
 	// DefaultHalfLife is the decay half-life of access counters: an access
@@ -20,7 +17,7 @@ const (
 	// all-time popularity.
 	DefaultHalfLife = time.Hour
 	// DefaultFlushEvery bounds how many recorded accesses may accumulate
-	// before the counters are persisted through the MetaStore.
+	// before the counters are persisted through the sink.
 	DefaultFlushEvery = 64
 	// WeightSmoothing is the Laplace smoothing constant added to every
 	// version's decayed count before normalization, so a never-accessed
@@ -48,20 +45,19 @@ type VersionAccess struct {
 // repository records accesses under its read lock without serializing
 // checkouts behind each other.
 //
-// Counters persist through the MetaStore (access_stats.json): every
-// FlushEvery records — and on every explicit Flush — the decayed counts are
-// written atomically, so restarts keep (slightly stale) history. The data
-// is advisory: a missing or corrupt document simply restarts telemetry from
-// zero.
+// Counters persist through a sink (see SetSink): every FlushEvery records
+// — and on every explicit Flush — the versions touched since the last
+// flush are handed over as a sparse delta, so restarts keep (slightly
+// stale) history. The data is advisory: a missing or corrupt document
+// simply restarts telemetry from zero.
 type AccessStats struct {
 	// flushMu serializes flushes and is acquired before mu, so persisted
-	// documents can never go backward in time; the MetaStore write itself
-	// happens under flushMu only, never under mu — recorders are blocked
-	// by a flush for no longer than the document snapshot.
+	// deltas can never go backward in time; the sink call itself happens
+	// under flushMu only, never under mu — recorders are blocked by a
+	// flush for no longer than the delta snapshot.
 	flushMu sync.Mutex
 
 	mu         sync.Mutex
-	ms         MetaStore
 	sink       func(delta []byte) error
 	halfLife   time.Duration
 	flushEvery int
@@ -74,8 +70,8 @@ type AccessStats struct {
 	dirtySet map[int]struct{} // versions recorded since last flush
 }
 
-// accessStatsDoc is the persisted form: counts are folded to SavedAt so the
-// document needs only one timestamp.
+// accessStatsDoc is the full-state form (a snapshot's access section):
+// counts are folded to SavedAt so the document needs only one timestamp.
 type accessStatsDoc struct {
 	HalfLifeSeconds float64   `json:"half_life_seconds"`
 	Total           uint64    `json:"total"`
@@ -95,52 +91,22 @@ type accessDeltaDoc struct {
 	Sparse          map[int]float64 `json:"sparse"`
 }
 
-// NewAccessStats returns empty telemetry persisting through ms (nil ms
-// keeps the stats purely in-memory).
-func NewAccessStats(ms MetaStore) *AccessStats {
+// NewAccessStats returns empty telemetry that persists nowhere until a
+// sink is attached with SetSink.
+func NewAccessStats() *AccessStats {
 	return &AccessStats{
-		ms:         ms,
 		halfLife:   DefaultHalfLife,
 		flushEvery: DefaultFlushEvery,
 		now:        time.Now,
 	}
 }
 
-// LoadAccessStats restores persisted telemetry from ms. Telemetry is
-// advisory, so any failure — no document yet, an unreadable store, a corrupt
-// JSON body — yields fresh empty stats rather than an error.
-func LoadAccessStats(ms MetaStore) *AccessStats {
-	as := NewAccessStats(ms)
-	if ms == nil {
-		return as
-	}
-	data, err := ms.GetMeta(accessStatsName)
-	if err != nil {
-		return as
-	}
-	var doc accessStatsDoc
-	if json.Unmarshal(data, &doc) != nil {
-		return as
-	}
-	if doc.HalfLifeSeconds > 0 {
-		as.halfLife = time.Duration(doc.HalfLifeSeconds * float64(time.Second))
-	}
-	as.total = doc.Total
-	as.counts = doc.Counts
-	as.stamps = make([]time.Time, len(doc.Counts))
-	for i := range as.stamps {
-		as.stamps[i] = doc.SavedAt
-	}
-	return as
-}
-
 // LoadAccessStatsData restores telemetry from a raw full document (a
-// metadata-log snapshot's access section). Like LoadAccessStats, any
-// failure — nil data, corrupt JSON — yields fresh empty stats; telemetry is
-// advisory. The result persists nowhere until a sink is attached with
-// SetSink.
+// metadata-log snapshot's access section). Any failure — nil data, corrupt
+// JSON — yields fresh empty stats; telemetry is advisory. The result
+// persists nowhere until a sink is attached with SetSink.
 func LoadAccessStatsData(data []byte) *AccessStats {
-	as := NewAccessStats(nil)
+	as := NewAccessStats()
 	if len(data) == 0 {
 		return as
 	}
@@ -160,11 +126,10 @@ func LoadAccessStatsData(data []byte) *AccessStats {
 	return as
 }
 
-// SetSink routes flushes through fn instead of the MetaStore: fn receives a
-// sparse delta document (only versions touched since the previous flush)
-// suitable for appending to a metadata log, where the whole-document
-// MetaStore write would pay O(versions) per flush. Call before concurrent
-// use.
+// SetSink routes flushes through fn: fn receives a sparse delta document
+// (only versions touched since the previous flush) suitable for appending
+// to a metadata log — O(dirty), not O(versions), per flush. Call before
+// concurrent use.
 func (a *AccessStats) SetSink(fn func(delta []byte) error) { a.sink = fn }
 
 // ApplyDelta folds one sparse delta document (as produced by a sink-routed
@@ -355,54 +320,39 @@ func (a *AccessStats) TopK(k int) []VersionAccess {
 	return out
 }
 
-// Flush persists the current counters through the MetaStore immediately;
-// with a nil MetaStore it is a no-op. Counts are folded (decayed) to the
-// flush time so the document carries a single timestamp. The dirty counter
-// resets before the write is attempted: a failing MetaStore postpones the
-// next try until another FlushEvery records (or an explicit Flush) instead
-// of retrying synchronously on every Record — telemetry loss is
-// acceptable, serializing checkouts behind failing I/O is not.
+// Flush hands the counters touched since the last flush to the sink
+// immediately; without a sink it is a no-op. Counts are folded (decayed) to
+// the flush time so the delta carries a single timestamp. The dirty counter
+// resets before the sink is called: a failing sink postpones the next try
+// until another FlushEvery records (or an explicit Flush) instead of
+// retrying synchronously on every Record — telemetry loss is acceptable,
+// serializing checkouts behind failing I/O is not.
 func (a *AccessStats) Flush() error {
 	a.flushMu.Lock()
 	defer a.flushMu.Unlock()
 	a.mu.Lock()
-	if (a.ms == nil && a.sink == nil) || (a.dirty == 0 && a.total > 0) {
+	if a.sink == nil || (a.dirty == 0 && a.total > 0) {
 		a.mu.Unlock()
 		return nil // nothing to persist, or nothing new since the last flush
 	}
 	a.dirty = 0
-	var data []byte
-	var err error
-	if a.sink != nil {
-		// Sink mode: a sparse delta covering only the versions touched since
-		// the last flush — O(dirty), not O(versions), per flush.
-		now := a.now()
-		doc := accessDeltaDoc{
-			HalfLifeSeconds: a.halfLife.Seconds(),
-			Total:           a.total,
-			SavedAt:         now,
-			Sparse:          make(map[int]float64, len(a.dirtySet)),
-		}
-		for v := range a.dirtySet {
-			doc.Sparse[v] = a.counts[v] * a.decayFactor(now.Sub(a.stamps[v]))
-		}
-		a.dirtySet = nil
-		a.mu.Unlock()
-		if data, err = json.Marshal(&doc); err != nil {
-			return fmt.Errorf("store: access stats: %w", err)
-		}
-		if err := a.sink(data); err != nil {
-			return fmt.Errorf("store: access stats: %w", err)
-		}
-		return nil
+	now := a.now()
+	doc := accessDeltaDoc{
+		HalfLifeSeconds: a.halfLife.Seconds(),
+		Total:           a.total,
+		SavedAt:         now,
+		Sparse:          make(map[int]float64, len(a.dirtySet)),
 	}
-	doc := a.fullDoc()
+	for v := range a.dirtySet {
+		doc.Sparse[v] = a.counts[v] * a.decayFactor(now.Sub(a.stamps[v]))
+	}
 	a.dirtySet = nil
 	a.mu.Unlock()
-	if data, err = json.Marshal(&doc); err != nil {
+	data, err := json.Marshal(&doc)
+	if err != nil {
 		return fmt.Errorf("store: access stats: %w", err)
 	}
-	if err := a.ms.PutMeta(accessStatsName, data); err != nil {
+	if err := a.sink(data); err != nil {
 		return fmt.Errorf("store: access stats: %w", err)
 	}
 	return nil

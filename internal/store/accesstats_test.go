@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"io/fs"
 	"math"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func approxSlice(a, b []float64, eps float64) bool {
 
 func TestAccessStatsDecay(t *testing.T) {
 	clk := newFakeClock()
-	as := NewAccessStats(nil)
+	as := NewAccessStats()
 	as.SetClock(clk.now)
 	as.SetHalfLife(time.Hour)
 
@@ -56,7 +55,7 @@ func TestAccessStatsDecay(t *testing.T) {
 
 func TestAccessStatsNoDecayWhenDisabled(t *testing.T) {
 	clk := newFakeClock()
-	as := NewAccessStats(nil)
+	as := NewAccessStats()
 	as.SetClock(clk.now)
 	as.SetHalfLife(0)
 	as.Record(1)
@@ -119,7 +118,7 @@ func TestAccessStatsWeights(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			as := NewAccessStats(nil)
+			as := NewAccessStats()
 			as.SetClock(newFakeClock().now) // frozen clock: no decay between records
 			for v, times := range tc.records {
 				for i := 0; i < times; i++ {
@@ -148,7 +147,7 @@ func TestAccessStatsWeights(t *testing.T) {
 }
 
 func TestAccessStatsTopK(t *testing.T) {
-	as := NewAccessStats(nil)
+	as := NewAccessStats()
 	as.SetClock(newFakeClock().now)
 	for v, times := range map[int]int{0: 1, 2: 5, 3: 5, 7: 2} {
 		for i := 0; i < times; i++ {
@@ -168,10 +167,28 @@ func TestAccessStatsTopK(t *testing.T) {
 	}
 }
 
+// recordingSink collects the deltas a flush hands over and can replay
+// them onto a fresh AccessStats, as metadata-log recovery does.
+type recordingSink struct{ deltas [][]byte }
+
+func (s *recordingSink) put(delta []byte) error {
+	s.deltas = append(s.deltas, delta)
+	return nil
+}
+
+func (s *recordingSink) reload() *AccessStats {
+	as := LoadAccessStatsData(nil)
+	for _, d := range s.deltas {
+		as.ApplyDelta(d)
+	}
+	return as
+}
+
 func TestAccessStatsPersistence(t *testing.T) {
 	clk := newFakeClock()
-	ms := NewMemStore()
-	as := NewAccessStats(ms)
+	sink := &recordingSink{}
+	as := NewAccessStats()
+	as.SetSink(sink.put)
 	as.SetClock(clk.now)
 	for i := 0; i < 3; i++ {
 		as.Record(1)
@@ -182,7 +199,7 @@ func TestAccessStatsPersistence(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 
-	re := LoadAccessStats(ms)
+	re := sink.reload()
 	re.SetClock(clk.now)
 	if re.Total() != 4 {
 		t.Fatalf("reloaded total = %d, want 4", re.Total())
@@ -195,55 +212,48 @@ func TestAccessStatsPersistence(t *testing.T) {
 }
 
 func TestAccessStatsAutoFlush(t *testing.T) {
-	ms := NewMemStore()
-	as := NewAccessStats(ms)
+	sink := &recordingSink{}
+	as := NewAccessStats()
+	as.SetSink(sink.put)
 	as.SetClock(newFakeClock().now)
 	as.SetFlushEvery(2)
 	as.Record(0)
-	if _, err := ms.GetMeta(accessStatsName); err == nil {
+	if len(sink.deltas) != 0 {
 		t.Fatal("flushed before reaching the threshold")
 	}
 	as.Record(0)
-	if _, err := ms.GetMeta(accessStatsName); err != nil {
-		t.Fatalf("no auto-flush at threshold: %v", err)
+	if len(sink.deltas) != 1 {
+		t.Fatalf("%d flushes at the threshold, want 1", len(sink.deltas))
 	}
-	if re := LoadAccessStats(ms); re.Total() != 2 {
+	if re := sink.reload(); re.Total() != 2 {
 		t.Fatalf("auto-flushed total = %d, want 2", re.Total())
 	}
 }
 
-// failingMetaStore rejects every write — the disk-full regime.
-type failingMetaStore struct{ puts int }
-
-func (f *failingMetaStore) PutMeta(string, []byte) error {
-	f.puts++
-	return errors.New("disk full")
-}
-func (f *failingMetaStore) GetMeta(string) ([]byte, error) { return nil, fs.ErrNotExist }
-
 // TestAccessStatsFlushFailureBacksOff pins the serving-path guarantee: a
-// failing MetaStore must not make every subsequent Record retry the write
-// synchronously (which would serialize all checkouts behind failing I/O) —
-// the next attempt waits for another FlushEvery records.
+// failing sink (the disk-full regime) must not make every subsequent
+// Record retry the write synchronously (which would serialize all
+// checkouts behind failing I/O) — the next attempt waits for another
+// FlushEvery records.
 func TestAccessStatsFlushFailureBacksOff(t *testing.T) {
-	ms := &failingMetaStore{}
-	as := NewAccessStats(ms)
+	calls := 0
+	as := NewAccessStats()
+	as.SetSink(func([]byte) error {
+		calls++
+		return errors.New("disk full")
+	})
 	as.SetClock(newFakeClock().now)
 	as.SetFlushEvery(2)
 	for i := 0; i < 4; i++ {
 		as.Record(0)
 	}
-	if ms.puts != 2 {
-		t.Fatalf("4 records at flushEvery=2 attempted %d writes, want exactly 2 (threshold-paced, not per-record retry)", ms.puts)
+	if calls != 2 {
+		t.Fatalf("4 records at flushEvery=2 attempted %d writes, want exactly 2 (threshold-paced, not per-record retry)", calls)
 	}
 }
 
 func TestLoadAccessStatsCorruptIsFresh(t *testing.T) {
-	ms := NewMemStore()
-	if err := ms.PutMeta(accessStatsName, []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	as := LoadAccessStats(ms)
+	as := LoadAccessStatsData([]byte("{not json"))
 	if as.Total() != 0 || len(as.Snapshot()) != 0 {
 		t.Fatal("corrupt telemetry should restart from zero, not error")
 	}

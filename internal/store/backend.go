@@ -11,7 +11,7 @@ import "io"
 // packfiles on a local filesystem, the paper's prototype medium) and
 // MemStore (a lock-guarded map, for serving replicas and tests). Remote
 // backends (e.g. an S3-style store) only need these five methods plus
-// MetaStore.
+// MetaStore and LogStore.
 type Backend interface {
 	// Put writes data idempotently and returns its content address.
 	Put(data []byte) (ID, error)
@@ -25,11 +25,12 @@ type Backend interface {
 	List() ([]ID, error)
 }
 
-// MetaStore persists small named metadata documents (layout.json,
-// meta.json) next to the blobs. Writes must be atomic: a reader of a name
-// sees either the old or the new document, never a torn mix — the property
-// the repository layer relies on for crash-consistent meta persistence.
+// MetaStore persists small named metadata documents (the metadata log's
+// compaction snapshot) next to the blobs. Writes must be atomic: a reader
+// of a name sees either the old or the new document, never a torn mix —
+// the property the metadata log relies on for crash-consistent snapshots.
 // Missing names yield an error satisfying errors.Is(err, fs.ErrNotExist).
+// Every repository needs it.
 type MetaStore interface {
 	PutMeta(name string, data []byte) error
 	GetMeta(name string) ([]byte, error)
@@ -65,10 +66,9 @@ type LogDevice interface {
 	Close() error
 }
 
-// LogStore is an optional backend capability: named append-only logs next
-// to the blobs and metadata documents. Backends without it fall back to
-// whole-document metadata persistence through MetaStore — functional, but
-// with O(n) write amplification per commit.
+// LogStore is a backend capability: named append-only logs next to the
+// blobs and metadata documents, holding the repository's metadata record
+// log. Every repository needs it.
 type LogStore interface {
 	OpenLog(name string) (LogDevice, error)
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -689,44 +688,11 @@ func (l *Layout) NumMaterialized() int {
 	return n
 }
 
-// layoutMetaName is the metadata document holding the serialized layout.
-const layoutMetaName = "layout.json"
-
-// Save persists the layout metadata through the backend's MetaStore.
-func (l *Layout) Save() error {
-	ms, ok := l.backend.(MetaStore)
-	if !ok {
-		return fmt.Errorf("store: save layout: backend %T does not persist metadata", l.backend)
-	}
-	data, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: save layout: %w", err)
-	}
-	return ms.PutMeta(layoutMetaName, data)
-}
-
 // NewLayoutFromEntries builds a layout over b serving the given entry
 // table without touching a single blob: the constructor behind
-// metadata-log replay (where entries come from commit and swap records
-// rather than layout.json) and behind Optimize's shadow-build handoff
-// (where blobs were already written through a recording wrapper).
+// metadata-log replay (where entries come from commit and swap records)
+// and behind Optimize's shadow-build handoff (where blobs were already
+// written through a recording wrapper).
 func NewLayoutFromEntries(b Backend, entries []Entry) *Layout {
 	return &Layout{backend: b, Entries: entries}
-}
-
-// LoadLayout reads layout metadata from the backend's MetaStore.
-func LoadLayout(b Backend) (*Layout, error) {
-	ms, ok := b.(MetaStore)
-	if !ok {
-		return nil, fmt.Errorf("store: load layout: backend %T does not persist metadata", b)
-	}
-	data, err := ms.GetMeta(layoutMetaName)
-	if err != nil {
-		return nil, fmt.Errorf("store: load layout: %w", err)
-	}
-	l := &Layout{backend: b}
-	if err := json.Unmarshal(data, l); err != nil {
-		return nil, fmt.Errorf("store: load layout: %w", err)
-	}
-	return l, nil
 }

@@ -211,30 +211,6 @@ func TestLayoutStats(t *testing.T) {
 	}
 }
 
-func TestLayoutSaveLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	payloads := chainPayloads(rng, 4)
-	s := newStore(t)
-	tr := randomStorageTree(rng, 4)
-	l, err := BuildLayout(s, payloads, tr, true)
-	if err != nil {
-		t.Fatalf("BuildLayout: %v", err)
-	}
-	if err := l.Save(); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	l2, err := LoadLayout(s)
-	if err != nil {
-		t.Fatalf("LoadLayout: %v", err)
-	}
-	for v := range payloads {
-		got, err := l2.Checkout(v)
-		if err != nil || !bytes.Equal(got, payloads[v]) {
-			t.Errorf("reloaded Checkout(%d) failed: %v", v, err)
-		}
-	}
-}
-
 func TestBuildLayoutValidation(t *testing.T) {
 	s := newStore(t)
 	payloads := [][]byte{[]byte("a\n")}

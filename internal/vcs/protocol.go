@@ -77,15 +77,10 @@ type LogTailResponse struct {
 
 // OptimizeRequest triggers a global storage re-layout. Solver selects a
 // registry solver by name ("mst", "spt", "lmg", "mp", "last", "gith",
-// "exact", "p4", "p5") with its knobs; the legacy Objective strings remain
-// honored when Solver is empty. Unset knobs a solver requires are defaulted
-// server-side from the repository's cost envelope.
+// "exact", "p4", "p5") with its knobs. Unset knobs a solver requires are
+// defaulted server-side from the repository's cost envelope.
 type OptimizeRequest struct {
-	// Objective is the legacy selector: "min-storage" | "sum-recreation" |
-	// "max-recreation" (empty means "min-storage"). Ignored when Solver is
-	// set.
-	Objective string `json:"objective,omitempty"`
-	// Solver names a registry solver directly.
+	// Solver names a registry solver; empty runs "mst".
 	Solver string `json:"solver,omitempty"`
 	// Budget is the storage budget β for budget-constrained solvers; 0
 	// falls back to BudgetFactor × minimum storage.
@@ -130,7 +125,8 @@ type JobInfo struct {
 	ID string `json:"id"`
 	// State is pending | running | done | failed | canceled.
 	State string `json:"state"`
-	// Solver is the registry solver the job runs.
+	// Solver is the registry solver the job runs, as requested: empty when
+	// the request named none and the job runs "mst".
 	Solver string `json:"solver"`
 	// Phase is the optimizer's last progress report ("snapshot", "diff",
 	// "solve", "rewrite", "swap", "retry"); empty until the job runs.
@@ -200,8 +196,8 @@ type StatsResponse struct {
 	// counts, and the last auto-optimize outcome. Absent when the server
 	// runs without -autotune.
 	Autotune *autotune.Status `json:"autotune,omitempty"`
-	// Metadata-log counters (zero when the backend has no log and the
-	// repository persists whole documents instead). LogRecords/LogBytes
+	// Metadata-log counters (zero on a replica, which keeps no log of its
+	// own). LogRecords/LogBytes
 	// are the live tail after the latest compaction; LogReplayed and
 	// LogTornTails describe what startup recovery found.
 	LogRecords     int64 `json:"log_records,omitempty"`

@@ -129,7 +129,7 @@ func (s *Server) recoverJobs() {
 		if err := json.Unmarshal([]byte(rj.Spec), &req); err != nil {
 			continue
 		}
-		opts, err := optimizeOptions(req)
+		opts, err := req.Options()
 		if err != nil {
 			continue
 		}
@@ -201,7 +201,7 @@ const StatusClientClosedRequest = 499
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, repo.ErrUnknownVersion), errors.Is(err, repo.ErrUnknownBranch),
-		errors.Is(err, jobs.ErrUnknownJob), errors.Is(err, repo.ErrNoMetaLog):
+		errors.Is(err, jobs.ErrUnknownJob):
 		return http.StatusNotFound
 	case errors.Is(err, repo.ErrReplica):
 		return http.StatusForbidden
@@ -309,24 +309,20 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// optimizeOptions resolves the wire request into repository options,
-// surfacing unknown solver/objective names as ErrUnknownSolver.
-func optimizeOptions(req OptimizeRequest) (repo.OptimizeOptions, error) {
-	solver := req.Solver
-	if solver == "" {
-		name, err := repo.ObjectiveSolverName(req.Objective)
-		if err != nil {
+// Options maps the wire request onto repository options — the one mapping
+// the HTTP server and the vms CLI share. Unknown solver names surface as
+// ErrUnknownSolver before anything runs, so the async path answers 400
+// synchronously instead of minting a doomed job; an empty name is left for
+// Optimize to default.
+func (req OptimizeRequest) Options() (repo.OptimizeOptions, error) {
+	if req.Solver != "" {
+		if _, err := solve.Describe(req.Solver); err != nil {
 			return repo.OptimizeOptions{}, err
 		}
-		solver = name
-	} else if _, err := solve.Describe(solver); err != nil {
-		// Reject unknown names before anything is queued so the async path
-		// answers 400 synchronously instead of minting a doomed job.
-		return repo.OptimizeOptions{}, err
 	}
 	return repo.OptimizeOptions{
 		Request: solve.Request{
-			Solver: solver,
+			Solver: req.Solver,
 			Budget: req.Budget,
 			Theta:  req.Theta,
 			Alpha:  req.Alpha,
@@ -374,7 +370,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	opts, err := optimizeOptions(req)
+	opts, err := req.Options()
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return

@@ -111,7 +111,7 @@ func TestOptimizeAndStatsOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := c.Optimize(OptimizeRequest{Objective: "sum-recreation", BudgetFactor: 1.3, RevealHops: 4})
+	resp, err := c.Optimize(OptimizeRequest{Solver: "lmg", BudgetFactor: 1.3, RevealHops: 4})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -194,8 +194,8 @@ func TestServerErrorsSurfaceToClient(t *testing.T) {
 			t.Errorf("commit to unknown branch succeeded")
 		}
 	}
-	if _, err := c.Optimize(OptimizeRequest{Objective: "bogus"}); err == nil {
-		t.Errorf("bogus objective accepted")
+	if _, err := c.Optimize(OptimizeRequest{Solver: "bogus"}); err == nil {
+		t.Errorf("bogus solver accepted")
 	}
 }
 
@@ -238,12 +238,12 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// Malformed requests are 400.
 	wantStatus(t, http.MethodGet, base+"/checkout?v=abc", "", http.StatusBadRequest)
 	wantStatus(t, http.MethodPost, base+"/commit", `{broken`, http.StatusBadRequest)
-	wantStatus(t, http.MethodPost, base+"/optimize", `{"objective":"bogus"}`, http.StatusBadRequest)
+	wantStatus(t, http.MethodPost, base+"/optimize", `{"solver":"bogus"}`, http.StatusBadRequest)
 }
 
 func TestOptimizeEmptyRepoConflicts(t *testing.T) {
 	_, base := newServerURL(t)
-	wantStatus(t, http.MethodPost, base+"/optimize", `{"objective":"min-storage"}`, http.StatusConflict)
+	wantStatus(t, http.MethodPost, base+"/optimize", `{}`, http.StatusConflict)
 }
 
 // TestOptimizeBySolverOverHTTP exercises the registry path of /optimize:
@@ -296,7 +296,7 @@ func TestOptimizeClientDisconnectCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // simulates the net/http server canceling r.Context() on disconnect
 	req := httptest.NewRequest(http.MethodPost, "/optimize",
-		strings.NewReader(`{"objective":"sum-recreation"}`)).WithContext(ctx)
+		strings.NewReader(`{"solver":"lmg"}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != StatusClientClosedRequest {

@@ -230,13 +230,13 @@ func NewOnline(opts OnlineOptions) *Online { return solve.NewOnline(opts) }
 type Backend = store.Backend
 
 // MetaStore persists small named metadata documents atomically; both
-// shipped backends implement it.
+// shipped backends implement it, and every repository needs it.
 type MetaStore = store.MetaStore
 
-// LogStore marks a backend with append-only log support: a repository on
-// such a backend persists its metadata as an append-only record log with
-// snapshot compaction and crash-recovery replay instead of rewriting
-// whole documents. Both shipped backends implement it.
+// LogStore is a backend's append-only log support: a repository persists
+// its metadata as an append-only record log with snapshot compaction and
+// crash-recovery replay. Both shipped backends implement it, and every
+// repository needs it.
 type LogStore = store.LogStore
 
 // ObjectStore is the filesystem backend (loose objects + packfiles).
@@ -313,13 +313,6 @@ type VersionInfo = repo.VersionInfo
 // OptimizeOptions configure Repo.Optimize.
 type OptimizeOptions = repo.OptimizeOptions
 
-// Optimization objectives for Repo.Optimize.
-const (
-	MinStorageObjective    = repo.MinStorageObjective
-	SumRecreationObjective = repo.SumRecreationObjective
-	MaxRecreationObjective = repo.MaxRecreationObjective
-)
-
 // InitRepo creates a filesystem-backed repository at dir.
 func InitRepo(dir string) (*Repo, error) { return repo.Init(dir) }
 
@@ -327,7 +320,7 @@ func InitRepo(dir string) (*Repo, error) { return repo.Init(dir) }
 func OpenRepo(dir string) (*Repo, error) { return repo.Open(dir) }
 
 // InitRepoBackend creates a repository over an arbitrary backend (which
-// must also implement MetaStore).
+// must also implement MetaStore and LogStore).
 func InitRepoBackend(b Backend) (*Repo, error) { return repo.InitBackend(b) }
 
 // OpenRepoBackend opens an existing repository from an arbitrary backend.
@@ -335,7 +328,7 @@ func OpenRepoBackend(b Backend) (*Repo, error) { return repo.OpenBackend(b) }
 
 // AccessStats is the per-version access telemetry (decaying counters)
 // behind workload-aware optimization; every Repo maintains one and
-// persists it through the backend's MetaStore. Reach it via
+// persists it through its metadata log. Reach it via
 // Repo.AccessStats.
 type AccessStats = store.AccessStats
 

@@ -160,7 +160,7 @@ func TestPublicAPIWorkloadsAndRepo(t *testing.T) {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	if _, err := r.Optimize(context.Background(), versiondb.OptimizeOptions{
-		Objective:    versiondb.SumRecreationObjective,
+		Request:      versiondb.Request{Solver: "lmg"},
 		BudgetFactor: 1.5,
 		RevealHops:   3,
 	}); err != nil {

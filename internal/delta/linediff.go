@@ -7,11 +7,20 @@
 // cost Φ is the work to apply it. For uncompressed deltas Φ ∝ Δ (the
 // paper's proportional scenarios); compressing a delta shrinks Δ while
 // leaving the apply work unchanged, which is how the Φ ≠ Δ scenario arises.
+//
+// A line delta reconstructs its target's canonical line form,
+// JoinLines(SplitLines(b)), which differs from b when b is non-empty and
+// lacks a trailing newline (LineExact). This package does not refuse such
+// targets; the layers that choose what to store do: a commit
+// (repo.addVersionLocked) materializes such a payload, the cost matrix
+// (costs.LineDiffs) reveals no delta edge into it, and store.BuildLayout
+// returns an error rather than write one.
 package delta
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 )
 
 // Hunk is one contiguous modification: at line SrcPos of the source
@@ -86,8 +95,19 @@ func JoinLines(lines []string) []byte {
 func DiffLines(a, b []byte) *LineDelta {
 	al := SplitLines(a)
 	bl := SplitLines(b)
-	ses := myers(al, bl)
-	return sesToHunks(al, bl, ses)
+	s := scratchPool.Get().(*Scratch)
+	d := sesToHunks(al, bl, myers(al, bl, s))
+	s.release()
+	return d
+}
+
+// LineExact reports whether b survives a line delta byte for byte: it is
+// empty or ends in a newline. Applying a line delta always rebuilds the
+// target's canonical line form, JoinLines(SplitLines(b)), which adds a
+// newline to a payload that lacks one — so a payload that is not line-exact
+// may only ever be stored materialized.
+func LineExact(b []byte) bool {
+	return len(b) == 0 || b[len(b)-1] == '\n'
 }
 
 // opKind is a shortest-edit-script element.
@@ -99,24 +119,59 @@ const (
 	opIns
 )
 
+// Scratch is the line differ's working memory, reused across diffs so the
+// differ allocates nothing once the buffers have grown to fit. The zero
+// value is ready to use; a Scratch must not be shared between goroutines.
+type Scratch struct {
+	v     []int    // furthest-reaching x per diagonal, the current round
+	trace []int    // each round's meaningful window of v, for backtracking
+	ops   []opKind // the edit script of the last diff
+}
+
+// scratchPool serves DiffLines callers, which do not carry a Scratch.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// maxPooledInts bounds each buffer a pooled Scratch may keep (8 MiB): one
+// huge diff should not pin its working memory for every later small one.
+const maxPooledInts = 1 << 20
+
+func (s *Scratch) release() {
+	if cap(s.v) <= maxPooledInts && cap(s.trace) <= maxPooledInts {
+		scratchPool.Put(s)
+	}
+}
+
 // myers returns the shortest edit script as a sequence of ops over a and b.
-func myers(a, b []string) []opKind {
+// The result aliases s and is valid until s is next used.
+//
+// Round d reads only the diagonals of parity d-1 within [-(d-1), d-1], all
+// written by round d-1 (round 0 reads the untouched diagonal 1), so v needs
+// no clearing between calls, and the backtrack needs only those d entries
+// of each round: the trace holds d(d+1)/2 ints for an edit distance d
+// instead of a full copy of v per round.
+func myers[T comparable](a, b []T, s *Scratch) []opKind {
 	n, m := len(a), len(b)
+	s.ops = s.ops[:0]
 	if n == 0 && m == 0 {
-		return nil
+		return s.ops
 	}
 	maxD := n + m
 	// v[k+offset] = furthest x on diagonal k.
 	offset := maxD
-	v := make([]int, 2*maxD+1)
-	// trace saves v per d for backtracking.
-	trace := make([][]int, 0, maxD+1)
-	var dFound = -1
+	if cap(s.v) < 2*maxD+1 {
+		s.v = make([]int, 2*maxD+1)
+	}
+	v := s.v[:2*maxD+1]
+	v[offset+1] = 0
+	// trace holds, for every round d ≥ 1, v at the start of the round on
+	// diagonals -(d-1), -(d-1)+2, …, d-1: d entries from index d(d-1)/2.
+	trace := s.trace[:0]
+	dFound := -1
 outer:
 	for d := 0; d <= maxD; d++ {
-		vc := make([]int, 2*maxD+1)
-		copy(vc, v)
-		trace = append(trace, vc)
+		for k := -(d - 1); k <= d-1; k += 2 {
+			trace = append(trace, v[k+offset])
+		}
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[k-1+offset] < v[k+1+offset]) {
@@ -136,33 +191,33 @@ outer:
 			}
 		}
 	}
-	// Backtrack.
-	var revOps []opKind
+	s.trace = trace
+	// Backtrack. vprev[k] is v[k] at the start of round d.
+	revOps := s.ops
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
-		vprev := trace[d]
+		vprev := trace[d*(d-1)/2 : d*(d+1)/2]
+		at := func(k int) int { return vprev[(k+d-1)/2] }
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vprev[k-1+offset] < vprev[k+1+offset]) {
+		if k == -d || (k != d && at(k-1) < at(k+1)) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vprev[prevK+offset]
+		prevX := at(prevK)
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			revOps = append(revOps, opKeep)
 			x--
 			y--
 		}
-		if d > 0 {
-			if x == prevX {
-				revOps = append(revOps, opIns)
-				y--
-			} else {
-				revOps = append(revOps, opDel)
-				x--
-			}
+		if x == prevX {
+			revOps = append(revOps, opIns)
+			y--
+		} else {
+			revOps = append(revOps, opDel)
+			x--
 		}
 	}
 	for x > 0 && y > 0 {
@@ -182,6 +237,7 @@ outer:
 	for i, j := 0, len(revOps)-1; i < j; i, j = i+1, j-1 {
 		revOps[i], revOps[j] = revOps[j], revOps[i]
 	}
+	s.ops = revOps
 	return revOps
 }
 

@@ -1,0 +1,184 @@
+package delta
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// frozenMyers is the differ as it stood before it became generic and
+// scratch-backed: a full copy of v per round, no reuse. It is the oracle
+// the production myers must agree with op for op, since every stored delta
+// and every cost matrix depends on which shortest edit script is chosen.
+func frozenMyers(a, b []string) []opKind {
+	n, m := len(a), len(b)
+	if n == 0 && m == 0 {
+		return nil
+	}
+	maxD := n + m
+	offset := maxD
+	v := make([]int, 2*maxD+1)
+	trace := make([][]int, 0, maxD+1)
+	var dFound = -1
+outer:
+	for d := 0; d <= maxD; d++ {
+		vc := make([]int, 2*maxD+1)
+		copy(vc, v)
+		trace = append(trace, vc)
+		for k := -d; k <= d; k += 2 {
+			var x int
+			if k == -d || (k != d && v[k-1+offset] < v[k+1+offset]) {
+				x = v[k+1+offset]
+			} else {
+				x = v[k-1+offset] + 1
+			}
+			y := x - k
+			for x < n && y < m && a[x] == b[y] {
+				x++
+				y++
+			}
+			v[k+offset] = x
+			if x >= n && y >= m {
+				dFound = d
+				break outer
+			}
+		}
+	}
+	var revOps []opKind
+	x, y := n, m
+	for d := dFound; d > 0; d-- {
+		vprev := trace[d]
+		k := x - y
+		var prevK int
+		if k == -d || (k != d && vprev[k-1+offset] < vprev[k+1+offset]) {
+			prevK = k + 1
+		} else {
+			prevK = k - 1
+		}
+		prevX := vprev[prevK+offset]
+		prevY := prevX - prevK
+		for x > prevX && y > prevY {
+			revOps = append(revOps, opKeep)
+			x--
+			y--
+		}
+		if x == prevX {
+			revOps = append(revOps, opIns)
+			y--
+		} else {
+			revOps = append(revOps, opDel)
+			x--
+		}
+	}
+	for x > 0 && y > 0 {
+		revOps = append(revOps, opKeep)
+		x--
+		y--
+	}
+	for x > 0 {
+		revOps = append(revOps, opDel)
+		x--
+	}
+	for y > 0 {
+		revOps = append(revOps, opIns)
+		y--
+	}
+	for i, j := 0, len(revOps)-1; i < j; i, j = i+1, j-1 {
+		revOps[i], revOps[j] = revOps[j], revOps[i]
+	}
+	return revOps
+}
+
+// checkLineSizes asserts, for every ordered pair of payloads, that the
+// LineTable kernel sizes the one-way encodings of the delta and of its
+// inverse to the byte, and that the differ — over strings and over line
+// IDs alike, with one Scratch reused throughout — picks exactly the edit
+// script the frozen differ picks.
+func checkLineSizes(t *testing.T, payloads ...[]byte) {
+	t.Helper()
+	table := NewLineTable(payloads)
+	var s Scratch
+	for i, a := range payloads {
+		for j, b := range payloads {
+			d := DiffLines(a, b)
+			wantFwd := len(Encode(d, true))
+			wantBwd := len(Encode(d.Invert(), true))
+			fwd, bwd := table.Sizes(i, j, &s)
+			if fwd != wantFwd || bwd != wantBwd {
+				t.Fatalf("Sizes(%d, %d) = (%d, %d), want (%d, %d)", i, j, fwd, bwd, wantFwd, wantBwd)
+			}
+			al, bl := SplitLines(a), SplitLines(b)
+			want := fmt.Sprint(frozenMyers(al, bl))
+			if got := fmt.Sprint(myers(al, bl, &s)); got != want {
+				t.Fatalf("myers(payload %d, payload %d) = %s, frozen differ gives %s", i, j, got, want)
+			}
+			if got := fmt.Sprint(myers(table.lines[i], table.lines[j], &s)); got != want {
+				t.Fatalf("myers over line IDs (payload %d, payload %d) = %s, frozen differ gives %s", i, j, got, want)
+			}
+		}
+	}
+}
+
+func FuzzLineSizes(f *testing.F) {
+	f.Add([]byte(""), []byte(""), []byte(""))
+	f.Add([]byte("a\nb\nc\n"), []byte("a\nx\nc\n"), []byte("c\nb\na\n"))
+	f.Add([]byte("id,val\n1,10\n2,20\n"), []byte("id,val,extra\n1,10,x\n2,20,y\n"), []byte("id\n1\n2\n"))
+	f.Add([]byte("no trailing newline"), []byte("no trailing newline\n"), []byte("\n\n\n"))
+	f.Add([]byte("a\n\nb\n"), []byte("\n"), []byte("a\nb"))
+	f.Add([]byte{0x00, 0xff, 0x0a, 0x80}, []byte{0xff, 0x00}, []byte{0x0a})
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		checkLineSizes(t, a, b, c)
+	})
+}
+
+// TestLineSizesLongLinesAndFarPositions covers what short fuzz inputs
+// rarely reach: multi-byte uvarint headers (lines of 128+ bytes, hunks
+// past line 127, 128+ lines in one hunk) and a payload set whose lines
+// repeat across payloads.
+func TestLineSizesLongLinesAndFarPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	line := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 'a' + byte(rng.Intn(3))
+		}
+		return string(b)
+	}
+	var base []string
+	for i := 0; i < 300; i++ {
+		base = append(base, line(1+rng.Intn(200)))
+	}
+	join := func(ls []string) []byte { return JoinLines(ls) }
+	edited := append([]string(nil), base...)
+	for i := 150; i < 290; i++ {
+		edited[i] = line(130 + rng.Intn(70))
+	}
+	shuffled := append([]string(nil), base...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	checkLineSizes(t, join(base), join(edited), join(shuffled), join(base[:140]), nil)
+}
+
+// TestDiffLinesReusesScratch checks the pooled path: diffs of very
+// different shapes back to back on the same goroutine still agree with the
+// frozen differ (stale scratch contents must never leak into a result).
+func TestDiffLinesReusesScratch(t *testing.T) {
+	inputs := [][2]string{
+		{"a\nb\nc\nd\ne\nf\ng\n", "g\nf\ne\nd\nc\nb\na\n"},
+		{"x\n", "x\n"},
+		{"1\n2\n3\n", "4\n5\n6\n7\n8\n9\n"},
+		{"a\nb\n", "b\n"},
+	}
+	for round := 0; round < 3; round++ {
+		for _, in := range inputs {
+			a, b := []byte(in[0]), []byte(in[1])
+			want := sesToHunks(SplitLines(a), SplitLines(b), frozenMyers(SplitLines(a), SplitLines(b)))
+			if got := DiffLines(a, b); !deltasEqual(got, want, true) {
+				t.Fatalf("round %d DiffLines(%q, %q) = %+v, want %+v", round, a, b, got, want)
+			}
+			if got, _ := DiffLines(a, b).Apply(a); !bytes.Equal(got, b) {
+				t.Fatalf("round %d apply: got %q, want %q", round, got, b)
+			}
+		}
+	}
+}

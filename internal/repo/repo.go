@@ -533,10 +533,12 @@ func (r *Repo) addVersionLocked(branch string, payload []byte, message string, p
 	r.meta.Versions = append(r.meta.Versions, info)
 	r.meta.Branches[branch] = id
 	// Incremental physical placement: delta against first parent when
-	// profitable, else materialize. (Optimize re-balances globally.)
+	// profitable, else materialize. (Optimize re-balances globally.) A
+	// payload that is not line-exact is always materialized: a line delta
+	// would check it out with a newline it never had.
 	entry := store.Entry{Parent: -1, Materialized: true}
 	blob := payload
-	if len(parents) > 0 {
+	if len(parents) > 0 && delta.LineExact(payload) {
 		base, err := r.checkoutLocked(parents[0])
 		if err != nil {
 			rollback()
@@ -1164,15 +1166,21 @@ func optimizeCanceled(cause error) error {
 }
 
 // costMatrix differences all versions within the hop radius of the version
-// graph, producing directed one-way delta costs; ctx is checked once per
-// source version. It operates on a snapshot (versions, payloads) so it can
-// run without holding the repository lock.
+// graph, producing directed one-way delta costs (costs.LineDiffs) under the
+// same worker bound as the snapshot; ctx is checked once per source
+// version. It operates on a snapshot (versions, payloads) so it can run
+// without holding the repository lock.
 func costMatrix(ctx context.Context, versions []VersionInfo, payloads [][]byte, hops int) (*costs.Matrix, error) {
-	n := len(payloads)
-	m := costs.NewMatrix(n, true)
-	for v := 0; v < n; v++ {
-		m.SetFull(v, float64(len(payloads[v])), float64(len(payloads[v])))
+	m, err := costs.LineDiffs(ctx, payloads, revealPairs(versions, len(payloads), hops), store.BulkWorkers())
+	if err != nil {
+		return nil, optimizeCanceled(err)
 	}
+	return m, nil
+}
+
+// revealPairs lists, for each source version s, the versions u > s within
+// hops undirected edges of the version graph, in breadth-first order.
+func revealPairs(versions []VersionInfo, n, hops int) [][]int {
 	adj := make([][]int, n)
 	for _, v := range versions {
 		for _, p := range v.Parents {
@@ -1180,17 +1188,15 @@ func costMatrix(ctx context.Context, versions []VersionInfo, payloads [][]byte, 
 			adj[v.ID] = append(adj[v.ID], p)
 		}
 	}
+	pairs := make([][]int, n)
 	dist := make([]int, n)
 	for i := range dist {
 		dist[i] = -1
 	}
+	var queue []int
 	for s := 0; s < n; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, optimizeCanceled(err)
-		}
-		queue := []int{s}
+		queue = append(queue[:0], s)
 		dist[s] = 0
-		touched := []int{s}
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			if dist[v] == hops {
@@ -1200,20 +1206,15 @@ func costMatrix(ctx context.Context, versions []VersionInfo, payloads [][]byte, 
 				if dist[u] == -1 {
 					dist[u] = dist[v] + 1
 					queue = append(queue, u)
-					touched = append(touched, u)
 					if s < u {
-						d := delta.DiffLines(payloads[s], payloads[u])
-						fwd := delta.Encode(d, true)
-						bwd := delta.Encode(d.Invert(), true)
-						m.SetDelta(s, u, float64(len(fwd)), float64(len(fwd)))
-						m.SetDelta(u, s, float64(len(bwd)), float64(len(bwd)))
+						pairs[s] = append(pairs[s], u)
 					}
 				}
 			}
 		}
-		for _, v := range touched {
+		for _, v := range queue {
 			dist[v] = -1
 		}
 	}
-	return m, nil
+	return pairs
 }

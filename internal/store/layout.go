@@ -166,6 +166,9 @@ func BuildLayout(b Backend, payloads [][]byte, tree *graph.Tree, compress bool) 
 			e.Parent = -1
 			blob = payloads[v]
 		} else {
+			if !delta.LineExact(payloads[v]) {
+				return nil, fmt.Errorf("store: version %d does not end in a newline; a line delta cannot rebuild it", v)
+			}
 			d := delta.DiffLines(payloads[e.Parent], payloads[v])
 			blob = delta.Encode(d, true)
 		}
@@ -349,10 +352,11 @@ func (l *Layout) Snapshot() *Layout {
 	return &Layout{backend: l.backend, Entries: l.Entries[:n:n]}
 }
 
-// checkoutAllWorkers bounds the CheckoutAll worker pool: enough to keep
-// the backend busy, few enough not to monopolize the host during a
-// background optimize snapshot.
-func checkoutAllWorkers() int {
+// BulkWorkers bounds the worker pools of Optimize's bulk phases — the
+// CheckoutAll snapshot, the pairwise differencing and the cache warm — at
+// min(GOMAXPROCS, 8): enough to keep the backend and the cores busy, few
+// enough not to monopolize the host during a background optimize.
+func BulkWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 8 {
 		w = 8
@@ -422,7 +426,7 @@ func (l *Layout) CheckoutAll(ctx context.Context) ([][]byte, error) {
 		ready <- r
 	}
 	var wg sync.WaitGroup
-	for w := checkoutAllWorkers(); w > 0; w-- {
+	for w := BulkWorkers(); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -636,7 +640,7 @@ func (l *Layout) WarmCache(ctx context.Context, versions []int) {
 	}
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := checkoutAllWorkers(); w > 0; w-- {
+	for w := BulkWorkers(); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

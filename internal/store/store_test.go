@@ -223,6 +223,30 @@ func TestBuildLayoutValidation(t *testing.T) {
 	}
 }
 
+// TestBuildLayoutRefusesDeltaIntoUnterminatedPayload: a line delta
+// rebuilds its target with a trailing newline, so BuildLayout must refuse
+// to store one into a payload that lacks it — materializing it is fine.
+func TestBuildLayoutRefusesDeltaIntoUnterminatedPayload(t *testing.T) {
+	s := NewMemStore()
+	payloads := [][]byte{[]byte("a\nb\n"), []byte("a\nb\nc")}
+	chained := graph.NewTree(3, 0)
+	chained.SetEdge(graph.Edge{From: 0, To: 1})
+	chained.SetEdge(graph.Edge{From: 1, To: 2})
+	if _, err := BuildLayout(s, payloads, chained, false); err == nil {
+		t.Fatal("BuildLayout stored a line delta into a payload without a trailing newline")
+	}
+	flat := graph.NewTree(3, 0)
+	flat.SetEdge(graph.Edge{From: 0, To: 1})
+	flat.SetEdge(graph.Edge{From: 0, To: 2})
+	l, err := BuildLayout(s, payloads, flat, false)
+	if err != nil {
+		t.Fatalf("BuildLayout(materialized): %v", err)
+	}
+	if got, err := l.Checkout(1); err != nil || !bytes.Equal(got, payloads[1]) {
+		t.Fatalf("Checkout(1) = %q, %v; want %q", got, err, payloads[1])
+	}
+}
+
 func TestCheckoutOutOfRange(t *testing.T) {
 	s := newStore(t)
 	tr := graph.NewTree(1, 0)

@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"versiondb/internal/costs"
 	"versiondb/internal/dataset"
 	"versiondb/internal/delta"
+	"versiondb/internal/store"
 )
 
 // ContentParams configure content-backed workload materialization: real CSV
@@ -77,9 +79,23 @@ const (
 
 // Costs differences the materialized versions within the hop radius and
 // returns the cost matrix. Materialization costs are payload sizes (and
-// compressed payload sizes for Δ under CompressedDiff).
+// compressed payload sizes for Δ under CompressedDiff). The directed
+// PlainDiff matrix comes from costs.LineDiffs, the kernel Optimize sizes
+// its own matrix with; the other modes need the encoded bytes.
 func (c *Contents) Costs(hops int, directed bool, mode DeltaMode) (*costs.Matrix, error) {
 	n := c.Graph.N
+	pairs := c.Graph.WithinHops(hops)
+	if directed && mode == PlainDiff {
+		later := make([][]int, n)
+		for from, hps := range pairs {
+			for _, hp := range hps {
+				if from < hp.To {
+					later[from] = append(later[from], hp.To)
+				}
+			}
+		}
+		return costs.LineDiffs(context.Background(), c.Payload[:n], later, store.BulkWorkers())
+	}
 	m := costs.NewMatrix(n, directed)
 	for v := 0; v < n; v++ {
 		full := float64(len(c.Payload[v]))
@@ -89,7 +105,6 @@ func (c *Contents) Costs(hops int, directed bool, mode DeltaMode) (*costs.Matrix
 		}
 		m.SetFull(v, stor, full)
 	}
-	pairs := c.Graph.WithinHops(hops)
 	for from := 0; from < n; from++ {
 		for _, hp := range pairs[from] {
 			if from >= hp.To {

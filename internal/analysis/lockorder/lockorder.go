@@ -33,9 +33,8 @@ var Ranks = map[string]int{
 	"versiondb/internal/store/metalog.Log.mu":        55,
 	"versiondb/internal/store.Layout.flightMu":       60,
 	"versiondb/internal/store.Layout.negMu":          70,
-	"versiondb/internal/store.VersionCache.mu":       80,
+	"versiondb/internal/store.LRU.mu":                80,
 	"versiondb/internal/store/faultfs.Store.mu":      85,
-	"versiondb/internal/store/remote.byteLRU.mu":     86,
 	"versiondb/internal/store/remote.latencyRing.mu": 87,
 	"versiondb/internal/store/remote.Server.mu":      88,
 	"versiondb/internal/store.MemStore.mu":           90,
@@ -56,7 +55,7 @@ var NoIOLocks = map[string]bool{
 }
 
 // BlobIOTypes are the qualified type names whose method calls count as
-// blob I/O. VersionCache is deliberately absent: cache hits are
+// blob I/O. The LRU cache is deliberately absent: cache hits are
 // in-memory and safe under any lock.
 var BlobIOTypes = map[string]bool{
 	"versiondb/internal/store.Backend":      true,

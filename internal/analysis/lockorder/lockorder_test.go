@@ -17,6 +17,7 @@ func TestLockOrder(t *testing.T) {
 	defer swapConfig(
 		map[string]int{
 			"lockordertest/a.Outer.mu": 0,
+			"lockordertest/a.Gen.mu":   5,
 			"lockordertest/a.Inner.mu": 10,
 			"lockordertest/a.NoIO.mu":  20,
 		},

@@ -1,6 +1,7 @@
 // Package a is the lockorder analysistest fixture. The test ranks
-// Outer.mu (0) before Inner.mu (10) before NoIO.mu (20), marks NoIO.mu
-// as a no-I/O lock, and classifies Blob methods as blob I/O.
+// Outer.mu (0) before Gen.mu (5) before Inner.mu (10) before NoIO.mu
+// (20), marks NoIO.mu as a no-I/O lock, and classifies Blob methods as
+// blob I/O.
 package a
 
 import "sync"
@@ -117,5 +118,26 @@ func goroutine() {
 		o.mu.Lock()
 		o.mu.Unlock()
 	}()
+	i.mu.Unlock()
+}
+
+// Gen is generic: calls on an instantiation resolve to the generic
+// method's summary, so the lock Gen.mu (ranked below Inner.mu) is seen.
+type Gen[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]int
+}
+
+func (c *Gen[K]) Touch(k K) {
+	c.mu.Lock()
+	c.m[k]++
+	c.mu.Unlock()
+}
+
+var gi Gen[int]
+
+func badGeneric() {
+	i.mu.Lock()
+	gi.Touch(1) // want `call to Touch acquires a\.Gen\.mu \(rank 5\) while a\.Inner\.mu \(rank 10\) is held`
 	i.mu.Unlock()
 }

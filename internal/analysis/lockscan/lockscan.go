@@ -147,17 +147,21 @@ func AsLockOp(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 
 // CalleeOf resolves a call's static target: a declared function or a
 // concrete/interface method. Returns nil for calls through function
-// values, conversions, and builtins.
+// values, conversions, and builtins. Calls into generic code resolve to
+// the generic (origin) function, the object its declaration defines, so
+// a method of Gen[int] maps to the summary of Gen's method.
 func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 func namedOf(t types.Type) *types.Named {

@@ -82,18 +82,9 @@ type Repo struct {
 	backend store.Backend
 	layout  *store.Layout
 	meta    meta
-	// Checkout LRU configuration, re-applied to the fresh layout after
-	// every Optimize swap. cacheBytes > 0 selects the byte-budgeted mode
-	// and wins over cacheSize; cacheSize > 0 is the version-count
-	// compatibility mode.
-	cacheSize  int
-	cacheBytes int64
-	// negTTL is the configured negative-result TTL for failed
-	// materializations, re-applied to every fresh layout after an Optimize
-	// swap. Zero means "layout default"; negTTLSet distinguishes an
-	// explicit disable (SetNegativeTTL ≤ 0) from "never configured".
-	negTTL    time.Duration
-	negTTLSet bool
+	// serving is the checkout-cache and negative-TTL configuration every
+	// freshly installed layout inherits.
+	serving servingConfig
 
 	// retiredBlobReads accumulates the backend blob reads of layouts
 	// retired by Optimize swaps, so BlobReads stays monotonic across
@@ -338,8 +329,8 @@ func emptyLayout(b store.Backend) *store.Layout {
 func (r *Repo) EnableCache(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cacheSize, r.cacheBytes = n, 0
-	r.layout.SetCache(r.newCacheLocked())
+	r.serving.cacheSize, r.serving.cacheBytes = n, 0
+	r.layout.SetCache(r.serving.newCache())
 }
 
 // EnableCacheBytes installs a byte-budgeted LRU on the checkout path:
@@ -349,17 +340,8 @@ func (r *Repo) EnableCache(n int) {
 func (r *Repo) EnableCacheBytes(budget int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cacheSize, r.cacheBytes = 0, budget
-	r.layout.SetCache(r.newCacheLocked())
-}
-
-// newCacheLocked builds a fresh cache per the configured mode; callers
-// hold the write lock.
-func (r *Repo) newCacheLocked() *store.VersionCache {
-	if r.cacheBytes > 0 {
-		return store.NewVersionCacheBytes(r.cacheBytes)
-	}
-	return store.NewVersionCache(r.cacheSize)
+	r.serving.cacheSize, r.serving.cacheBytes = 0, budget
+	r.layout.SetCache(r.serving.newCache())
 }
 
 // SetNegativeTTL configures how long the serving path remembers failed
@@ -371,8 +353,39 @@ func (r *Repo) newCacheLocked() *store.VersionCache {
 func (r *Repo) SetNegativeTTL(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.negTTL, r.negTTLSet = d, true
+	r.serving.negTTL, r.serving.negTTLSet = d, true
 	r.layout.SetNegativeTTL(d)
+}
+
+// servingConfig is the serving-path configuration a fresh layout inherits
+// at restore and at every Optimize swap. cacheBytes > 0 selects the
+// byte-budgeted cache and wins over cacheSize, the version-count
+// compatibility mode; neither means no cache. negTTL is the negative-result
+// TTL for failed materializations; negTTLSet distinguishes an explicit
+// disable (SetNegativeTTL ≤ 0) from "never configured" (layout default).
+type servingConfig struct {
+	cacheSize  int
+	cacheBytes int64
+	negTTL     time.Duration
+	negTTLSet  bool
+}
+
+// newCache builds a fresh, empty cache per the configured mode; nil when
+// no cache is configured.
+func (c servingConfig) newCache() *store.VersionCache {
+	if c.cacheBytes > 0 {
+		return store.NewVersionCacheBytes(c.cacheBytes)
+	}
+	return store.NewVersionCache(c.cacheSize)
+}
+
+// apply gives l a fresh cache and the configured negative TTL: the one
+// place a new layout receives the repository's serving settings.
+func (c servingConfig) apply(l *store.Layout) {
+	l.SetCache(c.newCache())
+	if c.negTTLSet {
+		l.SetNegativeTTL(c.negTTL)
+	}
 }
 
 // CacheStats returns cumulative checkout-cache hits and misses.
@@ -1105,17 +1118,12 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	// concurrent EnableCache* simply discards the warmed cache for a fresh
 	// one per the new config (no worse than the old cold start).
 	r.mu.RLock()
-	cacheSize, cacheBytes := r.cacheSize, r.cacheBytes
-	negTTL, negTTLSet := r.negTTL, r.negTTLSet
+	cfg := r.serving
 	stats := r.stats
 	r.mu.RUnlock()
-	if cacheSize > 0 || cacheBytes > 0 {
+	cfg.apply(newLayout)
+	if newLayout.Cache() != nil {
 		progress("warm")
-		if cacheBytes > 0 {
-			newLayout.SetCache(store.NewVersionCacheBytes(cacheBytes))
-		} else {
-			newLayout.SetCache(store.NewVersionCache(cacheSize))
-		}
 		hot := stats.TopK(warmTopK)
 		warm := make([]int, 0, len(hot))
 		for _, h := range hot {
@@ -1124,9 +1132,6 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 			}
 		}
 		newLayout.WarmCache(ctx, warm)
-	}
-	if negTTLSet {
-		newLayout.SetNegativeTTL(negTTL)
 	}
 
 	// Phase 3 — swap under a brief write lock, but only if the snapshot is
@@ -1139,11 +1144,11 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 		return nil, fmt.Errorf("repo: optimize: %d versions committed during solve: %w",
 			len(r.meta.Versions)-n, ErrOptimizeConflict)
 	}
-	if r.cacheSize != cacheSize || r.cacheBytes != cacheBytes {
-		newLayout.SetCache(r.newCacheLocked())
+	if r.serving.cacheSize != cfg.cacheSize || r.serving.cacheBytes != cfg.cacheBytes {
+		newLayout.SetCache(r.serving.newCache())
 	}
-	if r.negTTLSet && (!negTTLSet || r.negTTL != negTTL) {
-		newLayout.SetNegativeTTL(r.negTTL)
+	if r.serving.negTTLSet {
+		newLayout.SetNegativeTTL(r.serving.negTTL)
 	}
 	oldLayout := r.layout
 	r.layout = newLayout

@@ -249,17 +249,7 @@ func (r *Repo) resetToState(st snapshotState) error {
 // and negative-TTL configuration and folding the retired layout's I/O
 // counter. Callers hold the write lock or have exclusive access.
 func (r *Repo) installLayout(l *store.Layout) {
-	// Cache construction is inlined (not newCacheLocked): restore runs
-	// with exclusive access before the repository is published, so there
-	// is no mu to hold.
-	if r.cacheBytes > 0 {
-		l.SetCache(store.NewVersionCacheBytes(r.cacheBytes))
-	} else if r.cacheSize > 0 {
-		l.SetCache(store.NewVersionCache(r.cacheSize))
-	}
-	if r.negTTLSet {
-		l.SetNegativeTTL(r.negTTL)
-	}
+	r.serving.apply(l)
 	if old := r.layout; old != nil {
 		r.retiredBlobReads.Add(old.BlobReads())
 	}

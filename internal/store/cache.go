@@ -5,39 +5,47 @@ import (
 	"sync"
 )
 
-// VersionCache is a bounded LRU of materialized version payloads keyed by
-// version index. On the serving path it caps the effective recreation cost
-// Φ: a checkout whose version (or any chain ancestor) is cached replays
-// only the deltas below the cached node — zero for an exact hit.
+// LRU is the repository's one byte-budget LRU, generic over its key. The
+// serving path keys it by version index (VersionCache); the remote tier
+// keys it by object key for its near-tier chunk and manifest cache.
+//
+// On the serving path it caps the effective recreation cost Φ: a checkout
+// whose version (or any chain ancestor) is cached replays only the deltas
+// below the cached node — zero for an exact hit.
 //
 // The cache is bounded one of two ways. The compatibility mode bounds the
-// *number* of resident payloads (NewVersionCache); the byte-budget mode
-// bounds the *sum of payload sizes* (NewVersionCacheBytes), which is what
-// a memory envelope actually wants — a few large payloads can no longer
-// crowd the budget silently while tiny ones under-use it. In byte-budget
-// mode a payload larger than the whole budget bypasses admission entirely:
-// caching it would evict every other resident entry for a single version
-// that cannot be hot enough to deserve the whole envelope.
+// *number* of resident entries (NewVersionCache); the byte-budget mode
+// bounds the *sum of entry sizes* (NewVersionCacheBytes, NewLRUBytes),
+// which is what a memory envelope actually wants — a few large entries can
+// no longer crowd the budget silently while tiny ones under-use it. In
+// byte-budget mode an entry larger than the whole budget bypasses
+// admission entirely: caching it would evict every other resident entry
+// for a single value that cannot be hot enough to deserve the whole
+// envelope.
 //
-// The cache is safe for concurrent use. Cached payloads are shared, not
-// copied; callers must treat checkout results as read-only.
-type VersionCache struct {
+// The cache is safe for concurrent use. Cached values are shared, not
+// copied; callers must treat them (and checkout results) as read-only.
+type LRU[K comparable] struct {
 	mu          sync.Mutex
 	capVersions int        // > 0 bounds entry count (compatibility mode)
 	budgetBytes int64      // > 0 bounds Σ len(payload) (byte-budget mode)
 	bytes       int64      // resident payload bytes
 	ll          *list.List // front = most recently used
-	items       map[int]*list.Element
+	items       map[K]*list.Element
 
 	hits, misses, evictions uint64
 }
 
-type cacheItem struct {
-	v       int
+// VersionCache is the serving path's LRU of materialized version payloads,
+// keyed by version index.
+type VersionCache = LRU[int]
+
+type cacheItem[K comparable] struct {
+	key     K
 	payload []byte
 }
 
-// CacheStats is a point-in-time snapshot of a VersionCache's counters and
+// CacheStats is a point-in-time snapshot of an LRU's counters and
 // occupancy. Hits and Misses are cumulative lookup outcomes; Evictions
 // counts entries pushed out by either bound (refreshes and oversized
 // bypasses are not evictions). BytesResident ≤ BudgetBytes holds whenever
@@ -71,113 +79,129 @@ func NewVersionCache(capacity int) *VersionCache {
 	return &VersionCache{capVersions: capacity, ll: list.New(), items: map[int]*list.Element{}}
 }
 
-// NewVersionCacheBytes returns an LRU whose resident payloads never sum to
-// more than budget bytes. Budget ≤ 0 yields a nil cache, meaning
+// NewVersionCacheBytes returns a version LRU whose resident payloads never
+// sum to more than budget bytes. Budget ≤ 0 yields a nil cache, meaning
 // "disabled".
-func NewVersionCacheBytes(budget int64) *VersionCache {
+func NewVersionCacheBytes(budget int64) *VersionCache { return NewLRUBytes[int](budget) }
+
+// NewLRUBytes returns an LRU whose resident values never sum to more than
+// budget bytes. Budget ≤ 0 yields a nil cache, meaning "disabled".
+func NewLRUBytes[K comparable](budget int64) *LRU[K] {
 	if budget <= 0 {
 		return nil
 	}
-	return &VersionCache{budgetBytes: budget, ll: list.New(), items: map[int]*list.Element{}}
+	return &LRU[K]{budgetBytes: budget, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-// Get returns the cached payload for v, promoting it to most recently
+// Get returns the cached payload for k, promoting it to most recently
 // used. A nil cache always misses without counting.
-func (c *VersionCache) Get(v int) ([]byte, bool) {
+func (c *LRU[K]) Get(k K) ([]byte, bool) { return c.lookup(k, true, true) }
+
+// getQuiet behaves like Get — returning and promoting k's payload — but
+// records no hit/miss: for re-probes of a version whose lookup was
+// already counted on the checkout fast path.
+func (c *LRU[K]) getQuiet(k K) ([]byte, bool) { return c.lookup(k, false, true) }
+
+// peek returns k's payload without promoting it or counting the lookup
+// (introspection for tests and invariants).
+func (c *LRU[K]) peek(k K) ([]byte, bool) { return c.lookup(k, false, false) }
+
+func (c *LRU[K]) lookup(k K, count, promote bool) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[v]
+	el, ok := c.items[k]
+	if count {
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+		}
+	}
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).payload, true
+	if promote {
+		c.ll.MoveToFront(el)
+	}
+	return el.Value.(*cacheItem[K]).payload, true
 }
 
-// Put inserts or refreshes v's payload, evicting least recently used
+// Put inserts or refreshes k's payload, evicting least recently used
 // entries until both bounds hold. In byte-budget mode a payload larger
 // than the entire budget is not admitted (and evicts a stale entry for the
-// same version rather than refreshing it).
-func (c *VersionCache) Put(v int, payload []byte) {
+// same key rather than refreshing it).
+func (c *LRU[K]) Put(k K, payload []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.removeLocked(el)
+	}
 	if c.budgetBytes > 0 && int64(len(payload)) > c.budgetBytes {
-		// Oversized: bypass admission. A previously cached (smaller)
-		// payload for the same version is now stale — drop it.
-		if el, ok := c.items[v]; ok {
-			c.removeLocked(el)
-		}
-		return
+		return // oversized: bypass admission
 	}
-	if el, ok := c.items[v]; ok {
-		it := el.Value.(*cacheItem)
-		c.bytes += int64(len(payload)) - int64(len(it.payload))
-		it.payload = payload
-		c.ll.MoveToFront(el)
-		c.evictToBoundsLocked()
-		return
-	}
-	c.items[v] = c.ll.PushFront(&cacheItem{v: v, payload: payload})
-	c.bytes += int64(len(payload))
-	c.evictToBoundsLocked()
-}
-
-// TryPut admits v's payload only if it fits without evicting any resident
-// entry — the opportunistic admission used for intermediate chain nodes,
-// which must never flush the hot set to make room for themselves (a deep
-// cold chain would otherwise cycle the whole LRU). An already-resident v
-// is promoted to most recently used without rewriting its bytes (version
-// payloads are immutable content). Reports whether v is resident
-// afterwards.
-func (c *VersionCache) TryPut(v int, payload []byte) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[v]; ok {
-		c.ll.MoveToFront(el)
-		return true
-	}
-	if c.capVersions > 0 && c.ll.Len() >= c.capVersions {
-		return false
-	}
-	if c.budgetBytes > 0 && c.bytes+int64(len(payload)) > c.budgetBytes {
-		return false
-	}
-	c.items[v] = c.ll.PushFront(&cacheItem{v: v, payload: payload})
-	c.bytes += int64(len(payload))
-	return true
-}
-
-// evictToBoundsLocked drops LRU entries until both configured bounds hold;
-// the caller holds c.mu.
-func (c *VersionCache) evictToBoundsLocked() {
-	for c.ll.Len() > 0 {
-		over := (c.capVersions > 0 && c.ll.Len() > c.capVersions) ||
-			(c.budgetBytes > 0 && c.bytes > c.budgetBytes)
-		if !over {
-			return
-		}
+	c.insertLocked(k, payload)
+	for (c.capVersions > 0 && c.ll.Len() > c.capVersions) || (c.budgetBytes > 0 && c.bytes > c.budgetBytes) {
 		c.removeLocked(c.ll.Back())
 		c.evictions++
 	}
 }
 
+// TryPut admits k's payload only if it fits without evicting any resident
+// entry — the opportunistic admission used for intermediate chain nodes,
+// which must never flush the hot set to make room for themselves (a deep
+// cold chain would otherwise cycle the whole LRU). An already-resident k
+// is promoted to most recently used without rewriting its bytes (version
+// payloads are immutable content). Reports whether k is resident
+// afterwards.
+func (c *LRU[K]) TryPut(k K, payload []byte) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.MoveToFront(el)
+		return true
+	}
+	if (c.capVersions > 0 && c.ll.Len() >= c.capVersions) ||
+		(c.budgetBytes > 0 && c.bytes+int64(len(payload)) > c.budgetBytes) {
+		return false
+	}
+	c.insertLocked(k, payload)
+	return true
+}
+
+// Remove drops k's entry, if resident, releasing its byte charge. It is
+// not an eviction.
+func (c *LRU[K]) Remove(k K) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.removeLocked(el)
+	}
+}
+
+// insertLocked links a new most-recently-used entry; the caller holds c.mu.
+func (c *LRU[K]) insertLocked(k K, payload []byte) {
+	c.items[k] = c.ll.PushFront(&cacheItem[K]{key: k, payload: payload})
+	c.bytes += int64(len(payload))
+}
+
 // removeLocked unlinks one entry and releases its byte charge; the caller
 // holds c.mu.
-func (c *VersionCache) removeLocked(el *list.Element) {
-	it := el.Value.(*cacheItem)
+func (c *LRU[K]) removeLocked(el *list.Element) {
+	it := el.Value.(*cacheItem[K])
 	c.ll.Remove(el)
-	delete(c.items, it.v)
+	delete(c.items, it.key)
 	c.bytes -= int64(len(it.payload))
 }
 
@@ -186,7 +210,7 @@ func (c *VersionCache) removeLocked(el *list.Element) {
 // for a nil (disabled) cache. The streaming cache tee uses it to stop
 // buffering a payload that could never be admitted anyway. budgetBytes is
 // immutable after construction, so no lock is needed.
-func (c *VersionCache) admissionLimit() int64 {
+func (c *LRU[K]) admissionLimit() int64 {
 	if c == nil {
 		return 0
 	}
@@ -196,61 +220,15 @@ func (c *VersionCache) admissionLimit() int64 {
 	return -1
 }
 
-// getQuiet behaves like Get — returning and promoting v's payload — but
-// records no hit/miss: for re-probes of a version whose lookup was
-// already counted on the checkout fast path.
-func (c *VersionCache) getQuiet(v int) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[v]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).payload, true
-}
-
-// peek returns v's payload without promoting it or counting the lookup
-// (introspection for tests and invariants).
-func (c *VersionCache) peek(v int) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[v]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheItem).payload, true
-}
-
 // Len returns the number of cached payloads.
-func (c *VersionCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *LRU[K]) Len() int { return c.Stats().Entries }
 
 // Bytes returns the resident payload bytes.
-func (c *VersionCache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *LRU[K]) Bytes() int64 { return c.Stats().BytesResident }
 
 // Stats returns a snapshot of the cache's counters and occupancy. A nil
 // cache reports all zeros.
-func (c *VersionCache) Stats() CacheStats {
+func (c *LRU[K]) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,21 +70,41 @@ func TestNilVersionCacheIsDisabled(t *testing.T) {
 	}
 }
 
-// TestByteBudgetNeverExceeded: under a randomized put/get stress the
-// resident bytes never exceed the configured budget, and the tracked byte
-// count always equals the sum of the resident payload lengths.
+// keyKinds runs a generic LRU check once per key type the cache serves:
+// version indexes on the checkout path, object keys in the remote tier's
+// near-tier chunk and manifest cache.
+func keyKinds(t *testing.T, versions func(*testing.T), objects func(*testing.T)) {
+	t.Run("version", versions)
+	t.Run("object", objects)
+}
+
+func versionKey(i int) int   { return i }
+func objectKey(i int) string { return fmt.Sprintf("c/%04x", i) }
+
+// TestByteBudgetNeverExceeded: under a randomized put/get/remove stress
+// the resident bytes never exceed the configured budget, and the tracked
+// byte count always equals the sum of the resident payload lengths — so
+// Remove releases exactly the entry's charge.
 func TestByteBudgetNeverExceeded(t *testing.T) {
+	keyKinds(t,
+		func(t *testing.T) { byteBudgetStress(t, versionKey) },
+		func(t *testing.T) { byteBudgetStress(t, objectKey) })
+}
+
+func byteBudgetStress[K comparable](t *testing.T, key func(int) K) {
 	const budget = 1 << 12
-	c := NewVersionCacheBytes(budget)
+	c := NewLRUBytes[K](budget)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0, 1:
 			// Sizes straddle the budget so oversized bypass is exercised.
 			size := rng.Intn(budget + budget/2)
-			c.Put(rng.Intn(64), make([]byte, size))
+			c.Put(key(rng.Intn(64)), make([]byte, size))
 		case 2:
-			c.Get(rng.Intn(64))
+			c.Get(key(rng.Intn(64)))
+		case 3:
+			c.Remove(key(rng.Intn(64)))
 		}
 		cs := c.Stats()
 		if cs.BytesResident > budget {
@@ -91,7 +112,7 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 		}
 		var sum int64
 		for v := 0; v < 64; v++ {
-			if p, ok := c.peek(v); ok {
+			if p, ok := c.peek(key(v)); ok {
 				sum += int64(len(p))
 			}
 		}
@@ -109,23 +130,29 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 // make room for itself. A stale smaller payload under the same key is
 // dropped rather than refreshed.
 func TestOversizedPayloadBypassesAdmission(t *testing.T) {
-	c := NewVersionCacheBytes(100)
-	c.Put(1, make([]byte, 40))
-	c.Put(2, make([]byte, 40))
-	c.Put(3, make([]byte, 101)) // oversized: bypass
-	if _, ok := c.Get(3); ok {
+	keyKinds(t,
+		func(t *testing.T) { oversizedBypass(t, versionKey) },
+		func(t *testing.T) { oversizedBypass(t, objectKey) })
+}
+
+func oversizedBypass[K comparable](t *testing.T, key func(int) K) {
+	c := NewLRUBytes[K](100)
+	c.Put(key(1), make([]byte, 40))
+	c.Put(key(2), make([]byte, 40))
+	c.Put(key(3), make([]byte, 101)) // oversized: bypass
+	if _, ok := c.Get(key(3)); ok {
 		t.Errorf("oversized payload was admitted")
 	}
-	if _, ok := c.Get(1); !ok {
+	if _, ok := c.Get(key(1)); !ok {
 		t.Errorf("oversized bypass evicted resident entry 1")
 	}
-	if _, ok := c.Get(2); !ok {
+	if _, ok := c.Get(key(2)); !ok {
 		t.Errorf("oversized bypass evicted resident entry 2")
 	}
 	// Refreshing an existing key with an oversized payload drops the stale
 	// entry instead of serving outdated bytes.
-	c.Put(2, make([]byte, 200))
-	if _, ok := c.Get(2); ok {
+	c.Put(key(2), make([]byte, 200))
+	if _, ok := c.Get(key(2)); ok {
 		t.Errorf("stale entry survived an oversized refresh")
 	}
 	if cs := c.Stats(); cs.BytesResident != 40 {
@@ -134,21 +161,38 @@ func TestOversizedPayloadBypassesAdmission(t *testing.T) {
 }
 
 // TestByteBudgetRefreshRecharges: refreshing a key with a different-size
-// payload recharges the byte account and re-evicts as needed.
+// payload recharges the byte account and re-evicts as needed; re-putting
+// identical content (the remote tier re-admitting a content-addressed
+// chunk) keeps a single charge; Remove releases the entry's charge.
 func TestByteBudgetRefreshRecharges(t *testing.T) {
-	c := NewVersionCacheBytes(100)
-	c.Put(1, make([]byte, 30))
-	c.Put(2, make([]byte, 30))
-	c.Put(1, make([]byte, 70)) // grows 1; 70+30 = 100 still fits
+	keyKinds(t,
+		func(t *testing.T) { refreshRecharges(t, versionKey) },
+		func(t *testing.T) { refreshRecharges(t, objectKey) })
+}
+
+func refreshRecharges[K comparable](t *testing.T, key func(int) K) {
+	c := NewLRUBytes[K](100)
+	c.Put(key(1), make([]byte, 30))
+	c.Put(key(2), make([]byte, 30))
+	c.Put(key(2), make([]byte, 30)) // identical content: one charge
+	if cs := c.Stats(); cs.BytesResident != 60 || cs.Entries != 2 {
+		t.Fatalf("after identical re-put: %+v, want 60 bytes in 2 entries", cs)
+	}
+	c.Put(key(1), make([]byte, 70)) // grows 1; 70+30 = 100 still fits
 	if cs := c.Stats(); cs.BytesResident != 100 || cs.Entries != 2 {
 		t.Fatalf("after refresh: %+v, want 100 bytes in 2 entries", c.Stats())
 	}
-	c.Put(1, make([]byte, 80)) // 80+30 > 100 → LRU (2) evicted
-	if _, ok := c.Get(2); ok {
+	c.Put(key(1), make([]byte, 80)) // 80+30 > 100 → LRU (2) evicted
+	if _, ok := c.Get(key(2)); ok {
 		t.Errorf("entry 2 survived over-budget refresh of 1")
 	}
 	if cs := c.Stats(); cs.BytesResident != 80 || cs.Entries != 1 {
 		t.Errorf("after over-budget refresh: %+v, want 80 bytes in 1 entry", cs)
+	}
+	c.Remove(key(1))
+	c.Remove(key(1)) // absent: no-op
+	if cs := c.Stats(); cs.BytesResident != 0 || cs.Entries != 0 || cs.Evictions != 1 {
+		t.Errorf("after Remove: %+v, want empty with the one earlier eviction", cs)
 	}
 }
 

@@ -50,7 +50,7 @@ type Layout struct {
 	neg    map[int]negEntry
 	negTTL atomic.Int64
 
-	// memo caches the per-version cold-cost DP (CheckoutWork/ChainLength).
+	// memo caches the per-version cold-cost DP (ChainCosts).
 	// Entries are append-only and immutable, so a memo covering a prefix
 	// of Entries stays valid forever; a length mismatch means "extend".
 	memo atomic.Pointer[chainMemo]
@@ -272,40 +272,17 @@ func (l *Layout) checkoutCold(v int) ([]byte, error) {
 // materialize replays v's delta chain from the nearest cached or
 // materialized ancestor, admitting every intermediate node to the cache.
 func (l *Layout) materialize(v int) ([]byte, error) {
-	// Collect the chain base → ... → v, stopping early at a cache hit.
-	// The probe for v itself is uncounted: the fast path already recorded
-	// this logical lookup's miss, and double-counting would deflate the
-	// hit ratio operators tune the byte budget against. (The re-probe
-	// still matters: a leader racing a just-finished flight finds the
-	// freshly admitted payload here.)
-	var chain []int
-	var cur []byte
-	for u := v; ; u = l.Entries[u].Parent {
-		probe := l.cache.Get
-		if u == v {
-			probe = l.cache.getQuiet
-		}
-		if p, ok := probe(u); ok {
-			cur = p
-			break
-		}
-		chain = append(chain, u)
-		if l.Entries[u].Materialized {
-			break
-		}
-		if len(chain) > len(l.Entries) {
-			return nil, fmt.Errorf("store: delta chain cycle at version %d", v)
-		}
-		if p := l.Entries[u].Parent; p < 0 || p >= len(l.Entries) {
-			return nil, fmt.Errorf("store: checkout %d: version %d chains to %d out of range", v, u, p)
-		}
+	chain, cur, _, err := l.chainTo(v, l.cache)
+	if err != nil {
+		return nil, err
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		u := chain[i]
-		blob, err := l.blobOf(u)
+		blob, err := l.blob(u)
 		if err != nil {
 			return nil, err
 		}
+		l.blobReads.Add(1)
 		if l.Entries[u].Materialized {
 			cur = blob
 		} else {
@@ -330,14 +307,35 @@ func (l *Layout) materialize(v int) ([]byte, error) {
 	return cur, nil
 }
 
-// blobOf fetches and decodes one blob on the serving path, counting it
-// toward the BlobReads telemetry.
-func (l *Layout) blobOf(v int) ([]byte, error) {
-	blob, err := l.blobOfQuiet(v)
-	if err == nil {
-		l.blobReads.Add(1)
+// chainTo walks v up to its replay base: the nearest ancestor resident in
+// c or, failing that, the materialized root. It is the one serving-path
+// chain walk. chain lists the versions whose blobs are replayed, v first.
+// When found, base is the cached payload the replay starts from (chain is
+// empty when v itself is cached); otherwise chain ends at the materialized
+// root, whose blob is the base. A nil c walks straight to the root.
+//
+// The probe of v itself is uncounted: the checkout fast path already
+// recorded this logical lookup's miss, and double-counting would deflate
+// the hit ratio operators tune the byte budget against. (The re-probe
+// still matters: a leader racing a just-finished flight finds the freshly
+// admitted payload here.) Corrupt chains — cycles and out-of-range
+// parents — are errors rather than endless walks.
+func (l *Layout) chainTo(v int, c *VersionCache) (chain []int, base []byte, found bool, err error) {
+	for u := v; ; u = l.Entries[u].Parent {
+		if base, found = c.lookup(u, u != v, true); found {
+			return chain, base, true, nil
+		}
+		chain = append(chain, u)
+		if l.Entries[u].Materialized {
+			return chain, nil, false, nil
+		}
+		if len(chain) > len(l.Entries) {
+			return nil, nil, false, fmt.Errorf("store: delta chain cycle at version %d", v)
+		}
+		if p := l.Entries[u].Parent; p < 0 || p >= len(l.Entries) {
+			return nil, nil, false, fmt.Errorf("store: version %d: version %d chains to %d out of range", v, u, p)
+		}
 	}
-	return blob, err
 }
 
 // Snapshot returns a cache-free view over the layout's current entries,
@@ -384,30 +382,21 @@ func (l *Layout) CheckoutAll(ctx context.Context) ([][]byte, error) {
 		return out, nil
 	}
 	// children[p] lists the delta entries based on p; roots are the
-	// materialized versions. An out-of-range parent is corrupt metadata.
+	// materialized versions. The cold-cost DP marks every corrupt chain
+	// (cycle or out-of-range parent) -1, so once it is clean every version
+	// is reachable from a root and the walk below always completes.
+	hops := l.chainCosts().hops
 	children := make([][]int, n)
 	var roots []int
 	for v := 0; v < n; v++ {
-		if l.Entries[v].Materialized {
+		switch {
+		case hops[v] < 0:
+			return nil, fmt.Errorf("store: checkout-all: version %d has a corrupt delta chain (cycle or out-of-range parent)", v)
+		case l.Entries[v].Materialized:
 			roots = append(roots, v)
-			continue
+		default:
+			children[l.Entries[v].Parent] = append(children[l.Entries[v].Parent], v)
 		}
-		p := l.Entries[v].Parent
-		if p < 0 || p >= n {
-			return nil, fmt.Errorf("store: checkout-all: version %d chains to %d out of range", v, p)
-		}
-		children[p] = append(children[p], v)
-	}
-	// Every version must be reachable from a materialized root, or the
-	// walk below would wait forever for work that can never become ready.
-	// Each non-root has exactly one parent, so this BFS visits each
-	// version at most once; the shortfall is exactly the cycle members.
-	reach := append([]int(nil), roots...)
-	for qi := 0; qi < len(reach); qi++ {
-		reach = append(reach, children[reach[qi]]...)
-	}
-	if len(reach) != n {
-		return nil, fmt.Errorf("store: checkout-all: delta chain cycle (%d of %d versions unreachable)", n-len(reach), n)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -438,7 +427,7 @@ func (l *Layout) CheckoutAll(ctx context.Context) ([][]byte, error) {
 					if !ok {
 						return
 					}
-					blob, err := l.blobOfQuiet(v)
+					blob, err := l.blob(v)
 					if err != nil {
 						fail(err)
 						return
@@ -475,9 +464,9 @@ func (l *Layout) CheckoutAll(ctx context.Context) ([][]byte, error) {
 	return out, nil
 }
 
-// blobOfQuiet fetches and decodes one blob without counting toward the
-// serving-path BlobReads telemetry (bulk-scan use).
-func (l *Layout) blobOfQuiet(v int) ([]byte, error) {
+// blob fetches and decodes v's stored blob. It counts nothing: serving
+// callers add to BlobReads themselves, bulk scans do not.
+func (l *Layout) blob(v int) ([]byte, error) {
 	blob, err := l.backend.Get(l.Entries[v].Blob)
 	if err != nil {
 		return nil, err
@@ -569,31 +558,6 @@ func (l *Layout) chainCosts() *chainMemo {
 	return fresh
 }
 
-// CheckoutWork returns the total stored bytes read and applied to
-// reconstruct v cold — the physical counterpart of the model's recreation
-// cost Φ (materialized payload plus every delta on the chain). The cache
-// is deliberately ignored: this is the cold cost. Results are memoized
-// (one O(n) DP per layout, extended incrementally after commits), so bulk
-// consumers like WeightedPhi and Stats pay O(1) per version instead of
-// O(chain). A corrupt parent chain (cycle or out-of-range parent) returns
-// -1 instead of looping forever.
-func (l *Layout) CheckoutWork(v int) int64 {
-	if v < 0 || v >= len(l.Entries) {
-		return -1
-	}
-	return l.chainCosts().work[v]
-}
-
-// ChainLength returns the number of deltas applied when checking out v
-// cold (cache ignored), memoized like CheckoutWork. A corrupt parent
-// chain returns -1.
-func (l *Layout) ChainLength(v int) int {
-	if v < 0 || v >= len(l.Entries) {
-		return -1
-	}
-	return l.chainCosts().hops[v]
-}
-
 // ChainCosts returns the memoized per-version cold checkout work (stored
 // bytes) and chain lengths (deltas applied) for every version, in one
 // O(n) pass. Corrupt chains carry -1. Callers must not mutate the
@@ -613,17 +577,11 @@ func (l *Layout) ChainRoot(v int) (int, error) {
 	if v < 0 || v >= len(l.Entries) {
 		return 0, fmt.Errorf("store: chain root: version %d out of range [0,%d)", v, len(l.Entries))
 	}
-	for hops := 0; hops <= len(l.Entries); hops++ {
-		e := l.Entries[v]
-		if e.Materialized {
-			return v, nil
-		}
-		if e.Parent < 0 || e.Parent >= len(l.Entries) {
-			return 0, fmt.Errorf("store: chain root: version %d chains to %d out of range", v, e.Parent)
-		}
-		v = e.Parent
+	chain, _, _, err := l.chainTo(v, nil)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("store: chain root: delta chain cycle at version %d", v)
+	return chain[len(chain)-1], nil
 }
 
 // WarmCache materializes the given versions through the serving path so

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -112,7 +111,7 @@ type Store struct {
 	backoff time.Duration
 	factor  float64
 
-	cache *byteLRU
+	cache *store.LRU[string] // near tier: chunks and manifests by object key
 	lat   *latencyRing
 
 	stats tierCounters
@@ -155,7 +154,7 @@ func New(baseURL string, opts Options) *Store {
 		retries: opts.Retries,
 		backoff: opts.RetryBackoff,
 		factor:  opts.RetrievalFactor,
-		cache:   newByteLRU(opts.CacheBytes),
+		cache:   store.NewLRUBytes[string](opts.CacheBytes),
 		lat:     &latencyRing{},
 	}
 }
@@ -198,7 +197,7 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 	ctx := context.Background()
 	id := store.HashBytes(data)
 	mkey := manifestPrefix + string(id)
-	if _, ok := s.cache.get(mkey); ok {
+	if _, ok := s.cache.Get(mkey); ok {
 		return id, nil
 	}
 	if ok, err := s.headObject(ctx, mkey); err != nil {
@@ -213,7 +212,7 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 		ckey := chunkPrefix + string(cid)
 		// A cached chunk was either fetched from or stored to the remote,
 		// so the remote has it — skip even the HEAD.
-		if _, ok := s.cache.get(ckey); ok {
+		if _, ok := s.cache.Get(ckey); ok {
 			s.stats.chunksDeduped.Add(1)
 			s.stats.bytesDeduped.Add(int64(len(chunk)))
 			continue
@@ -230,7 +229,7 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 		}
 		s.stats.chunksStored.Add(1)
 		s.stats.bytesStored.Add(int64(len(chunk)))
-		s.cache.put(ckey, append([]byte(nil), chunk...))
+		s.cache.Put(ckey, append([]byte(nil), chunk...))
 	}
 	doc, err := json.Marshal(m)
 	if err != nil {
@@ -239,7 +238,7 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 	if err := s.putObject(ctx, mkey, doc); err != nil {
 		return "", err
 	}
-	s.cache.put(mkey, doc)
+	s.cache.Put(mkey, doc)
 	return id, nil
 }
 
@@ -283,7 +282,7 @@ func (s *Store) Has(id store.ID) bool {
 		return false
 	}
 	mkey := manifestPrefix + string(id)
-	if _, ok := s.cache.get(mkey); ok {
+	if _, ok := s.cache.Get(mkey); ok {
 		return true
 	}
 	ok, err := s.headObject(context.Background(), mkey)
@@ -296,7 +295,7 @@ func (s *Store) Has(id store.ID) bool {
 // out of scope here. Deleting a missing blob is not an error.
 func (s *Store) Delete(id store.ID) error {
 	mkey := manifestPrefix + string(id)
-	s.cache.drop(mkey)
+	s.cache.Remove(mkey)
 	return s.deleteObject(context.Background(), mkey)
 }
 
@@ -343,14 +342,14 @@ func (s *Store) getManifest(ctx context.Context, id store.ID) (manifest, error) 
 		return m, fmt.Errorf("remote: malformed id %q", id)
 	}
 	mkey := manifestPrefix + string(id)
-	doc, ok := s.cache.get(mkey)
+	doc, ok := s.cache.Get(mkey)
 	if !ok {
 		var err error
 		doc, err = s.hedgedGet(ctx, mkey)
 		if err != nil {
 			return m, fmt.Errorf("remote: get %s: %w", shortID(id), err)
 		}
-		s.cache.put(mkey, doc)
+		s.cache.Put(mkey, doc)
 	}
 	if err := json.Unmarshal(doc, &m); err != nil {
 		return m, fmt.Errorf("remote: get %s: bad manifest: %w", shortID(id), err)
@@ -363,7 +362,7 @@ func (s *Store) getManifest(ctx context.Context, id store.ID) (manifest, error) 
 // how many HTTP requests the hedge/retry machinery raced for it.
 func (s *Store) fetchChunk(ctx context.Context, cid store.ID) ([]byte, error) {
 	ckey := chunkPrefix + string(cid)
-	if data, ok := s.cache.get(ckey); ok {
+	if data, ok := s.cache.Get(ckey); ok {
 		s.stats.chunkHits.Add(1)
 		return data, nil
 	}
@@ -376,7 +375,7 @@ func (s *Store) fetchChunk(ctx context.Context, cid store.ID) ([]byte, error) {
 	}
 	s.stats.chunkFetches.Add(1)
 	s.stats.bytesFetched.Add(int64(len(data)))
-	s.cache.put(ckey, data)
+	s.cache.Put(ckey, data)
 	return data, nil
 }
 
@@ -679,80 +678,6 @@ func (d *logDevice) Truncate(size int64) error {
 }
 
 func (d *logDevice) Close() error { return nil }
-
-// byteLRU is the near-tier cache: a byte-budget LRU of chunks and
-// manifests keyed by object key — VersionCache's byte-budget discipline
-// (including the oversized-entry admission bypass) at chunk granularity.
-type byteLRU struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-}
-
-type lruItem struct {
-	key  string
-	data []byte
-}
-
-// newByteLRU returns a cache bounded by budget bytes; budget ≤ 0 yields
-// a nil cache, meaning "disabled".
-func newByteLRU(budget int64) *byteLRU {
-	if budget <= 0 {
-		return nil
-	}
-	return &byteLRU{budget: budget, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (c *byteLRU) get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).data, true
-}
-
-func (c *byteLRU) put(key string, data []byte) {
-	if c == nil || int64(len(data)) > c.budget {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el) // content-addressed: bytes are identical
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, data: data})
-	c.bytes += int64(len(data))
-	for c.bytes > c.budget {
-		back := c.ll.Back()
-		it := back.Value.(*lruItem)
-		c.ll.Remove(back)
-		delete(c.items, it.key)
-		c.bytes -= int64(len(it.data))
-	}
-}
-
-func (c *byteLRU) drop(key string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		it := el.Value.(*lruItem)
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.bytes -= int64(len(it.data))
-	}
-}
 
 // latencyRing holds the last latencySamples successful fetch durations;
 // the adaptive hedger triggers at its p95.

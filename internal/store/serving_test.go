@@ -151,32 +151,21 @@ func corruptLayout(t *testing.T) *Layout {
 }
 
 // TestCorruptChainTerminates is the regression test for the cold-cost
-// accounting loops: CheckoutWork and ChainLength on a cyclic parent chain
-// must terminate (returning -1) with the same guard Checkout has, and the
-// healthy part of the layout keeps reporting correctly.
+// accounting loops: ChainCosts on a cyclic parent chain must terminate
+// (reporting -1) with the same guard Checkout has, and the healthy part of
+// the layout keeps reporting correctly.
 func TestCorruptChainTerminates(t *testing.T) {
 	l := corruptLayout(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if w := l.CheckoutWork(0); w != -1 {
-			t.Errorf("CheckoutWork(0) on a cycle = %d, want -1", w)
-		}
-		if w := l.CheckoutWork(1); w != -1 {
-			t.Errorf("CheckoutWork(1) on a cycle = %d, want -1", w)
-		}
-		if h := l.ChainLength(0); h != -1 {
-			t.Errorf("ChainLength(0) on a cycle = %d, want -1", h)
+		work, hops := l.ChainCosts()
+		if work[0] != -1 || work[1] != -1 || hops[0] != -1 {
+			t.Errorf("ChainCosts on a cycle: work[0]=%d work[1]=%d hops[0]=%d, want -1", work[0], work[1], hops[0])
 		}
 		// The healthy subtree is unaffected.
-		if w := l.CheckoutWork(2); w != 30 {
-			t.Errorf("CheckoutWork(2) = %d, want 30", w)
-		}
-		if w := l.CheckoutWork(3); w != 70 {
-			t.Errorf("CheckoutWork(3) = %d, want 70", w)
-		}
-		if h := l.ChainLength(3); h != 1 {
-			t.Errorf("ChainLength(3) = %d, want 1", h)
+		if work[2] != 30 || work[3] != 70 || hops[3] != 1 {
+			t.Errorf("ChainCosts: work[2]=%d work[3]=%d hops[3]=%d, want 30, 70, 1", work[2], work[3], hops[3])
 		}
 	}()
 	select {
@@ -269,11 +258,8 @@ func TestOutOfRangeParentTerminates(t *testing.T) {
 		{Parent: 7, Blob: id, StoredBytes: 10},
 		{Parent: -1, Materialized: true, Blob: id, StoredBytes: 30},
 	}}
-	if w := l.CheckoutWork(0); w != -1 {
-		t.Errorf("CheckoutWork = %d, want -1", w)
-	}
-	if h := l.ChainLength(0); h != -1 {
-		t.Errorf("ChainLength = %d, want -1", h)
+	if work, hops := l.ChainCosts(); work[0] != -1 || hops[0] != -1 {
+		t.Errorf("ChainCosts: work=%d hops=%d, want -1", work[0], hops[0])
 	}
 	if _, err := l.Checkout(0); err == nil {
 		t.Error("Checkout with out-of-range parent succeeded")

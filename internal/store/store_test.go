@@ -192,11 +192,12 @@ func TestLayoutStats(t *testing.T) {
 	if got := l.NumMaterialized(); got != 2 {
 		t.Errorf("NumMaterialized = %d, want 2", got)
 	}
-	if got := l.ChainLength(2); got != 2 {
-		t.Errorf("ChainLength(2) = %d, want 2", got)
+	_, hops := l.ChainCosts()
+	if hops[2] != 2 {
+		t.Errorf("chain length of 2 = %d, want 2", hops[2])
 	}
-	if got := l.ChainLength(0); got != 0 {
-		t.Errorf("ChainLength(0) = %d, want 0", got)
+	if hops[0] != 0 {
+		t.Errorf("chain length of 0 = %d, want 0", hops[0])
 	}
 	if l.StoredBytes() <= 0 {
 		t.Errorf("StoredBytes = %d", l.StoredBytes())

@@ -50,37 +50,15 @@ func (l *Layout) CheckoutStream(v int) (io.ReadCloser, int64, error) {
 // here are construction errors (chain walk, delta blob fetch); errors from
 // the stream itself surface from Read.
 func (l *Layout) streamCold(v int) (io.ReadCloser, int64, error) {
-	// Collect the chain base → … → v exactly like materialize: stop at a
-	// cached ancestor or the materialized root, whichever comes first. The
-	// re-probe of v itself is uncounted for the same reason as there.
-	var chain []int
-	var cached []byte
-	for u := v; ; u = l.Entries[u].Parent {
-		probe := l.cache.Get
-		if u == v {
-			probe = l.cache.getQuiet
-		}
-		if p, ok := probe(u); ok {
-			cached = p
-			break
-		}
-		chain = append(chain, u)
-		if l.Entries[u].Materialized {
-			break
-		}
-		if len(chain) > len(l.Entries) {
-			return nil, 0, fmt.Errorf("store: delta chain cycle at version %d", v)
-		}
-		if p := l.Entries[u].Parent; p < 0 || p >= len(l.Entries) {
-			return nil, 0, fmt.Errorf("store: checkout %d: version %d chains to %d out of range", v, u, p)
-		}
+	chain, cached, found, err := l.chainTo(v, l.cache)
+	if err != nil {
+		return nil, 0, err
 	}
-
 	cl := &streamCloser{}
 	var r io.Reader
 	i := len(chain) - 1
 	size := int64(-1)
-	if cached != nil {
+	if found {
 		r = bytes.NewReader(cached)
 		if len(chain) == 0 {
 			// v itself was admitted between the fast-path miss and here
@@ -98,11 +76,12 @@ func (l *Layout) streamCold(v int) (io.ReadCloser, int64, error) {
 	}
 	for ; i >= 0; i-- {
 		u := chain[i]
-		blob, err := l.blobOf(u)
+		blob, err := l.blob(u)
 		if err != nil {
 			cl.Close()
 			return nil, 0, fmt.Errorf("store: checkout %d: reading delta for %d: %w", v, u, err)
 		}
+		l.blobReads.Add(1)
 		r = delta.ApplyReader(blob, r)
 		l.deltas.Add(1)
 	}

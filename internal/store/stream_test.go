@@ -28,34 +28,49 @@ func drainStream(t *testing.T, l *Layout, v int) []byte {
 }
 
 // TestCheckoutStreamMatchesBuffered: on random storage trees — compressed
-// and not, cached and not — the streaming path reconstructs exactly the
-// bytes the buffered path does, for every version.
+// and not, cached and not, with and without empty payloads — the streaming
+// path reconstructs exactly the bytes the buffered path does, for every
+// version, whichever path fills the cache first. The empty payloads cover a
+// cached empty chain base: its payload may be a nil slice, which must
+// still count as a cache hit.
 func TestCheckoutStreamMatchesBuffered(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		for _, compress := range []bool{false, true} {
-			for _, withCache := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(seed))
-				n := 2 + rng.Intn(12)
-				payloads := chainPayloads(rng, n)
-				l, err := BuildLayout(NewMemStore(), payloads, randomStorageTree(rng, n), compress)
-				if err != nil {
-					t.Fatalf("BuildLayout: %v", err)
-				}
-				if withCache {
-					l.SetCache(NewVersionCache(3))
-				}
-				for v := 0; v < n; v++ {
-					got := drainStream(t, l, v)
-					if !bytes.Equal(got, payloads[v]) {
-						t.Fatalf("seed=%d compress=%v cache=%v v=%d: stream diverged from payload (%d vs %d bytes)",
-							seed, compress, withCache, v, len(got), len(payloads[v]))
-					}
-					want, err := l.Checkout(v)
-					if err != nil {
-						t.Fatalf("Checkout(%d): %v", v, err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("seed=%d v=%d: stream and buffered disagree", seed, v)
+		for _, empties := range []bool{false, true} {
+			for _, compress := range []bool{false, true} {
+				for _, withCache := range []bool{false, true} {
+					for _, streamFirst := range []bool{true, false} {
+						rng := rand.New(rand.NewSource(seed))
+						n := 2 + rng.Intn(12)
+						payloads := chainPayloads(rng, n)
+						tree := randomStorageTree(rng, n)
+						if empties {
+							// Version 0 is always materialized, so emptying it
+							// gives every delta child of 0 an empty base.
+							payloads[0] = nil
+							payloads[rng.Intn(n)] = nil
+						}
+						l, err := BuildLayout(NewMemStore(), payloads, tree, compress)
+						if err != nil {
+							t.Fatalf("BuildLayout: %v", err)
+						}
+						if withCache {
+							l.SetCache(NewVersionCache(3))
+						}
+						for pass := 0; pass < 2; pass++ {
+							stream := (pass == 0) == streamFirst
+							for v := 0; v < n; v++ {
+								var got []byte
+								if stream {
+									got = drainStream(t, l, v)
+								} else if got, err = l.Checkout(v); err != nil {
+									t.Fatalf("Checkout(%d): %v", v, err)
+								}
+								if !bytes.Equal(got, payloads[v]) {
+									t.Fatalf("seed=%d empties=%v compress=%v cache=%v streamFirst=%v stream=%v v=%d: got %q, want %q",
+										seed, empties, compress, withCache, streamFirst, stream, v, got, payloads[v])
+								}
+							}
+						}
 					}
 				}
 			}
@@ -350,4 +365,54 @@ func TestStreamUsesBlobStreamer(t *testing.T) {
 	if got := drainStream(t, l, 1); !bytes.Equal(got, next) {
 		t.Fatalf("stream via BlobStreamer diverged: %q", got)
 	}
+}
+
+// FuzzCheckoutStreamMatchesBuffered: on a random storage tree over random
+// line-exact payloads (some empty), under a random byte budget (0 means no
+// cache), any interleaving of buffered and streaming checkouts returns the
+// committed bytes. Each op byte picks a version (high bits) and a path
+// (low bit: 1 streams). The seeds stream version 0, stored empty, before
+// its delta children — the cached-empty-base case.
+func FuzzCheckoutStreamMatchesBuffered(f *testing.F) {
+	all := func(stream byte) []byte {
+		ops := make([]byte, 16)
+		for v := range ops {
+			ops[v] = byte(v)<<1 | stream
+		}
+		return ops
+	}
+	f.Add(int64(1), uint16(1), uint16(1<<14), all(1))
+	f.Add(int64(1), uint16(1), uint16(1<<14), append(all(0), all(1)...))
+	f.Add(int64(3), uint16(0x0501), uint16(900), append(all(1), all(0)...))
+	f.Fuzz(func(t *testing.T, seed int64, empty, budget uint16, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		payloads := chainPayloads(rng, n)
+		tree := randomStorageTree(rng, n)
+		for v := range payloads {
+			if empty&(1<<v) != 0 {
+				payloads[v] = nil
+			}
+		}
+		l, err := BuildLayout(NewMemStore(), payloads, tree, rng.Intn(2) == 1)
+		if err != nil {
+			t.Fatalf("BuildLayout: %v", err)
+		}
+		l.SetCache(NewVersionCacheBytes(int64(budget)))
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for i, op := range ops {
+			v, stream := int(op>>1)%n, op&1 == 1
+			var got []byte
+			if stream {
+				got = drainStream(t, l, v)
+			} else if got, err = l.Checkout(v); err != nil {
+				t.Fatalf("op %d: Checkout(%d): %v", i, v, err)
+			}
+			if !bytes.Equal(got, payloads[v]) {
+				t.Fatalf("op %d (stream=%v) v=%d: got %q, want %q", i, stream, v, got, payloads[v])
+			}
+		}
+	})
 }

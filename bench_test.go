@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§5) at bench scale, plus ablation benchmarks for the design choices
-// called out in DESIGN.md §4. Run:
+// called out in DESIGN.md §4 (the LMG subtree and GitH depth-bias
+// ablations exercise unexported knobs and live in internal/solve). Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -101,7 +102,7 @@ func BenchmarkFig17LMGRuntime(b *testing.B) {
 
 func BenchmarkTable2ExactVsMP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table2([]int{15}, 3, 1, solve.ExactOptions{MaxNodes: 2_000_000})
+		rows, err := bench.Table2([]int{15}, 3, 1, 2_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +246,8 @@ func BenchmarkLMG500(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solve.LMG(inst, solve.LMGOptions{Budget: 3 * mst.Storage, MST: mst, SPT: spt}); err != nil {
+		req := solve.Request{Solver: "lmg", Budget: 3 * mst.Storage, Hints: &solve.Hints{MST: mst, SPT: spt}}
+		if _, err := solve.Solve(context.Background(), inst, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +261,7 @@ func BenchmarkMP500(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solve.MP(inst, mst.MaxR); err != nil {
+		if _, err := solve.Solve(context.Background(), inst, solve.Request{Solver: "mp", Theta: mst.MaxR}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +271,7 @@ func BenchmarkLAST500(b *testing.B) {
 	inst := dcInstance(b, 500, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solve.LAST(inst, 2); err != nil {
+		if _, err := solve.Solve(context.Background(), inst, solve.Request{Solver: "last", Alpha: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +281,7 @@ func BenchmarkGitH500(b *testing.B) {
 	inst := dcInstance(b, 500, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solve.GitH(inst, solve.GitHOptions{Window: 10, MaxDepth: 50}); err != nil {
+		if _, err := solve.Solve(context.Background(), inst, solve.Request{Solver: "gith", Window: 10, MaxDepth: 50}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,59 +350,6 @@ func benchHeap(b *testing.B, kind graph.HeapKind) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// LMG subtree maintenance: O(V²) incremental vs the naive O(V³) variant.
-func BenchmarkAblationLMGSubtreeFast(b *testing.B)  { benchLMGSubtree(b, false) }
-func BenchmarkAblationLMGSubtreeNaive(b *testing.B) { benchLMGSubtree(b, true) }
-
-func benchLMGSubtree(b *testing.B, naive bool) {
-	// LC's mostly-linear history yields deep storage trees, where the
-	// O(V²) incremental maintenance separates from the naive walk (on
-	// shallow DC trees the naive walk's smaller constants win).
-	m, err := workload.Build(workload.LC, 400, true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := solve.NewInstance(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mst, err := solve.MinStorage(inst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spt, err := solve.MinRecreation(inst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := solve.LMG(inst, solve.LMGOptions{
-			Budget: 3 * mst.Storage, NaiveSubtree: naive, MST: mst, SPT: spt,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// GitH depth bias: with vs without the (d − depth) divisor of Appendix A.
-func BenchmarkAblationGitHDepthBias(b *testing.B)   { benchGitHBias(b, false) }
-func BenchmarkAblationGitHNoDepthBias(b *testing.B) { benchGitHBias(b, true) }
-
-func benchGitHBias(b *testing.B, noBias bool) {
-	inst := dcInstance(b, 500, true)
-	b.ResetTimer()
-	var maxR float64
-	for i := 0; i < b.N; i++ {
-		s, err := solve.GitH(inst, solve.GitHOptions{Window: 10, MaxDepth: 10, NoDepthBias: noBias})
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxR = s.MaxR
-	}
-	b.ReportMetric(maxR, "maxR")
 }
 
 // Delta revelation radius: how the k-hop reveal rule affects the minimum

@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 
 	"versiondb/internal/bench"
-	"versiondb/internal/solve"
 )
 
 func main() {
@@ -144,7 +143,7 @@ func run(exp string, scale bench.Scale, csvDir string) error {
 			if scale.DC < 1000 {
 				sizes = []int{10, 15}
 			}
-			rows, err := bench.Table2(sizes, 5, scale.Seed, solve.ExactOptions{})
+			rows, err := bench.Table2(sizes, 5, scale.Seed, 0)
 			if err != nil {
 				return err
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	offline, err := versiondb.MinStorage(inst)
+	offline, err := versiondb.Solve(context.Background(), inst, versiondb.Request{Solver: "mst"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,8 @@ func main() {
 	// Zipf-distributed access frequencies (exponent 2, like the paper).
 	freq := versiondb.Zipf(m.N(), 2, 7)
 
-	mca, err := versiondb.MinStorage(inst)
+	ctx := context.Background()
+	mca, err := versiondb.Solve(ctx, inst, versiondb.Request{Solver: "mst"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,11 +39,11 @@ func main() {
 	w := make([]float64, m.N()+1) // augmented-graph weights (root = 0)
 	copy(w[1:], freq)
 	for _, b := range budgets[1:] { // skip the MCA point where nothing moves
-		plain, err := versiondb.LMG(inst, versiondb.LMGOptions{Budget: b})
+		plain, err := versiondb.Solve(ctx, inst, versiondb.Request{Solver: "lmg", Budget: b})
 		if err != nil {
 			log.Fatal(err)
 		}
-		aware, err := versiondb.LMG(inst, versiondb.LMGOptions{Budget: b, Freq: freq})
+		aware, err := versiondb.Solve(ctx, inst, versiondb.Request{Solver: "lmg", Budget: b, Weights: freq})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"versiondb/internal/solve"
 )
 
 func TestFig12SmallScale(t *testing.T) {
@@ -175,7 +173,7 @@ func TestFig17RuntimesPositive(t *testing.T) {
 }
 
 func TestTable2MPCloseToExact(t *testing.T) {
-	rows, err := Table2([]int{10, 15}, 3, 1, solve.ExactOptions{MaxNodes: 2_000_000})
+	rows, err := Table2([]int{10, 15}, 3, 1, 2_000_000)
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}

@@ -21,24 +21,32 @@ func Fig16(s Scale) (*Figure, error) {
 			return nil, err
 		}
 		freq := workload.Zipf(d.Inst.M.N(), 2, s.Seed+7)
-		budgets, err := solve.Budgets(d.Inst, s.SweepPoints)
+		reqs, err := solve.SweepRequests(d.Inst, "lmg", s.SweepPoints)
 		if err != nil {
 			return nil, err
 		}
-		plain, err := solve.SweepLMG(context.Background(), d.Inst, budgets, nil)
-		if err != nil {
+		hints := &solve.Hints{}
+		if hints.MST, err = solve.MinStorage(d.Inst); err != nil {
 			return nil, err
 		}
-		aware, err := solve.SweepLMG(context.Background(), d.Inst, budgets, freq)
-		if err != nil {
+		if hints.SPT, err = solve.MinRecreation(d.Inst); err != nil {
 			return nil, err
 		}
-		sub := Subplot{Title: d.Name}
-		mca, err := solve.MinStorage(d.Inst)
-		if err != nil {
-			return nil, err
+		var plain, aware []*solve.Solution
+		for _, req := range reqs {
+			req.Hints = hints
+			p, err := solve.Solve(context.Background(), d.Inst, req)
+			if err != nil {
+				return nil, err
+			}
+			req.Weights = freq
+			a, err := solve.Solve(context.Background(), d.Inst, req)
+			if err != nil {
+				return nil, err
+			}
+			plain, aware = append(plain, p.Solution), append(aware, a.Solution)
 		}
-		sub.MinStorage = mca.Storage
+		sub := Subplot{Title: d.Name, MinStorage: hints.MST.Storage}
 		sub.Curves = append(sub.Curves,
 			weightedCurve("LMG", plain, freq),
 			weightedCurve("LMG-W", aware, freq))

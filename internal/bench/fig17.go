@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -59,7 +60,9 @@ func Fig17(s Scale, sizes []int, repeats int) ([]RuntimePoint, error) {
 					if err != nil {
 						return nil, err
 					}
-					sol, err := solve.LMG(inst, solve.LMGOptions{Budget: 3 * mst.Storage, MST: mst, SPT: spt})
+					sol, err := solve.Solve(context.Background(), inst, solve.Request{
+						Solver: "lmg", Budget: 3 * mst.Storage, Hints: &solve.Hints{MST: mst, SPT: spt},
+					})
 					if err != nil {
 						return nil, err
 					}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -59,16 +60,18 @@ func Physical(versions int, seed int64) ([]PhysicalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	lmg, err := solve.LMG(inst, solve.LMGOptions{Budget: mca.Storage * 1.5})
-	if err != nil {
-		return nil, err
-	}
 	spt, err := solve.MinRecreation(inst)
 	if err != nil {
 		return nil, err
 	}
+	lmg, err := solve.Solve(context.Background(), inst, solve.Request{
+		Solver: "lmg", Budget: mca.Storage * 1.5, Hints: &solve.Hints{MST: mca, SPT: spt},
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []PhysicalRow
-	for _, sol := range []*solve.Solution{mca, lmg, spt} {
+	for _, sol := range []*solve.Solution{mca, lmg.Solution, spt} {
 		row, err := physicalRow(contents.Payload, sol)
 		if err != nil {
 			return nil, fmt.Errorf("bench: physical %s: %w", sol.Algorithm, err)

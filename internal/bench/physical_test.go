@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"versiondb/internal/solve"
 )
 
 func TestPhysicalModelMatchesMeasured(t *testing.T) {
@@ -78,7 +76,7 @@ func TestCSVOutputs(t *testing.T) {
 		t.Errorf("fig12 CSV malformed:\n%s", buf.String())
 	}
 
-	t2, err := Table2([]int{10}, 2, 1, solve.ExactOptions{MaxNodes: 200_000})
+	t2, err := Table2([]int{10}, 2, 1, 200_000)
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"versiondb/internal/delta"
@@ -74,7 +75,7 @@ func Sec52(versions int, seed int64) ([]Sec52Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	gith, err := solve.GitH(inst, solve.GitHOptions{Window: 50, MaxDepth: 50})
+	gith, err := solve.Solve(context.Background(), inst, solve.Request{Solver: "gith", Window: 50, MaxDepth: 50})
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,8 @@ type Table2Row struct {
 // Table2 regenerates Table 2: on small synthetic instances with all-pairs
 // deltas (the paper's v15/v25/v50), compare the minimum storage found by
 // the exact Problem 6 solver against MP across a sweep of θ bounds.
-func Table2(sizes []int, thetasPer int, seed int64, exact solve.ExactOptions) ([]Table2Row, error) {
+// maxNodes caps each exact search (≤ 0 means the solver's default).
+func Table2(sizes []int, thetasPer int, seed int64, maxNodes int64) ([]Table2Row, error) {
 	if len(sizes) == 0 {
 		sizes = []int{15, 25, 50}
 	}
@@ -47,7 +48,7 @@ func Table2(sizes []int, thetasPer int, seed int64, exact solve.ExactOptions) ([
 			if err != nil {
 				continue // infeasible θ, as in the sweep helpers
 			}
-			ex, err := solve.Solve(ctx, inst, solve.Request{Solver: "exact", Theta: th, MaxNodes: exact.MaxNodes})
+			ex, err := solve.Solve(ctx, inst, solve.Request{Solver: "exact", Theta: th, MaxNodes: maxNodes})
 			if err != nil {
 				return nil, fmt.Errorf("bench: table2 v%d θ=%g: %w", n, th, err)
 			}

@@ -4,27 +4,28 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Reader-based delta application. Each Apply*Reader returns a reader that
-// produces exactly the bytes its buffered counterpart would, without ever
-// materializing the source or target: a delta chain composes into a stack
-// of readers where each stage holds only the (small) decoded delta plus one
-// bounded window of its input. That turns checkout memory from
-// O(payload × chain) into O(window × chain) — the property the streaming
-// serving path is built on. Corrupt or truncated deltas and sources
-// surface as errors from Read, never as hangs or unbounded allocation.
+// Reader-based delta application for the line codec, the only codec the
+// store's delta chains use. ApplyReader returns a reader that produces
+// exactly the bytes ApplyEncoded would, without ever materializing the
+// source or target: a delta chain composes into a stack of readers where
+// each stage holds only the (small) decoded delta plus one bounded window
+// of its input. That turns checkout memory from O(payload × chain) into
+// O(window × chain) — the property the streaming serving path is built on.
+// Corrupt or truncated deltas and sources surface as errors from Read,
+// never as hangs or unbounded allocation. The XOR and binary codecs stay
+// buffered-only (XOR, BinaryDiff): nothing streams them.
 
 // applyReaderBufSize is the copy-through window of the line-delta reader:
 // large enough to amortize syscalls on big payloads, small enough that a
 // deep composed stack stays cheap.
 const applyReaderBufSize = 32 << 10
 
-// errReader delivers a construction-time failure on first Read, so the
-// Apply*Reader constructors can keep a reader-only signature.
+// errReader delivers a construction-time failure on first Read, so
+// ApplyReader can keep a reader-only signature.
 type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
@@ -296,248 +297,6 @@ func (r *lineApplyReader) insStep(p []byte, n int) int {
 		r.insOff = 0
 	}
 	return n
-}
-
-// ApplyXORReader returns a reader applying an XOR delta to the source
-// streamed from src. The source length resolves which side of the delta it
-// is only once the stream ends, so the reader XORs through the shorter
-// prefix eagerly and settles the tail (emit the delta's remainder, or drain
-// and verify the longer source) at that point — O(1) extra memory.
-func ApplyXORReader(d []byte, src io.Reader) io.Reader {
-	la, n1 := binary.Uvarint(d)
-	if n1 <= 0 {
-		return errReader{fmt.Errorf("delta: corrupt XOR header")}
-	}
-	lb, n2 := binary.Uvarint(d[n1:])
-	if n2 <= 0 {
-		return errReader{fmt.Errorf("delta: corrupt XOR header")}
-	}
-	return &xorApplyReader{src: src, body: d[n1+n2:], la: la, lb: lb}
-}
-
-type xorApplyReader struct {
-	src    io.Reader
-	body   []byte
-	la, lb uint64
-
-	read     uint64 // source bytes consumed
-	emitted  uint64 // output bytes produced
-	outLen   uint64 // valid once outKnown
-	outKnown bool
-	srcEOF   bool
-	err      error
-}
-
-func (r *xorApplyReader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	n, err := r.read0(p)
-	if err != nil && err != io.EOF {
-		r.err = err
-	}
-	return n, err
-}
-
-func (r *xorApplyReader) read0(p []byte) (int, error) {
-	lo := min(r.la, r.lb)
-	n := 0
-	for n < len(p) {
-		// Phase 1: XOR source bytes against the delta body through the
-		// shorter side's length.
-		if r.emitted < lo && !r.srcEOF {
-			if r.emitted >= uint64(len(r.body)) {
-				return n, fmt.Errorf("delta: XOR body too short: %d < %d", len(r.body), lo)
-			}
-			k := min(lo-r.emitted, uint64(len(r.body))-r.emitted, uint64(len(p)-n))
-			m, err := r.src.Read(p[n : n+int(k)])
-			for i := 0; i < m; i++ {
-				p[n+i] ^= r.body[r.emitted+uint64(i)]
-			}
-			n += m
-			r.emitted += uint64(m)
-			r.read += uint64(m)
-			if err == io.EOF {
-				r.srcEOF = true
-			} else if err != nil {
-				return n, err
-			}
-			continue
-		}
-		// Phase 2: settle the source's total length.
-		if !r.outKnown {
-			if err := r.resolveLen(); err != nil {
-				return n, err
-			}
-			continue
-		}
-		// Phase 3: the output is the longer side — its tail is the delta
-		// body verbatim (XOR against the zero-extended source).
-		if r.emitted < r.outLen {
-			if r.outLen > uint64(len(r.body)) {
-				return n, fmt.Errorf("delta: XOR body too short: %d < %d", len(r.body), r.outLen)
-			}
-			c := copy(p[n:], r.body[r.emitted:r.outLen])
-			n += c
-			r.emitted += uint64(c)
-			continue
-		}
-		if n > 0 {
-			return n, nil
-		}
-		return 0, io.EOF
-	}
-	return n, nil
-}
-
-// resolveLen drains the source to its end and maps its total length onto
-// one delta side, fixing the output length as the other side.
-func (r *xorApplyReader) resolveLen() error {
-	var buf [512]byte
-	for !r.srcEOF {
-		m, err := r.src.Read(buf[:])
-		r.read += uint64(m)
-		if err == io.EOF {
-			r.srcEOF = true
-		} else if err != nil {
-			return err
-		} else if m == 0 && r.read > max(r.la, r.lb) {
-			break // defensive: never spin on a pathological reader
-		}
-		if r.read > max(r.la, r.lb) {
-			return fmt.Errorf("delta: XOR source length %d matches neither side (%d, %d)", r.read, r.la, r.lb)
-		}
-	}
-	if r.emitted < min(r.la, r.lb) && r.read != r.la && r.read != r.lb {
-		return fmt.Errorf("delta: XOR source length %d matches neither side (%d, %d)", r.read, r.la, r.lb)
-	}
-	switch r.read {
-	case r.la:
-		r.outLen = r.lb
-	case r.lb:
-		r.outLen = r.la
-	default:
-		return fmt.Errorf("delta: XOR source length %d matches neither side (%d, %d)", r.read, r.la, r.lb)
-	}
-	if r.emitted > r.outLen {
-		// Already emitted lo bytes, so outLen ≥ lo always holds; defensive.
-		return fmt.Errorf("delta: XOR source length %d matches neither side (%d, %d)", r.read, r.la, r.lb)
-	}
-	r.outKnown = true
-	return nil
-}
-
-// ApplyBinaryReader returns a reader reconstructing the target of a
-// BinaryDiff. COPY instructions address arbitrary source offsets, so the
-// source is buffered in full up front — but the *output* streams with O(1)
-// additional memory, emitted as zero-copy windows into the delta (INSERT)
-// and the source (COPY); composed above a streaming producer this still
-// halves the peak footprint versus ApplyBinary.
-func ApplyBinaryReader(d []byte, src io.Reader) io.Reader {
-	source, err := io.ReadAll(src)
-	if err != nil {
-		return errReader{err}
-	}
-	r := bytes.NewReader(d)
-	srcLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return errReader{fmt.Errorf("delta: binary header: %w", err)}
-	}
-	if srcLen != uint64(len(source)) {
-		return errReader{fmt.Errorf("delta: binary delta made for a %d-byte source, got %d", srcLen, len(source))}
-	}
-	tgtLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return errReader{fmt.Errorf("delta: binary header: %w", err)}
-	}
-	return &binApplyReader{d: d, r: r, source: source, tgtLen: tgtLen}
-}
-
-type binApplyReader struct {
-	d      []byte
-	r      *bytes.Reader // instruction cursor, positioned after the header
-	source []byte
-	tgtLen uint64
-
-	produced uint64 // bytes committed by decoded instructions
-	pending  []byte // current instruction's unemitted output window
-	err      error
-}
-
-func (b *binApplyReader) Read(p []byte) (int, error) {
-	if b.err != nil {
-		return 0, b.err
-	}
-	n := 0
-	for n < len(p) {
-		if len(b.pending) > 0 {
-			c := copy(p[n:], b.pending)
-			n += c
-			b.pending = b.pending[c:]
-			continue
-		}
-		if b.r.Len() == 0 {
-			if b.produced != b.tgtLen {
-				b.err = fmt.Errorf("delta: binary apply produced %d bytes, header says %d", b.produced, b.tgtLen)
-			} else {
-				b.err = io.EOF
-			}
-			break
-		}
-		if err := b.nextInstruction(); err != nil {
-			b.err = err
-			break
-		}
-	}
-	if n > 0 {
-		return n, nil
-	}
-	return 0, b.err
-}
-
-// nextInstruction decodes one INSERT/COPY, pointing pending at its output
-// window with the same bounds checks as the buffered ApplyBinary.
-func (b *binApplyReader) nextInstruction() error {
-	op, err := b.r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("delta: binary opcode: %w", err)
-	}
-	switch op {
-	case binOpInsert:
-		n, err := binary.ReadUvarint(b.r)
-		if err != nil {
-			return fmt.Errorf("delta: binary insert length: %w", err)
-		}
-		if uint64(b.r.Len()) < n {
-			return fmt.Errorf("delta: binary insert truncated")
-		}
-		start := len(b.d) - b.r.Len()
-		b.pending = b.d[start : start+int(n)]
-		if _, err := b.r.Seek(int64(n), io.SeekCurrent); err != nil {
-			return fmt.Errorf("delta: binary insert: %w", err)
-		}
-		b.produced += n
-	case binOpCopy:
-		off, err := binary.ReadUvarint(b.r)
-		if err != nil {
-			return fmt.Errorf("delta: binary copy offset: %w", err)
-		}
-		n, err := binary.ReadUvarint(b.r)
-		if err != nil {
-			return fmt.Errorf("delta: binary copy length: %w", err)
-		}
-		if off > uint64(len(b.source)) || n > uint64(len(b.source))-off {
-			return fmt.Errorf("delta: binary copy [%d,+%d) past source end %d", off, n, len(b.source))
-		}
-		b.pending = b.source[off : off+n]
-		b.produced += n
-	default:
-		return fmt.Errorf("delta: unknown binary opcode %d", op)
-	}
-	if b.produced > b.tgtLen {
-		return fmt.Errorf("delta: binary apply exceeded declared target length %d", b.tgtLen)
-	}
-	return nil
 }
 
 // DecompressReader returns a streaming reader inflating a Compress output.

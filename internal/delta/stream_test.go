@@ -141,56 +141,6 @@ func TestApplyReaderSourceError(t *testing.T) {
 	}
 }
 
-func TestApplyXORReaderTruncatedAndCorrupt(t *testing.T) {
-	a := []byte("the first payload body")
-	b := []byte("the second, longer payload body!")
-	d := XOR(a, b)
-
-	// Truncated source: length matches neither side.
-	if _, err := io.ReadAll(ApplyXORReader(d, bytes.NewReader(a[:len(a)-3]))); err == nil {
-		t.Fatal("truncated XOR source applied silently")
-	}
-	// Over-long source: same.
-	long := append(append([]byte(nil), b...), "tail"...)
-	if _, err := io.ReadAll(ApplyXORReader(d, bytes.NewReader(long))); err == nil {
-		t.Fatal("over-long XOR source applied silently")
-	}
-	// Truncated body: too short for the declared lengths.
-	if _, err := io.ReadAll(ApplyXORReader(d[:len(d)-5], bytes.NewReader(a))); err == nil {
-		t.Fatal("truncated XOR body applied silently")
-	}
-	// Corrupt header.
-	if _, err := io.ReadAll(ApplyXORReader([]byte{0x80}, bytes.NewReader(a))); err == nil {
-		t.Fatal("corrupt XOR header applied silently")
-	}
-	// Source delivered a byte at a time still round-trips.
-	got, err := io.ReadAll(ApplyXORReader(d, iotest.OneByteReader(bytes.NewReader(a))))
-	if err != nil || !bytes.Equal(got, b) {
-		t.Fatalf("one-byte XOR stream: got %q (%v), want %q", got, err, b)
-	}
-}
-
-func TestApplyBinaryReaderTruncatedAndCorrupt(t *testing.T) {
-	source := bytes.Repeat([]byte("abcdefghijklmnop"), 40)
-	target := append(bytes.Repeat([]byte("abcdefghijklmnop"), 20), []byte("novel tail data, not in the source")...)
-	d := BinaryDiff(source, target)
-
-	for cut := 0; cut < len(d); cut += 3 {
-		got, err := io.ReadAll(ApplyBinaryReader(d[:cut], bytes.NewReader(source)))
-		want, wantErr := ApplyBinary(d[:cut], source)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("cut=%d: stream err %v, buffered err %v", cut, err, wantErr)
-		}
-		if err == nil && !bytes.Equal(got, want) {
-			t.Fatalf("cut=%d: stream/buffered bytes diverge", cut)
-		}
-	}
-	// Wrong source length is rejected before any output.
-	if _, err := io.ReadAll(ApplyBinaryReader(d, bytes.NewReader(source[:10]))); err == nil {
-		t.Fatal("binary delta applied to a wrong-length source")
-	}
-}
-
 func TestDecompressReaderRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("compress me, repeatedly. "), 1000)
 	r := DecompressReader(bytes.NewReader(Compress(payload)))

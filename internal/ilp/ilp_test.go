@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -89,17 +90,8 @@ func TestVerifyAcceptsSolverResults(t *testing.T) {
 	inst := paperInstance(t)
 	theta := 12000.0
 	mod := Build(inst.G, theta)
-	for name, run := range map[string]func() (*solve.Solution, error){
-		"MP": func() (*solve.Solution, error) { return solve.MP(inst, theta) },
-		"exact": func() (*solve.Solution, error) {
-			ex, err := solve.ExactMinStorageMaxR(inst, theta, solve.ExactOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return ex.Solution, nil
-		},
-	} {
-		s, err := run()
+	for _, name := range []string{"mp", "exact"} {
+		s, err := solve.Solve(context.Background(), inst, solve.Request{Solver: name, Theta: theta})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -22,7 +23,7 @@ var (
 	// ErrUnknownSolver marks a Request naming no registered solver.
 	ErrUnknownSolver = errors.New("unknown solver")
 	// ErrInvalidRequest marks a Request whose knobs fail a solver's
-	// validation (missing budget, α ≤ 1, negative weights, ...).
+	// validation (missing or NaN budget, α ≤ 1, negative weights, ...).
 	ErrInvalidRequest = errors.New("invalid solve request")
 	// ErrInfeasible marks a Request whose constraint no spanning tree can
 	// satisfy (budget below minimum storage, θ below the SPT bound, ...).
@@ -86,8 +87,8 @@ type Hints struct {
 	MST, SPT *Solution
 }
 
-// Result is a solve outcome: the Solution plus provenance the older free
-// functions could not express uniformly.
+// Result is a solve outcome: the Solution plus the producing solver's name
+// and optimality metadata.
 type Result struct {
 	*Solution
 	// Solver is the registry name that produced the result.
@@ -289,15 +290,18 @@ func wrapSolution(name string, s *Solution, optimal bool) *Result {
 	return &Result{Solution: s, Solver: name, Optimal: optimal}
 }
 
+// needsBudget and needsTheta reject a missing, non-positive or NaN bound;
+// +Inf is legal and means "unbounded". The negated comparisons are what
+// catch NaN, which fails every ordered comparison.
 func needsBudget(inst *Instance, req Request) error {
-	if req.Budget <= 0 {
+	if !(req.Budget > 0) {
 		return fmt.Errorf("solve: %w: solver %q requires a positive Budget", ErrInvalidRequest, req.Solver)
 	}
 	return nil
 }
 
 func needsTheta(inst *Instance, req Request) error {
-	if req.Theta <= 0 {
+	if !(req.Theta > 0) {
 		return fmt.Errorf("solve: %w: solver %q requires a positive Theta", ErrInvalidRequest, req.Solver)
 	}
 	return nil
@@ -337,10 +341,15 @@ func init() {
 			if req.Weights != nil && len(req.Weights) != inst.M.N() {
 				return fmt.Errorf("solve: %w: %d weights for %d versions", ErrInvalidRequest, len(req.Weights), inst.M.N())
 			}
+			for v, w := range req.Weights {
+				if !(w >= 0) || math.IsInf(w, 1) {
+					return fmt.Errorf("solve: %w: weight %g for version %d is not finite and non-negative", ErrInvalidRequest, w, v)
+				}
+			}
 			return nil
 		},
 		run: func(ctx context.Context, inst *Instance, req Request) (*Result, error) {
-			opts := LMGOptions{Budget: req.Budget, Freq: req.Weights}
+			opts := lmgOptions{Budget: req.Budget, Freq: req.Weights}
 			if req.Hints != nil {
 				opts.MST, opts.SPT = req.Hints.MST, req.Hints.SPT
 			}
@@ -367,7 +376,7 @@ func init() {
 		info: Info{Name: "last", Algorithm: "LAST", Problem: "balanced tree (§4.3)",
 			Objective: "balance storage vs recreation", Knob: KnobAlpha},
 		validate: func(inst *Instance, req Request) error {
-			if req.Alpha <= 1 {
+			if !(req.Alpha > 1) {
 				return fmt.Errorf("solve: %w: solver %q requires Alpha > 1, got %g", ErrInvalidRequest, req.Solver, req.Alpha)
 			}
 			return nil
@@ -390,7 +399,7 @@ func init() {
 			return nil
 		},
 		run: func(ctx context.Context, inst *Instance, req Request) (*Result, error) {
-			opts := GitHOptions{Window: req.Window, MaxDepth: req.MaxDepth}
+			opts := githOptions{Window: req.Window, MaxDepth: req.MaxDepth}
 			if opts.Window == 0 {
 				opts.Window = 10
 			}
@@ -409,11 +418,7 @@ func init() {
 			Objective: "min total storage", Constraint: ConstraintMaxRLETheta, Knob: KnobThetaMax, Exact: true},
 		validate: needsTheta,
 		run: func(ctx context.Context, inst *Instance, req Request) (*Result, error) {
-			ex, err := exactRun(ctx, inst, req.Theta, ExactOptions{MaxNodes: req.MaxNodes})
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Solution: ex.Solution, Solver: "exact", Optimal: ex.Optimal, Nodes: ex.Nodes}, nil
+			return exactRun(ctx, inst, req.Theta, req.MaxNodes)
 		},
 	})
 	Register(funcSolver{

@@ -9,27 +9,16 @@ import (
 	"versiondb/internal/graph"
 )
 
-// ExactOptions bounds the branch-and-bound search.
-type ExactOptions struct {
-	// MaxNodes caps the number of search nodes expanded; 0 means 5e6.
-	// When the cap is hit the best solution found so far is returned with
-	// Optimal=false — matching the paper's experience with the Gurobi ILP,
-	// which "did not finish" on the larger Table 2 instances.
-	MaxNodes int64
-}
+// ctxCheckInterval is how many branch-and-bound nodes exactRun expands
+// between context checks — frequent enough to abort within microseconds,
+// rare enough to stay off the profile.
+const ctxCheckInterval = 4096
 
-// ExactResult is the outcome of the exact Problem 6 solver.
-type ExactResult struct {
-	Solution *Solution
-	Optimal  bool  // whether the search ran to completion
-	Nodes    int64 // search nodes expanded
-}
-
-// ExactMinStorageMaxR solves Problem 6 exactly (min total storage subject to
-// max recreation ≤ θ) by branch and bound over parent assignments, assigning
+// exactRun solves Problem 6 exactly (min total storage subject to max
+// recreation ≤ θ) by branch and bound over parent assignments, assigning
 // a parent to each version vertex in turn. It replaces the paper's §2.3
 // ILP / Gurobi setup: same objective, same constraints, provably optimal
-// when the search completes.
+// when the search completes. It backs the registered "exact" solver.
 //
 // Completeness: every spanning tree corresponds to exactly one parent
 // function, and the search enumerates all cycle-free parent functions.
@@ -39,24 +28,13 @@ type ExactResult struct {
 // ancestors bounded by their Φ shortest-path distance); (c) incremental
 // cycle rejection.
 //
-// ExactMinStorageMaxR is a compatibility wrapper over the registry path;
-// prefer Solve(ctx, inst, Request{Solver: "exact", Theta: ...}), which is
-// cancellable.
-func ExactMinStorageMaxR(inst *Instance, theta float64, opts ExactOptions) (*ExactResult, error) {
-	return exactRun(context.Background(), inst, theta, opts)
-}
-
-// ctxCheckInterval is how many branch-and-bound nodes exactRun expands
-// between context checks — frequent enough to abort within microseconds,
-// rare enough to stay off the profile.
-const ctxCheckInterval = 4096
-
-// exactRun is the cancellable branch-and-bound implementation backing both
-// ExactMinStorageMaxR and the registered "exact" solver. Cancellation
+// maxNodes caps the number of search nodes expanded; ≤ 0 means 5e6. When
+// the cap is hit the best solution found so far is returned with
+// Optimal=false — matching the paper's experience with the Gurobi ILP,
+// which "did not finish" on the larger Table 2 instances. Cancellation
 // abandons the search (including any incumbent) and returns ErrCanceled.
-func exactRun(ctx context.Context, inst *Instance, theta float64, opts ExactOptions) (*ExactResult, error) {
+func exactRun(ctx context.Context, inst *Instance, theta float64, maxNodes int64) (*Result, error) {
 	start := time.Now()
-	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 5_000_000
 	}
@@ -202,5 +180,5 @@ func exactRun(ctx context.Context, inst *Instance, theta float64, opts ExactOpti
 		return nil, fmt.Errorf("solve: exact: no feasible tree under θ=%g: %w", theta, ErrInfeasible)
 	}
 	sol := newSolution("Exact", theta, bestTree, start)
-	return &ExactResult{Solution: sol, Optimal: nodes <= maxNodes, Nodes: nodes}, nil
+	return &Result{Solution: sol, Solver: "exact", Optimal: nodes <= maxNodes, Nodes: nodes}, nil
 }

@@ -9,8 +9,8 @@ import (
 	"versiondb/internal/graph"
 )
 
-// GitHOptions configures the Git repack heuristic.
-type GitHOptions struct {
+// githOptions configures the Git repack heuristic.
+type githOptions struct {
 	// Window is the sliding window size w (Git default 10).
 	Window int
 	// MaxDepth is the maximum delta-chain depth d (Git default 50).
@@ -20,31 +20,18 @@ type GitHOptions struct {
 	NoDepthBias bool
 }
 
-// GitH runs the Git repack heuristic as reverse-engineered in the paper's
-// Appendix A (§4.4). Versions are considered in non-increasing size order;
-// each version picks, from a sliding window of recently placed versions,
-// the parent minimizing the depth-biased delta size Δl,i/(d − depth(l)),
-// falling back to materialization when no window delta beats storing the
-// version whole or all window candidates are at maximum depth. The window
-// is then shuffled exactly as git's ll_find_deltas does: the chosen parent
-// moves to the end (staying in the window longer).
-//
-// GitH is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "gith", Window: ..., MaxDepth: ...}).
-func GitH(inst *Instance, opts GitHOptions) (*Solution, error) {
-	return githRun(context.Background(), inst, opts)
-}
-
-// githRun is the cancellable GitH implementation backing both GitH and the
-// registered "gith" solver; ctx is checked once per placed version.
-func githRun(ctx context.Context, inst *Instance, opts GitHOptions) (*Solution, error) {
+// githRun runs the Git repack heuristic as reverse-engineered in the
+// paper's Appendix A (§4.4). Versions are considered in non-increasing
+// size order; each version picks, from a sliding window of recently placed
+// versions, the parent minimizing the depth-biased delta size
+// Δl,i/(d − depth(l)), falling back to materialization when no window
+// delta beats storing the version whole or all window candidates are at
+// maximum depth. The window is then shuffled exactly as git's
+// ll_find_deltas does: the chosen parent moves to the end (staying in the
+// window longer). It backs the registered "gith" solver; ctx is checked
+// once per placed version.
+func githRun(ctx context.Context, inst *Instance, opts githOptions) (*Solution, error) {
 	start := time.Now()
-	if opts.Window <= 0 {
-		return nil, fmt.Errorf("solve: GitH window must be positive, got %d: %w", opts.Window, ErrInvalidRequest)
-	}
-	if opts.MaxDepth <= 0 {
-		return nil, fmt.Errorf("solve: GitH max depth must be positive, got %d: %w", opts.MaxDepth, ErrInvalidRequest)
-	}
 	m := inst.M
 	n := m.N()
 	// Step 1: sort by full size, largest first (git's type_size_sort).

@@ -8,32 +8,22 @@ import (
 	"versiondb/internal/graph"
 )
 
-// LAST adapts Khuller, Raghavachari and Young's algorithm for balancing
-// minimum spanning trees and shortest path trees (paper §4.3, Algorithm 3).
-// Starting from the minimum-storage tree it performs a depth-first
-// traversal, relaxing path costs across tree edges in both directions; when
-// a vertex's path cost exceeds alpha times its shortest-path distance, the
-// vertex is re-attached along its shortest path.
+// lastRun adapts Khuller, Raghavachari and Young's algorithm for
+// balancing minimum spanning trees and shortest path trees (paper §4.3,
+// Algorithm 3). Starting from the minimum-storage tree it performs a
+// depth-first traversal, relaxing path costs across tree edges in both
+// directions; when a vertex's path cost exceeds alpha times its
+// shortest-path distance, the vertex is re-attached along its shortest
+// path.
 //
 // For undirected Φ=Δ instances the result satisfies the LAST guarantees:
 // every root path within α of the shortest path and total weight within
 // (1 + 2/(α−1)) of the MST. For directed instances it applies without
-// guarantees, exactly as the paper does. alpha must exceed 1.
-//
-// LAST is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "last", Alpha: ...}).
-func LAST(inst *Instance, alpha float64) (*Solution, error) {
-	return lastRun(context.Background(), inst, alpha)
-}
-
-// lastRun is the cancellable LAST implementation backing both LAST and the
+// guarantees, exactly as the paper does. alpha must exceed 1. It backs the
 // registered "last" solver; ctx is checked per DFS vertex and per cycle
 // repair.
 func lastRun(ctx context.Context, inst *Instance, alpha float64) (*Solution, error) {
 	start := time.Now()
-	if alpha <= 1 {
-		return nil, fmt.Errorf("solve: LAST requires α > 1, got %g: %w", alpha, ErrInvalidRequest)
-	}
 	mst, err := MinStorage(inst)
 	if err != nil {
 		return nil, err

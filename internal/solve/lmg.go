@@ -9,14 +9,15 @@ import (
 	"versiondb/internal/graph"
 )
 
-// LMGOptions configures the Local Move Greedy heuristic.
-type LMGOptions struct {
+// lmgOptions configures the Local Move Greedy heuristic.
+type lmgOptions struct {
 	// Budget is the total storage budget W (paper Algorithm 1). It must be
 	// at least the minimum spanning tree / arborescence storage cost.
 	Budget float64
 	// Freq, when non-nil, holds per-version access frequencies (length
 	// M.N()); LMG then minimizes the weighted sum of recreation costs
-	// (paper §5.3, Fig. 16). Nil means uniform weights.
+	// (paper §5.3, Fig. 16). Nil means uniform weights. The registry
+	// validates it (length, finite, non-negative) before lmgRun sees it.
 	Freq []float64
 	// NaiveSubtree disables the O(1) subtree-aggregate maintenance and
 	// recomputes the ρ numerator by walking each subtree, giving the
@@ -29,25 +30,16 @@ type LMGOptions struct {
 	MST, SPT *Solution
 }
 
-// LMG runs the Local Move Greedy heuristic (paper §4.1, Algorithm 1): start
-// from the minimum-storage tree, repeatedly replace a tree edge with the
-// SPT edge maximizing
+// lmgRun runs the Local Move Greedy heuristic (paper §4.1, Algorithm 1):
+// start from the minimum-storage tree, repeatedly replace a tree edge with
+// the SPT edge maximizing
 //
 //	ρ = (reduction in Σ recreation costs) / (increase in storage cost)
 //
-// while the storage budget holds. It addresses Problem 3 directly and
-// Problem 5 via MinStorageSumR's binary search.
-//
-// LMG is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "lmg", Budget: ...}), which is
-// cancellable.
-func LMG(inst *Instance, opts LMGOptions) (*Solution, error) {
-	return lmgRun(context.Background(), inst, opts)
-}
-
-// lmgRun is the cancellable LMG implementation backing both LMG and the
-// registered "lmg"/"p5" solvers; ctx is checked once per local move.
-func lmgRun(ctx context.Context, inst *Instance, opts LMGOptions) (*Solution, error) {
+// while the storage budget holds. It backs the registered "lmg" solver
+// (Problem 3) and "p5" (Problem 5, via problem5Run's binary search); ctx
+// is checked once per local move.
+func lmgRun(ctx context.Context, inst *Instance, opts lmgOptions) (*Solution, error) {
 	mst, spt := opts.MST, opts.SPT
 	var err error
 	if mst == nil {
@@ -67,15 +59,7 @@ func lmgRun(ctx context.Context, inst *Instance, opts LMGOptions) (*Solution, er
 	n := inst.G.N()
 	weight := make([]float64, n)
 	if opts.Freq != nil {
-		if len(opts.Freq) != inst.M.N() {
-			return nil, fmt.Errorf("solve: LMG freq length %d, want %d: %w", len(opts.Freq), inst.M.N(), ErrInvalidRequest)
-		}
-		for i, f := range opts.Freq {
-			if f < 0 {
-				return nil, fmt.Errorf("solve: LMG negative frequency %g for version %d: %w", f, i, ErrInvalidRequest)
-			}
-			weight[i+1] = f
-		}
+		copy(weight[1:], opts.Freq)
 	} else {
 		for v := 1; v < n; v++ {
 			weight[v] = 1

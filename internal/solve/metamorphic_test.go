@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,8 +78,8 @@ func TestQuickScaleInvariance(t *testing.T) {
 		}
 		// Exact with θ scaled accordingly.
 		theta := s1.MaxR * 1.3
-		e1, err1 := ExactMinStorageMaxR(inst, theta, ExactOptions{MaxNodes: 500_000})
-		e2, err2 := ExactMinStorageMaxR(scaled, c*theta, ExactOptions{MaxNodes: 500_000})
+		e1, err1 := Solve(context.Background(), inst, Request{Solver: "exact", Theta: theta, MaxNodes: 500_000})
+		e2, err2 := Solve(context.Background(), scaled, Request{Solver: "exact", Theta: c * theta, MaxNodes: 500_000})
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("exact feasibility diverged under scaling")
 			return false
@@ -133,8 +134,8 @@ func TestQuickPermutationInvariance(t *testing.T) {
 			return false
 		}
 		theta := s1.MaxR * 1.5
-		e1, err1 := ExactMinStorageMaxR(inst, theta, ExactOptions{MaxNodes: 500_000})
-		e2, err2 := ExactMinStorageMaxR(permuted, theta, ExactOptions{MaxNodes: 500_000})
+		e1, err1 := Solve(context.Background(), inst, Request{Solver: "exact", Theta: theta, MaxNodes: 500_000})
+		e2, err2 := Solve(context.Background(), permuted, Request{Solver: "exact", Theta: theta, MaxNodes: 500_000})
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -167,7 +168,7 @@ func TestQuickLMGBudgetEndpoints(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		atMST, err := LMG(inst, LMGOptions{Budget: mst.Storage})
+		atMST, err := solveSol(inst, Request{Solver: "lmg", Budget: mst.Storage})
 		if err != nil {
 			return false
 		}
@@ -176,7 +177,7 @@ func TestQuickLMGBudgetEndpoints(t *testing.T) {
 				atMST.Storage, mst.Storage, atMST.SumR, mst.SumR)
 			return false
 		}
-		atSPT, err := LMG(inst, LMGOptions{Budget: spt.Storage})
+		atSPT, err := solveSol(inst, Request{Solver: "lmg", Budget: spt.Storage})
 		if err != nil {
 			return false
 		}

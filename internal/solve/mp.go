@@ -8,7 +8,7 @@ import (
 	"versiondb/internal/graph"
 )
 
-// MP runs the Modified Prim's algorithm (paper §4.2, Algorithm 2) for
+// mpRun runs the Modified Prim's algorithm (paper §4.2, Algorithm 2) for
 // Problem 6: minimize total storage subject to every recreation cost being
 // at most theta. Like Prim's, it grows the tree by the vertex with the
 // smallest marginal storage cost l(v); unlike Prim's, a vertex already in
@@ -16,16 +16,9 @@ import (
 // worsen its recreation cost appears.
 //
 // It returns an error wrapping ErrInfeasible when no tree satisfies the
-// bound (θ smaller than some version's cheapest attainable recreation cost).
-//
-// MP is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "mp", Theta: ...}), which is cancellable.
-func MP(inst *Instance, theta float64) (*Solution, error) {
-	return mpRun(context.Background(), inst, theta)
-}
-
-// mpRun is the cancellable MP implementation backing both MP and the
-// registered "mp"/"p4" solvers; ctx is checked once per extracted vertex.
+// bound (θ smaller than some version's cheapest attainable recreation
+// cost). It backs the registered "mp" solver, problem4Run's search and
+// exactRun's incumbent; ctx is checked once per extracted vertex.
 func mpRun(ctx context.Context, inst *Instance, theta float64) (*Solution, error) {
 	start := time.Now()
 	g := inst.G

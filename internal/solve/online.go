@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -174,7 +175,7 @@ func (o *Online) Reoptimize(budgetFactor float64) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := LMG(inst, LMGOptions{Budget: mst.Storage * budgetFactor, MST: mst})
+	sol, err := lmgRun(context.Background(), inst, lmgOptions{Budget: mst.Storage * budgetFactor, MST: mst})
 	if err != nil {
 		return nil, err
 	}

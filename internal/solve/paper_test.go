@@ -88,7 +88,7 @@ func TestPaperExampleFigure4Solution(t *testing.T) {
 	// Figure 4's storage graph (V1, V3 materialized) must be reproducible
 	// as a valid solution with the costs the paper quotes.
 	inst := paperInstance(t)
-	s, err := LMG(inst, LMGOptions{Budget: 20150})
+	s, err := solveSol(inst, Request{Solver: "lmg", Budget: 20150})
 	if err != nil {
 		t.Fatalf("LMG: %v", err)
 	}
@@ -103,18 +103,17 @@ func TestPaperExampleFigure4Solution(t *testing.T) {
 
 func TestPaperExampleLMGBudgetSweep(t *testing.T) {
 	inst := paperInstance(t)
-	budgets, err := Budgets(inst, 6)
+	sols, err := SweepSolver(context.Background(), inst, "lmg", 6)
 	if err != nil {
-		t.Fatalf("Budgets: %v", err)
+		t.Fatalf("SweepSolver(lmg): %v", err)
 	}
-	sols, err := SweepLMG(context.Background(), inst, budgets, nil)
-	if err != nil {
-		t.Fatalf("SweepLMG: %v", err)
+	if len(sols) != 6 {
+		t.Fatalf("SweepSolver(lmg): %d points, want 6", len(sols))
 	}
 	prev := math.Inf(1)
-	for i, s := range sols {
-		if s.Storage > budgets[i]+1e-9 {
-			t.Errorf("budget %g violated: storage %g", budgets[i], s.Storage)
+	for _, s := range sols {
+		if s.Storage > s.Param+1e-9 {
+			t.Errorf("budget %g violated: storage %g", s.Param, s.Storage)
 		}
 		if s.SumR > prev+1e-9 {
 			t.Errorf("ΣR not non-increasing along budgets: %g after %g", s.SumR, prev)
@@ -136,7 +135,7 @@ func TestPaperExampleMP(t *testing.T) {
 	spt, _ := MinRecreation(inst)
 	mca, _ := MinStorage(inst)
 	for _, theta := range []float64{spt.MaxR, 10600, 12000, mca.MaxR} {
-		s, err := MP(inst, theta)
+		s, err := solveSol(inst, Request{Solver: "mp", Theta: theta})
 		if err != nil {
 			t.Fatalf("MP(θ=%g): %v", theta, err)
 		}
@@ -148,7 +147,7 @@ func TestPaperExampleMP(t *testing.T) {
 		}
 	}
 	// Infeasible θ must error.
-	if _, err := MP(inst, spt.MaxR-1); err == nil {
+	if _, err := solveSol(inst, Request{Solver: "mp", Theta: spt.MaxR - 1}); err == nil {
 		t.Errorf("MP with θ below SPT max recreation should fail")
 	}
 }
@@ -156,11 +155,11 @@ func TestPaperExampleMP(t *testing.T) {
 func TestPaperExampleExactMatchesOrBeatsMP(t *testing.T) {
 	inst := paperInstance(t)
 	for _, theta := range []float64{10120, 10600, 12000, 14000} {
-		mp, err := MP(inst, theta)
+		mp, err := solveSol(inst, Request{Solver: "mp", Theta: theta})
 		if err != nil {
 			t.Fatalf("MP(θ=%g): %v", theta, err)
 		}
-		ex, err := ExactMinStorageMaxR(inst, theta, ExactOptions{})
+		ex, err := Solve(context.Background(), inst, Request{Solver: "exact", Theta: theta})
 		if err != nil {
 			t.Fatalf("Exact(θ=%g): %v", theta, err)
 		}
@@ -179,7 +178,7 @@ func TestPaperExampleExactMatchesOrBeatsMP(t *testing.T) {
 func TestPaperExampleLAST(t *testing.T) {
 	inst := paperInstance(t)
 	for _, alpha := range []float64{1.1, 1.5, 2, 4} {
-		s, err := LAST(inst, alpha)
+		s, err := solveSol(inst, Request{Solver: "last", Alpha: alpha})
 		if err != nil {
 			t.Fatalf("LAST(α=%g): %v", alpha, err)
 		}
@@ -187,14 +186,14 @@ func TestPaperExampleLAST(t *testing.T) {
 			t.Errorf("LAST(α=%g) invalid tree: %v", alpha, err)
 		}
 	}
-	if _, err := LAST(inst, 1.0); err == nil {
+	if _, err := solveSol(inst, Request{Solver: "last", Alpha: 1.0}); err == nil {
 		t.Errorf("LAST must reject α ≤ 1")
 	}
 }
 
 func TestPaperExampleGitH(t *testing.T) {
 	inst := paperInstance(t)
-	s, err := GitH(inst, GitHOptions{Window: 10, MaxDepth: 50})
+	s, err := solveSol(inst, Request{Solver: "gith", Window: 10, MaxDepth: 50})
 	if err != nil {
 		t.Fatalf("GitH: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -191,6 +192,48 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := Solve(ctx, inst, Request{Solver: "p5", Theta: spt.SumR / 2}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("p5 below-min θ err = %v, want ErrInfeasible", err)
+	}
+
+	// NaN fails every ordered comparison, so a bound check written as
+	// "reject if ≤ 0" lets it through to a solver that then treats it as
+	// no bound at all; non-finite or negative weights likewise.
+	nan, inf := math.NaN(), math.Inf(1)
+	weights := func(bad float64) []float64 {
+		w := make([]float64, inst.M.N())
+		for i := range w {
+			w[i] = 1
+		}
+		w[len(w)/2] = bad
+		return w
+	}
+	for _, req := range []Request{
+		{Solver: "lmg", Budget: nan},
+		{Solver: "p4", Budget: nan},
+		{Solver: "p5", Theta: nan},
+		{Solver: "mp", Theta: nan},
+		{Solver: "exact", Theta: nan},
+		{Solver: "last", Alpha: nan},
+		{Solver: "lmg", Budget: mst.Storage * 2, Weights: weights(nan)},
+		{Solver: "lmg", Budget: mst.Storage * 2, Weights: weights(inf)},
+		{Solver: "lmg", Budget: mst.Storage * 2, Weights: weights(-inf)},
+		{Solver: "lmg", Budget: mst.Storage * 2, Weights: weights(-1)},
+	} {
+		if _, err := Solve(ctx, inst, req); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s budget=%g θ=%g α=%g weights=%v: err = %v, want ErrInvalidRequest",
+				req.Solver, req.Budget, req.Theta, req.Alpha, req.Weights, err)
+		}
+	}
+	// +Inf stays a legal bound: "unbounded".
+	for _, req := range []Request{
+		{Solver: "lmg", Budget: inf},
+		{Solver: "p4", Budget: inf},
+		{Solver: "p5", Theta: inf},
+		{Solver: "mp", Theta: inf},
+		{Solver: "exact", Theta: inf, MaxNodes: 10_000},
+	} {
+		if _, err := Solve(ctx, inst, req); err != nil {
+			t.Errorf("%s with +Inf bound: %v", req.Solver, err)
+		}
 	}
 }
 

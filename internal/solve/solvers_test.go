@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,16 @@ import (
 	"versiondb/internal/graph"
 	"versiondb/internal/workload"
 )
+
+// solveSol runs req through the registry and returns the bare solution
+// the property tests inspect.
+func solveSol(inst *Instance, req Request) (*Solution, error) {
+	res, err := Solve(context.Background(), inst, req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Solution, nil
+}
 
 // randomInstance builds a random solver instance from the workload
 // generator (small, directed or undirected, proportional costs).
@@ -66,7 +77,7 @@ func TestQuickLMGInvariants(t *testing.T) {
 		}
 		prevSumR := math.Inf(1)
 		for _, b := range budgets {
-			s, err := LMG(inst, LMGOptions{Budget: b})
+			s, err := solveSol(inst, Request{Solver: "lmg", Budget: b})
 			if err != nil {
 				t.Logf("LMG(%g): %v", b, err)
 				return false
@@ -102,7 +113,7 @@ func TestQuickLMGInvariants(t *testing.T) {
 func TestLMGBudgetBelowMSTFails(t *testing.T) {
 	inst := randomInstance(t, 7, 20, true)
 	mst, _ := MinStorage(inst)
-	if _, err := LMG(inst, LMGOptions{Budget: mst.Storage * 0.9}); err == nil {
+	if _, err := solveSol(inst, Request{Solver: "lmg", Budget: mst.Storage * 0.9}); err == nil {
 		t.Errorf("LMG accepted an infeasible budget")
 	}
 }
@@ -110,13 +121,13 @@ func TestLMGBudgetBelowMSTFails(t *testing.T) {
 func TestLMGFreqValidation(t *testing.T) {
 	inst := randomInstance(t, 8, 15, true)
 	mst, _ := MinStorage(inst)
-	if _, err := LMG(inst, LMGOptions{Budget: mst.Storage * 2, Freq: []float64{1, 2}}); err == nil {
-		t.Errorf("LMG accepted a wrong-length frequency vector")
+	if _, err := solveSol(inst, Request{Solver: "lmg", Budget: mst.Storage * 2, Weights: []float64{1, 2}}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("LMG accepted a wrong-length frequency vector: %v", err)
 	}
 	bad := make([]float64, inst.M.N())
 	bad[0] = -1
-	if _, err := LMG(inst, LMGOptions{Budget: mst.Storage * 2, Freq: bad}); err == nil {
-		t.Errorf("LMG accepted negative frequencies")
+	if _, err := solveSol(inst, Request{Solver: "lmg", Budget: mst.Storage * 2, Weights: bad}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("LMG accepted negative frequencies: %v", err)
 	}
 }
 
@@ -132,11 +143,11 @@ func TestQuickLMGWorkloadAwareHelpsOnWeightedCost(t *testing.T) {
 		w := make([]float64, n+1)
 		copy(w[1:], freq)
 		for _, b := range budgets[1:] {
-			plain, err := LMG(inst, LMGOptions{Budget: b})
+			plain, err := solveSol(inst, Request{Solver: "lmg", Budget: b})
 			if err != nil {
 				return false
 			}
-			aware, err := LMG(inst, LMGOptions{Budget: b, Freq: freq})
+			aware, err := solveSol(inst, Request{Solver: "lmg", Budget: b, Weights: freq})
 			if err != nil {
 				return false
 			}
@@ -163,11 +174,11 @@ func TestLMGNaiveSubtreeAgrees(t *testing.T) {
 	inst := randomInstance(t, 9, 30, true)
 	budgets, _ := Budgets(inst, 4)
 	for _, b := range budgets {
-		fast, err := LMG(inst, LMGOptions{Budget: b})
+		fast, err := solveSol(inst, Request{Solver: "lmg", Budget: b})
 		if err != nil {
 			t.Fatalf("fast: %v", err)
 		}
-		naive, err := LMG(inst, LMGOptions{Budget: b, NaiveSubtree: true})
+		naive, err := lmgRun(context.Background(), inst, lmgOptions{Budget: b, NaiveSubtree: true})
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
@@ -191,7 +202,7 @@ func TestQuickMPInvariants(t *testing.T) {
 			return false
 		}
 		for _, th := range thetas {
-			s, err := MP(inst, th)
+			s, err := solveSol(inst, Request{Solver: "mp", Theta: th})
 			if err != nil {
 				t.Logf("MP(%g): %v", th, err)
 				return false
@@ -228,7 +239,7 @@ func TestQuickLASTUndirectedGuarantees(t *testing.T) {
 			return false
 		}
 		for _, alpha := range []float64{1.5, 2, 4} {
-			s, err := LAST(inst, alpha)
+			s, err := solveSol(inst, Request{Solver: "last", Alpha: alpha})
 			if err != nil {
 				t.Logf("LAST(%g): %v", alpha, err)
 				return false
@@ -264,12 +275,12 @@ func TestQuickGitHDepthBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(t, seed, 20+rng.Intn(40), true)
-		for _, cfg := range []GitHOptions{
-			{Window: 5, MaxDepth: 3},
-			{Window: 10, MaxDepth: 10},
-			{Window: 1, MaxDepth: 1},
+		for _, cfg := range []Request{
+			{Solver: "gith", Window: 5, MaxDepth: 3},
+			{Solver: "gith", Window: 10, MaxDepth: 10},
+			{Solver: "gith", Window: 1, MaxDepth: 1},
 		} {
-			s, err := GitH(inst, cfg)
+			s, err := solveSol(inst, cfg)
 			if err != nil {
 				t.Logf("GitH(%+v): %v", cfg, err)
 				return false
@@ -294,21 +305,21 @@ func TestQuickGitHDepthBound(t *testing.T) {
 
 func TestGitHValidation(t *testing.T) {
 	inst := randomInstance(t, 10, 10, true)
-	if _, err := GitH(inst, GitHOptions{Window: 0, MaxDepth: 5}); err == nil {
-		t.Errorf("window 0 accepted")
+	if _, err := solveSol(inst, Request{Solver: "gith", Window: -1, MaxDepth: 5}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("negative window: err = %v, want ErrInvalidRequest", err)
 	}
-	if _, err := GitH(inst, GitHOptions{Window: 5, MaxDepth: 0}); err == nil {
-		t.Errorf("depth 0 accepted")
+	if _, err := solveSol(inst, Request{Solver: "gith", Window: 5, MaxDepth: -1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("negative depth: err = %v, want ErrInvalidRequest", err)
 	}
 }
 
 func TestGitHDepthBiasAblation(t *testing.T) {
 	inst := randomInstance(t, 11, 60, true)
-	with, err := GitH(inst, GitHOptions{Window: 10, MaxDepth: 5})
+	with, err := solveSol(inst, Request{Solver: "gith", Window: 10, MaxDepth: 5})
 	if err != nil {
 		t.Fatalf("with bias: %v", err)
 	}
-	without, err := GitH(inst, GitHOptions{Window: 10, MaxDepth: 5, NoDepthBias: true})
+	without, err := githRun(context.Background(), inst, githOptions{Window: 10, MaxDepth: 5, NoDepthBias: true})
 	if err != nil {
 		t.Fatalf("without bias: %v", err)
 	}
@@ -371,7 +382,7 @@ func TestQuickExactMatchesBruteForce(t *testing.T) {
 		}
 		for _, th := range thetas {
 			want := bruteExact(inst, th)
-			ex, err := ExactMinStorageMaxR(inst, th, ExactOptions{})
+			ex, err := Solve(context.Background(), inst, Request{Solver: "exact", Theta: th})
 			if math.IsInf(want, 1) {
 				if err == nil {
 					t.Logf("exact found a solution where brute force found none (θ=%g)", th)
@@ -407,11 +418,11 @@ func TestQuickExactLowerBoundsHeuristics(t *testing.T) {
 			return false
 		}
 		for _, th := range thetas {
-			ex, err := ExactMinStorageMaxR(inst, th, ExactOptions{MaxNodes: 3_000_000})
+			ex, err := Solve(context.Background(), inst, Request{Solver: "exact", Theta: th, MaxNodes: 3_000_000})
 			if err != nil || !ex.Optimal {
 				continue
 			}
-			mp, err := MP(inst, th)
+			mp, err := solveSol(inst, Request{Solver: "mp", Theta: th})
 			if err == nil && mp.Storage < ex.Solution.Storage-1e-6 {
 				t.Logf("MP %g beat exact optimum %g at θ=%g", mp.Storage, ex.Solution.Storage, th)
 				return false
@@ -427,7 +438,7 @@ func TestQuickExactLowerBoundsHeuristics(t *testing.T) {
 func TestExactInfeasibleTheta(t *testing.T) {
 	inst := randomInstance(t, 12, 8, true)
 	spt, _ := MinRecreation(inst)
-	if _, err := ExactMinStorageMaxR(inst, spt.MaxR/2, ExactOptions{}); err == nil {
+	if _, err := Solve(context.Background(), inst, Request{Solver: "exact", Theta: spt.MaxR / 2}); err == nil {
 		t.Errorf("exact accepted infeasible θ")
 	}
 }
@@ -437,7 +448,7 @@ func TestProblem4RespectsBudget(t *testing.T) {
 	mst, _ := MinStorage(inst)
 	for _, factor := range []float64{1.05, 1.5, 3} {
 		beta := mst.Storage * factor
-		s, err := Problem4(inst, beta, 20)
+		s, err := solveSol(inst, Request{Solver: "p4", Budget: beta, Iters: 20})
 		if err != nil {
 			t.Fatalf("Problem4(%g): %v", beta, err)
 		}
@@ -448,7 +459,7 @@ func TestProblem4RespectsBudget(t *testing.T) {
 			t.Errorf("Problem4 worse than MST on maxR")
 		}
 	}
-	if _, err := Problem4(inst, mst.Storage*0.5, 10); err == nil {
+	if _, err := solveSol(inst, Request{Solver: "p4", Budget: mst.Storage * 0.5, Iters: 10}); err == nil {
 		t.Errorf("Problem4 accepted infeasible budget")
 	}
 }
@@ -459,7 +470,7 @@ func TestProblem5RespectsTheta(t *testing.T) {
 	spt, _ := MinRecreation(inst)
 	for _, factor := range []float64{1.001, 1.5, 3} {
 		theta := spt.SumR * factor
-		s, err := Problem5(inst, theta, 30)
+		s, err := solveSol(inst, Request{Solver: "p5", Theta: theta, Iters: 30})
 		if err != nil {
 			t.Fatalf("Problem5(%g): %v", theta, err)
 		}
@@ -470,11 +481,11 @@ func TestProblem5RespectsTheta(t *testing.T) {
 			t.Errorf("Problem5 storage below minimum")
 		}
 	}
-	if _, err := Problem5(inst, spt.SumR*0.5, 10); err == nil {
+	if _, err := solveSol(inst, Request{Solver: "p5", Theta: spt.SumR * 0.5, Iters: 10}); err == nil {
 		t.Errorf("Problem5 accepted infeasible θ")
 	}
 	// A θ the MST already satisfies returns the MST.
-	s, err := Problem5(inst, mst.SumR*2, 10)
+	s, err := solveSol(inst, Request{Solver: "p5", Theta: mst.SumR * 2, Iters: 10})
 	if err != nil {
 		t.Fatalf("Problem5 loose: %v", err)
 	}
@@ -493,17 +504,13 @@ func TestSweepsProduceSolutions(t *testing.T) {
 	if err != nil || len(thetas) != 4 {
 		t.Fatalf("Thetas: %v", err)
 	}
-	if sols, err := SweepLMG(context.Background(), inst, budgets, nil); err != nil || len(sols) != 4 {
-		t.Errorf("SweepLMG: %d, %v", len(sols), err)
-	}
-	if sols, err := SweepMP(context.Background(), inst, thetas); err != nil || len(sols) == 0 {
-		t.Errorf("SweepMP: %d, %v", len(sols), err)
-	}
-	if sols, err := SweepLAST(context.Background(), inst, []float64{1.5, 3}); err != nil || len(sols) != 2 {
-		t.Errorf("SweepLAST: %d, %v", len(sols), err)
-	}
-	if sols, err := SweepGitH(context.Background(), inst, []GitHOptions{{Window: 5, MaxDepth: 10}}); err != nil || len(sols) != 1 {
-		t.Errorf("SweepGitH: %d, %v", len(sols), err)
+	for _, c := range []struct {
+		solver string
+		k, min int
+	}{{"lmg", 4, 4}, {"mp", 4, 1}, {"last", 2, 2}, {"gith", 1, 1}} {
+		if res, err := SweepSolver(context.Background(), inst, c.solver, c.k); err != nil || len(res) < c.min {
+			t.Errorf("SweepSolver(%s): %d, %v", c.solver, len(res), err)
+		}
 	}
 }
 

@@ -7,20 +7,12 @@ import (
 	"math"
 )
 
-// Problem4 minimizes the max recreation cost under storage budget β via an
-// outer binary search on θ over the MP algorithm (paper §4.2: "the solution
-// for Problem 4 is similar"). It returns the best feasible solution found.
-// iters ≤ 0 means 40.
-//
-// Problem4 is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "p4", Budget: ..., Iters: ...}).
-func Problem4(inst *Instance, beta float64, iters int) (*Solution, error) {
-	return problem4Run(context.Background(), inst, beta, iters, nil)
-}
-
-// problem4Run is the cancellable Problem 4 search backing both Problem4 and
-// the registered "p4" solver; ctx is checked once per binary-search step,
-// and hints (when given) supply the precomputed MST/SPT envelope.
+// problem4Run minimizes the max recreation cost under storage budget β
+// via an outer binary search on θ over the MP algorithm (paper §4.2: "the
+// solution for Problem 4 is similar"). It returns the best feasible
+// solution found; iters ≤ 0 means 40. It backs the registered "p4"
+// solver; ctx is checked once per binary-search step, and hints (when
+// given) supply the precomputed MST/SPT envelope.
 func problem4Run(ctx context.Context, inst *Instance, beta float64, iters int, hints *Hints) (*Solution, error) {
 	mst, spt, err := envelope(inst, hints)
 	if err != nil {
@@ -52,7 +44,7 @@ func problem4Run(ctx context.Context, inst *Instance, beta float64, iters int, h
 		}
 		mid := (lo + hi) / 2
 		s, err := mpRun(ctx, inst, mid)
-		if err != nil && !errorsIsInfeasible(err) {
+		if err != nil && !errors.Is(err, ErrInfeasible) {
 			return nil, err
 		}
 		if err == nil && s.Storage <= beta {
@@ -67,19 +59,12 @@ func problem4Run(ctx context.Context, inst *Instance, beta float64, iters int, h
 	return bestSol, nil
 }
 
-// Problem5 minimizes total storage under a bound θ on the sum of recreation
-// costs, via binary search on the LMG storage budget (paper §4.1: "solved by
-// repeated iterations and binary search"). iters ≤ 0 means 40.
-//
-// Problem5 is a compatibility wrapper over the registry path; prefer
-// Solve(ctx, inst, Request{Solver: "p5", Theta: ..., Iters: ...}).
-func Problem5(inst *Instance, theta float64, iters int) (*Solution, error) {
-	return problem5Run(context.Background(), inst, theta, iters, nil)
-}
-
-// problem5Run is the cancellable Problem 5 search backing both Problem5 and
-// the registered "p5" solver; ctx is checked once per binary-search step,
-// and hints (when given) supply the precomputed MST/SPT envelope.
+// problem5Run minimizes total storage under a bound θ on the sum of
+// recreation costs, via binary search on the LMG storage budget (paper
+// §4.1: "solved by repeated iterations and binary search"); iters ≤ 0
+// means 40. It backs the registered "p5" solver; ctx is checked once per
+// binary-search step, and hints (when given) supply the precomputed
+// MST/SPT envelope.
 func problem5Run(ctx context.Context, inst *Instance, theta float64, iters int, hints *Hints) (*Solution, error) {
 	mst, spt, err := envelope(inst, hints)
 	if err != nil {
@@ -101,7 +86,7 @@ func problem5Run(ctx context.Context, inst *Instance, theta float64, iters int, 
 			return nil, err
 		}
 		mid := (lo + hi) / 2
-		s, err := lmgRun(ctx, inst, LMGOptions{Budget: mid, MST: mst, SPT: spt})
+		s, err := lmgRun(ctx, inst, lmgOptions{Budget: mid, MST: mst, SPT: spt})
 		if err != nil {
 			return nil, err
 		}
@@ -134,12 +119,6 @@ func envelope(inst *Instance, hints *Hints) (mst, spt *Solution, err error) {
 		}
 	}
 	return mst, spt, nil
-}
-
-// errorsIsInfeasible reports whether err marks an infeasible bound (as
-// opposed to cancellation or an internal fault).
-func errorsIsInfeasible(err error) bool {
-	return errors.Is(err, ErrInfeasible)
 }
 
 // geometric interpolates k values geometrically between lo and hi.
@@ -207,83 +186,4 @@ func SumThetas(inst *Instance, k int) ([]float64, error) {
 		hi = lo + 1
 	}
 	return geometric(lo, hi, k), nil
-}
-
-// SweepLMG runs LMG at each budget, computing the shared MST/MCA and SPT
-// inputs once. Cancellation aborts the sweep with ErrCanceled.
-func SweepLMG(ctx context.Context, inst *Instance, budgets []float64, freq []float64) ([]*Solution, error) {
-	mst, err := MinStorage(inst)
-	if err != nil {
-		return nil, err
-	}
-	spt, err := MinRecreation(inst)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Solution, 0, len(budgets))
-	for _, b := range budgets {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		s, err := lmgRun(ctx, inst, LMGOptions{Budget: b, Freq: freq, MST: mst, SPT: spt})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// SweepMP runs MP at each θ, skipping infeasible points.
-func SweepMP(ctx context.Context, inst *Instance, thetas []float64) ([]*Solution, error) {
-	out := make([]*Solution, 0, len(thetas))
-	for _, th := range thetas {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		s, err := mpRun(ctx, inst, th)
-		if err != nil {
-			if errorsIsInfeasible(err) {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("solve: SweepMP: every θ: %w", ErrInfeasible)
-	}
-	return out, nil
-}
-
-// SweepLAST runs LAST at each α.
-func SweepLAST(ctx context.Context, inst *Instance, alphas []float64) ([]*Solution, error) {
-	out := make([]*Solution, 0, len(alphas))
-	for _, a := range alphas {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		s, err := lastRun(ctx, inst, a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// SweepGitH runs GitH at each configuration.
-func SweepGitH(ctx context.Context, inst *Instance, cfgs []GitHOptions) ([]*Solution, error) {
-	out := make([]*Solution, 0, len(cfgs))
-	for _, c := range cfgs {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		s, err := githRun(ctx, inst, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -28,7 +28,7 @@ func TestMultipleDeltaMechanisms(t *testing.T) {
 		t.Errorf("MCA chose Δ=%g for V1, want the script (2)", got)
 	}
 	// Under a tight recreation bound MP must fall back to the diff.
-	s, err := MP(inst, 1100)
+	s, err := solveSol(inst, Request{Solver: "mp", Theta: 1100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestHopVariantBoundsChainLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, theta := range []float64{1, 2, 3, 6} {
-		s, err := MP(inst, theta)
+		s, err := solveSol(inst, Request{Solver: "mp", Theta: theta})
 		if err != nil {
 			t.Fatalf("MP(θ=%g hops): %v", theta, err)
 		}
@@ -73,7 +73,7 @@ func TestHopVariantBoundsChainLength(t *testing.T) {
 		}
 	}
 	// θ=1 forces everything materialized.
-	s, err := MP(inst, 1)
+	s, err := solveSol(inst, Request{Solver: "mp", Theta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHopVariantBoundsChainLength(t *testing.T) {
 		t.Errorf("θ=1 materialized %d of %d", got, n)
 	}
 	// θ=6 allows the full chain: one materialized version suffices.
-	s6, err := MP(inst, 6)
+	s6, err := solveSol(inst, Request{Solver: "mp", Theta: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

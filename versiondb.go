@@ -10,20 +10,20 @@
 // graph rooted at a dummy vertex (paper §2.2); six optimization problems
 // trade the two costs in different ways (paper Table 1):
 //
-//	Problem 1  min storage                      → MinStorage (MST/MCA)
-//	Problem 2  min every recreation cost        → MinRecreation (SPT)
-//	Problem 3  min Σ recreation s.t. storage ≤ β → LMG
-//	Problem 4  min max recreation s.t. storage ≤ β → Problem4 (MP + search)
-//	Problem 5  min storage s.t. Σ recreation ≤ θ → Problem5 (LMG + search)
-//	Problem 6  min storage s.t. max recreation ≤ θ → MP
+//	Problem 1  min storage                         → "mst" (MST/MCA)
+//	Problem 2  min every recreation cost           → "spt" (SPT)
+//	Problem 3  min Σ recreation s.t. storage ≤ β   → "lmg" (Budget)
+//	Problem 4  min max recreation s.t. storage ≤ β → "p4" (MP + search; Budget)
+//	Problem 5  min storage s.t. Σ recreation ≤ θ   → "p5" (LMG + search; Theta)
+//	Problem 6  min storage s.t. max recreation ≤ θ → "mp" (Theta), "exact" (B&B)
 //
-// All solvers sit behind one request/result API: a Request names a
-// registered solver (mst, spt, lmg, mp, last, gith, exact, p4, p5) and
-// carries its knobs, Solve dispatches through the registry under a
-// context.Context (cancelable mid-solve), and failures are normalized
-// sentinels (ErrUnknownSolver, ErrInvalidRequest, ErrInfeasible,
-// ErrCanceled). A typical session builds a cost Matrix, wraps it in an
-// Instance, and solves:
+// plus "last" (the §4.3 MST/SPT balance, Alpha) and "gith" (the §4.4 Git
+// baseline, Window/MaxDepth). Every solver sits behind one request/result
+// API: a Request names a registered solver and carries its knobs, Solve
+// dispatches through the registry under a context.Context (cancelable
+// mid-solve), and failures are normalized sentinels (ErrUnknownSolver,
+// ErrInvalidRequest, ErrInfeasible, ErrCanceled). A typical session
+// builds a cost Matrix, wraps it in an Instance, and solves:
 //
 //	m := versiondb.NewMatrix(3, true)
 //	m.SetFull(0, 1000, 1000)
@@ -35,9 +35,8 @@
 //	res, _ := versiondb.Solve(ctx, inst, versiondb.Request{Solver: "lmg", Budget: 1100})
 //
 // Solvers() lists the registry with each solver's paper problem and
-// declared constraint. The per-algorithm functions (LMG, MP, LAST, ...)
-// remain as thin wrappers over the same implementations for callers that
-// do not need names or cancellation.
+// declared constraint; Budgets and Thetas interpolate knob values between
+// the MST and SPT envelopes for tradeoff sweeps.
 //
 // Beyond the solvers, the module ships every substrate of the paper's
 // prototype: differencing algorithms (internal/delta), a content-addressed
@@ -153,55 +152,6 @@ func Solvers() []SolverInfo { return solve.Solvers() }
 
 // SolverNames lists the registered solver names, sorted.
 func SolverNames() []string { return solve.Names() }
-
-// MinStorage solves Problem 1 (minimum spanning tree / arborescence).
-func MinStorage(inst *Instance) (*Solution, error) { return solve.MinStorage(inst) }
-
-// MinRecreation solves Problem 2 (shortest path tree).
-func MinRecreation(inst *Instance) (*Solution, error) { return solve.MinRecreation(inst) }
-
-// LMGOptions configure the Local Move Greedy heuristic.
-type LMGOptions = solve.LMGOptions
-
-// LMG solves Problem 3: minimize Σ recreation under a storage budget.
-func LMG(inst *Instance, opts LMGOptions) (*Solution, error) { return solve.LMG(inst, opts) }
-
-// MP solves Problem 6: minimize storage under a max-recreation bound.
-func MP(inst *Instance, theta float64) (*Solution, error) { return solve.MP(inst, theta) }
-
-// LAST balances the MST and SPT with per-vertex stretch bound α.
-func LAST(inst *Instance, alpha float64) (*Solution, error) { return solve.LAST(inst, alpha) }
-
-// GitHOptions configure the Git repack heuristic.
-type GitHOptions = solve.GitHOptions
-
-// GitH runs the Git repack heuristic (window/depth).
-func GitH(inst *Instance, opts GitHOptions) (*Solution, error) { return solve.GitH(inst, opts) }
-
-// Problem4 minimizes max recreation under a storage budget, running the
-// default 40 binary-search iterations. Use Solve with Request.Iters to
-// control the search depth.
-func Problem4(inst *Instance, beta float64) (*Solution, error) {
-	return solve.Problem4(inst, beta, 0)
-}
-
-// Problem5 minimizes storage under a Σ-recreation bound, running the
-// default 40 binary-search iterations. Use Solve with Request.Iters to
-// control the search depth.
-func Problem5(inst *Instance, theta float64) (*Solution, error) {
-	return solve.Problem5(inst, theta, 0)
-}
-
-// ExactOptions bound the exact branch-and-bound solver.
-type ExactOptions = solve.ExactOptions
-
-// ExactResult is the exact solver's outcome.
-type ExactResult = solve.ExactResult
-
-// Exact solves Problem 6 exactly by branch and bound (small instances).
-func Exact(inst *Instance, theta float64, opts ExactOptions) (*ExactResult, error) {
-	return solve.ExactMinStorageMaxR(inst, theta, opts)
-}
 
 // Budgets interpolates k storage budgets between the MST and SPT costs.
 func Budgets(inst *Instance, k int) ([]float64, error) { return solve.Budgets(inst, k) }

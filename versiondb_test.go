@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"versiondb"
 )
 
-// TestPublicAPIEndToEnd drives the whole public facade: build a matrix, run
-// every solver, run the repository.
+// TestPublicAPIEndToEnd drives the whole public facade: build a matrix and
+// run every registered solver through Solve.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	m := versiondb.NewMatrix(4, true)
 	m.SetFull(0, 1000, 1000)
@@ -26,43 +27,30 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
-	mst, err := versiondb.MinStorage(inst)
-	if err != nil {
-		t.Fatalf("MinStorage: %v", err)
+	ctx := context.Background()
+	solve := func(req versiondb.Request) *versiondb.Result {
+		t.Helper()
+		res, err := versiondb.Solve(ctx, inst, req)
+		if err != nil {
+			t.Fatalf("Solve(%s): %v", req.Solver, err)
+		}
+		return res
 	}
+	mst := solve(versiondb.Request{Solver: "mst"})
 	if mst.Storage != 1000+25+30+35 {
 		t.Errorf("MST storage = %g, want 1090", mst.Storage)
 	}
-	spt, err := versiondb.MinRecreation(inst)
-	if err != nil {
-		t.Fatalf("MinRecreation: %v", err)
-	}
+	spt := solve(versiondb.Request{Solver: "spt"})
 	if spt.SumR != 1000+1010+1020+1030 {
 		t.Errorf("SPT ΣR = %g", spt.SumR)
 	}
-	if _, err := versiondb.LMG(inst, versiondb.LMGOptions{Budget: 2 * mst.Storage}); err != nil {
-		t.Errorf("LMG: %v", err)
-	}
-	if _, err := versiondb.MP(inst, spt.MaxR*1.2); err != nil {
-		t.Errorf("MP: %v", err)
-	}
-	if _, err := versiondb.LAST(inst, 2); err != nil {
-		t.Errorf("LAST: %v", err)
-	}
-	if _, err := versiondb.GitH(inst, versiondb.GitHOptions{Window: 4, MaxDepth: 10}); err != nil {
-		t.Errorf("GitH: %v", err)
-	}
-	if _, err := versiondb.Problem4(inst, mst.Storage*2); err != nil {
-		t.Errorf("Problem4: %v", err)
-	}
-	if _, err := versiondb.Problem5(inst, spt.SumR*1.5); err != nil {
-		t.Errorf("Problem5: %v", err)
-	}
-	ex, err := versiondb.Exact(inst, spt.MaxR*1.2, versiondb.ExactOptions{})
-	if err != nil {
-		t.Fatalf("Exact: %v", err)
-	}
-	if !ex.Optimal {
+	solve(versiondb.Request{Solver: "lmg", Budget: 2 * mst.Storage})
+	solve(versiondb.Request{Solver: "mp", Theta: spt.MaxR * 1.2})
+	solve(versiondb.Request{Solver: "last", Alpha: 2})
+	solve(versiondb.Request{Solver: "gith", Window: 4, MaxDepth: 10})
+	solve(versiondb.Request{Solver: "p4", Budget: mst.Storage * 2})
+	solve(versiondb.Request{Solver: "p5", Theta: spt.SumR * 1.5})
+	if ex := solve(versiondb.Request{Solver: "exact", Theta: spt.MaxR * 1.2}); !ex.Optimal {
 		t.Errorf("tiny exact instance not solved to optimality")
 	}
 	if bs, err := versiondb.Budgets(inst, 3); err != nil || len(bs) != 3 {
@@ -71,6 +59,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if ts, err := versiondb.Thetas(inst, 3); err != nil || len(ts) != 3 {
 		t.Errorf("Thetas: %v %v", ts, err)
 	}
+}
+
+// ExampleSolve is the package documentation's session: three versions, each
+// a small delta from the last, solved for minimum Σ recreation under a
+// 1100-byte storage budget. Materializing a second version would cost ~1000
+// more bytes, so LMG keeps the minimum-storage chain V0 → V1 → V2.
+func ExampleSolve() {
+	m := versiondb.NewMatrix(3, true)
+	m.SetFull(0, 1000, 1000)
+	m.SetFull(1, 1010, 1010)
+	m.SetFull(2, 1020, 1020)
+	m.SetDelta(0, 1, 25, 25)
+	m.SetDelta(1, 2, 30, 30)
+	inst, err := versiondb.NewInstance(m)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := versiondb.Solve(context.Background(), inst, versiondb.Request{Solver: "lmg", Budget: 1100})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("storage %g, Σ recreation %g\n", res.Storage, res.SumR)
+	// Output:
+	// storage 1055, Σ recreation 3080
 }
 
 // TestPublicSolveAPI drives the unified request/result path through the

@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5) at bench scale, plus ablation benchmarks for the design choices
-// called out in DESIGN.md §4 (the LMG subtree and GitH depth-bias
-// ablations exercise unexported knobs and live in internal/solve). Run:
+// (§5) at bench scale, plus ablation benchmarks for design choices (the LMG
+// subtree and GitH depth-bias ablations exercise unexported knobs and live
+// in internal/solve). Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -20,7 +20,6 @@ import (
 
 	"versiondb/internal/bench"
 	"versiondb/internal/delta"
-	"versiondb/internal/graph"
 	"versiondb/internal/repo"
 	"versiondb/internal/solve"
 	"versiondb/internal/store"
@@ -335,22 +334,7 @@ func BenchmarkSolverRegistry(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ------------------------------------------------
-
-// Heap choice: Dijkstra over the DC augmented graph with binary vs pairing
-// heaps (the O(E log V) vs O(E + V log V) discussion of §3).
-func BenchmarkAblationHeapBinary(b *testing.B)  { benchHeap(b, graph.BinaryHeap) }
-func BenchmarkAblationHeapPairing(b *testing.B) { benchHeap(b, graph.PairingHeap) }
-
-func benchHeap(b *testing.B, kind graph.HeapKind) {
-	inst := dcInstance(b, 500, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.SPT(inst.G, solve.Root, graph.ByRecreate, kind); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Ablations --------------------------------------------------------------
 
 // Delta revelation radius: how the k-hop reveal rule affects the minimum
 // storage the MCA can find (more revealed deltas → more redundancy caught).
@@ -389,7 +373,7 @@ func benchReveal(b *testing.B, hops int) {
 	b.ReportMetric(storage/1e6, "MCA-MB")
 }
 
-// Delta mechanisms: line diff vs XOR vs compressed diff on real content
+// Delta mechanisms: line diff vs compressed diff on real content
 // (the §2.1 delta-variant dimension).
 func contentPair(b *testing.B) ([]byte, []byte) {
 	b.Helper()
@@ -411,16 +395,6 @@ func BenchmarkDeltaLineDiff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := delta.DiffLines(a, c)
 		size = len(delta.Encode(d, true))
-	}
-	b.ReportMetric(float64(size), "delta-bytes")
-}
-
-func BenchmarkDeltaXOR(b *testing.B) {
-	a, c := contentPair(b)
-	b.ResetTimer()
-	var size int
-	for i := 0; i < b.N; i++ {
-		size = len(delta.XOR(a, c))
 	}
 	b.ReportMetric(float64(size), "delta-bytes")
 }

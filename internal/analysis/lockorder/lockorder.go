@@ -41,7 +41,6 @@ var Ranks = map[string]int{
 	"versiondb/internal/store.ObjectStore.mu":        91,
 	"versiondb/internal/store.fileLogDevice.mu":      92,
 	"versiondb/internal/store.memLogDevice.mu":       93,
-	"versiondb/internal/vcs.Client.rawMu":            95,
 	"versiondb/internal/solvetest.Gate.mu":           96,
 	"versiondb/internal/solve.registryMu":            97,
 }

@@ -36,30 +36,44 @@ func swapConfig(ranks map[string]int, noIO, blob map[string]bool) func() {
 }
 
 // TestRankTableComplete asserts that every sync.Mutex / sync.RWMutex
-// struct field declared in internal/{repo,store,jobs,autotune} has a
-// rank, so a new lock cannot be added without placing it in the
-// hierarchy.
+// struct field or package-level var declared in
+// internal/{repo,store,jobs,autotune,replication} has a rank, so a new
+// lock cannot be added without placing it in the hierarchy — and,
+// conversely, that every rank names a mutex that still exists, so a row
+// cannot outlive its lock.
 func TestRankTableComplete(t *testing.T) {
 	for _, pkg := range []string{"repo", "store", "store/metalog", "store/faultfs", "store/remote", "jobs", "autotune", "replication"} {
-		dir := filepath.Join("..", "..", pkg)
-		for _, id := range mutexFields(t, dir, "versiondb/internal/"+pkg) {
+		for id := range mutexIDs(t, "versiondb/internal/"+pkg) {
 			if _, ok := lockorder.Ranks[id]; !ok {
 				t.Errorf("mutex %s is not in the lockorder rank table; add it to lockorder.Ranks", id)
 			}
 		}
 	}
+	declared := map[string]map[string]bool{}
+	for id := range lockorder.Ranks {
+		slash := strings.LastIndex(id, "/")
+		pkgPath := id[:slash+strings.Index(id[slash:], ".")]
+		if declared[pkgPath] == nil {
+			declared[pkgPath] = mutexIDs(t, pkgPath)
+		}
+		if !declared[pkgPath][id] {
+			t.Errorf("lockorder.Ranks names %s, which is no longer a mutex; delete the row", id)
+		}
+	}
 }
 
-// mutexFields parses the package in dir and returns the lock IDs of all
-// struct fields with type sync.Mutex or sync.RWMutex.
-func mutexFields(t *testing.T, dir, pkgPath string) []string {
+// mutexIDs parses the non-test files of the internal package pkgPath and
+// returns the lock IDs of its sync.Mutex / sync.RWMutex struct fields
+// (pkg.Type.field) and package-level vars (pkg.var).
+func mutexIDs(t *testing.T, pkgPath string) map[string]bool {
 	t.Helper()
+	dir := filepath.Join("..", "..", strings.TrimPrefix(pkgPath, "versiondb/internal/"))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read %s: %v", dir, err)
 	}
 	fset := token.NewFileSet()
-	var ids []string
+	ids := map[string]bool{}
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -68,6 +82,17 @@ func mutexFields(t *testing.T, dir, pkgPath string) []string {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					if vs := spec.(*ast.ValueSpec); isSyncMutexType(vs.Type) {
+						for _, n := range vs.Names {
+							ids[pkgPath+"."+n.Name] = true
+						}
+					}
+				}
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -83,7 +108,7 @@ func mutexFields(t *testing.T, dir, pkgPath string) []string {
 					continue
 				}
 				for _, fname := range field.Names {
-					ids = append(ids, pkgPath+"."+ts.Name.Name+"."+fname.Name)
+					ids[pkgPath+"."+ts.Name.Name+"."+fname.Name] = true
 				}
 			}
 			return true

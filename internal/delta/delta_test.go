@@ -64,8 +64,8 @@ func TestDiffSimpleEdit(t *testing.T) {
 	if !bytes.Equal(out, b) {
 		t.Errorf("Apply = %q, want %q", out, b)
 	}
-	if d.NumEdits() == 0 {
-		t.Errorf("NumEdits = 0 for a real change")
+	if len(d.Hunks) == 0 {
+		t.Errorf("no hunks for a real change")
 	}
 }
 
@@ -109,12 +109,14 @@ func TestInvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSizes checks the asymmetry of directed deltas (§2.1) on a pure
+// deletion: the one-way encoding keeps only a count of the deleted lines.
 func TestSizes(t *testing.T) {
 	a := []byte("aaaa\nbbbb\ncccc\n")
 	b := []byte("aaaa\ncccc\n") // pure deletion
 	d := DiffLines(a, b)
-	if ow, tw := d.SizeOneWay(), d.SizeTwoWay(); ow >= tw {
-		t.Errorf("one-way size %d not smaller than two-way %d for a deletion", ow, tw)
+	if ow, tw := len(Encode(d, true)), len(Encode(d, false)); ow >= tw {
+		t.Errorf("one-way encoding %d bytes not smaller than two-way %d for a deletion", ow, tw)
 	}
 }
 
@@ -214,50 +216,12 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestXORRoundTripBothDirections(t *testing.T) {
-	f := func(a, b []byte) bool {
-		d := XOR(a, b)
-		gotB, err := ApplyXOR(d, a)
-		if err != nil || !bytes.Equal(normalize(gotB), normalize(b)) {
-			return false
-		}
-		gotA, err := ApplyXOR(d, b)
-		if err != nil || !bytes.Equal(normalize(gotA), normalize(a)) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // normalize maps nil to empty for byte comparisons.
 func normalize(b []byte) []byte {
 	if b == nil {
 		return []byte{}
 	}
 	return b
-}
-
-func TestXORLengthMismatch(t *testing.T) {
-	d := XOR([]byte("abc"), []byte("abcdef"))
-	if _, err := ApplyXOR(d, []byte("xy")); err == nil {
-		t.Errorf("ApplyXOR accepted a source of foreign length")
-	}
-	if _, err := ApplyXOR([]byte{0x01}, []byte("abc")); err == nil {
-		t.Errorf("ApplyXOR accepted corrupt header")
-	}
-}
-
-func TestXOREqualLengthAmbiguity(t *testing.T) {
-	// When both sides have equal length either direction works.
-	a, b := []byte("aaaa"), []byte("bbbb")
-	d := XOR(a, b)
-	out, err := ApplyXOR(d, a)
-	if err != nil || !bytes.Equal(out, b) {
-		t.Errorf("equal-length XOR apply failed: %q %v", out, err)
-	}
 }
 
 func TestCompressRoundTrip(t *testing.T) {

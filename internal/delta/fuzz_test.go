@@ -1,17 +1,17 @@
 package delta
 
-// Fuzzers for the three delta codecs. Each asserts two properties:
+// The fuzzer for the line-delta codec asserts two properties:
 //
 //  1. Round trip: encoding a delta computed between two payloads and
-//     applying it to the source reproduces the target (for the line codec,
-//     the target's canonical line form — SplitLines/JoinLines normalize a
+//     applying it to the source reproduces the target (its canonical line
+//     form — SplitLines/JoinLines normalize a
 //     missing trailing newline, which is the codec's documented contract).
 //  2. Robustness: decoding/applying arbitrary bytes returns an error —
 //     it never panics and never allocates unboundedly from a hostile
 //     header.
 //
-// Run continuously with `go test -fuzz=FuzzLineDiffRoundTrip` (etc.); CI
-// runs a short smoke pass per fuzzer.
+// Run continuously with `go test -fuzz=FuzzLineDiffRoundTrip`; CI runs a
+// short smoke pass.
 
 import (
 	"bytes"
@@ -148,55 +148,6 @@ func FuzzLineDiffRoundTrip(f *testing.F) {
 		}
 		streamEqualsBuffered(t, a, b)
 		streamEqualsBuffered(t, b, a)
-	})
-}
-
-func FuzzBinDeltaRoundTrip(f *testing.F) {
-	f.Add([]byte(""), []byte(""))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog"), []byte("the quick brown cat naps over the lazy dog"))
-	f.Add(bytes.Repeat([]byte{0xAB}, 64), bytes.Repeat([]byte{0xAB}, 80))
-	f.Add([]byte("short"), bytes.Repeat([]byte("block-aligned-content-1234"), 8))
-	f.Add([]byte{0, 1, 2, 3}, []byte{})
-	f.Fuzz(func(t *testing.T, source, target []byte) {
-		d := BinaryDiff(source, target)
-		got, err := ApplyBinary(d, source)
-		if err != nil {
-			t.Fatalf("ApplyBinary(BinaryDiff(...)): %v", err)
-		}
-		if !bytes.Equal(got, target) {
-			t.Fatalf("binary round trip: got %d bytes, want %d", len(got), len(target))
-		}
-		// Robustness: arbitrary bytes as a delta must never panic.
-		_, _ = ApplyBinary(target, source)
-		_, _ = ApplyBinary(source, target)
-	})
-}
-
-func FuzzXORRoundTrip(f *testing.F) {
-	f.Add([]byte(""), []byte(""))
-	f.Add([]byte("aaaa"), []byte("aaab"))
-	f.Add([]byte("short"), []byte("a much longer counterpart payload"))
-	f.Add(bytes.Repeat([]byte{0x55}, 33), bytes.Repeat([]byte{0xAA}, 7))
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		d := XOR(a, b)
-		// Symmetric: the same delta maps a→b and b→a.
-		gotB, err := ApplyXOR(d, a)
-		if err != nil {
-			t.Fatalf("ApplyXOR(d, a): %v", err)
-		}
-		if !bytes.Equal(gotB, b) {
-			t.Fatalf("XOR a→b: got %q, want %q", gotB, b)
-		}
-		gotA, err := ApplyXOR(d, b)
-		if err != nil {
-			t.Fatalf("ApplyXOR(d, b): %v", err)
-		}
-		if !bytes.Equal(gotA, a) {
-			t.Fatalf("XOR b→a: got %q, want %q", gotA, a)
-		}
-		// Robustness: arbitrary bytes as a delta must never panic.
-		_, _ = ApplyXOR(a, b)
-		_, _ = ApplyXOR(b, a)
 	})
 }
 

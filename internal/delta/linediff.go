@@ -1,7 +1,7 @@
 // Package delta implements the differencing mechanisms of the paper's §2.1
 // "Delta Variants": UNIX-style line diffs (via Myers' O(ND) algorithm) in
-// one-way (directed) and two-way (symmetric, invertible) forms, XOR deltas
-// (symmetric by construction), and flate-compressed encodings of either.
+// one-way (directed) and two-way (symmetric, invertible) forms, and
+// flate-compressed encodings of either.
 //
 // A delta's storage cost Δ is the byte size of its encoding; its recreation
 // cost Φ is the work to apply it. For uncompressed deltas Φ ∝ Δ (the
@@ -322,44 +322,4 @@ func (d *LineDelta) Invert() *LineDelta {
 		shift += len(h.Ins) - h.NumDel()
 	}
 	return inv
-}
-
-// SizeTwoWay is the storage footprint of the invertible delta: positions
-// plus both deleted and inserted content.
-func (d *LineDelta) SizeTwoWay() int {
-	size := 0
-	for _, h := range d.Hunks {
-		size += 8 // position + lengths bookkeeping
-		for _, l := range h.Del {
-			size += len(l) + 1
-		}
-		for _, l := range h.Ins {
-			size += len(l) + 1
-		}
-	}
-	return size
-}
-
-// SizeOneWay is the storage footprint of the forward-only delta: deleted
-// content is replaced by a count, which is what makes directed deltas
-// asymmetric — "delete all tuples with age > 60" is tiny forward and large
-// backward (paper §2.1).
-func (d *LineDelta) SizeOneWay() int {
-	size := 0
-	for _, h := range d.Hunks {
-		size += 12 // position + delete-count + lengths
-		for _, l := range h.Ins {
-			size += len(l) + 1
-		}
-	}
-	return size
-}
-
-// NumEdits returns the total number of deleted plus inserted lines.
-func (d *LineDelta) NumEdits() int {
-	n := 0
-	for i := range d.Hunks {
-		n += d.Hunks[i].NumDel() + len(d.Hunks[i].Ins)
-	}
-	return n
 }

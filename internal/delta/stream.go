@@ -8,16 +8,15 @@ import (
 	"io"
 )
 
-// Reader-based delta application for the line codec, the only codec the
-// store's delta chains use. ApplyReader returns a reader that produces
+// Reader-based delta application for the line codec, the only delta codec
+// in this package. ApplyReader returns a reader that produces
 // exactly the bytes ApplyEncoded would, without ever materializing the
 // source or target: a delta chain composes into a stack of readers where
 // each stage holds only the (small) decoded delta plus one bounded window
 // of its input. That turns checkout memory from O(payload × chain) into
 // O(window × chain) — the property the streaming serving path is built on.
 // Corrupt or truncated deltas and sources surface as errors from Read,
-// never as hangs or unbounded allocation. The XOR and binary codecs stay
-// buffered-only (XOR, BinaryDiff): nothing streams them.
+// never as hangs or unbounded allocation.
 
 // applyReaderBufSize is the copy-through window of the line-delta reader:
 // large enough to amortize syscalls on big payloads, small enough that a

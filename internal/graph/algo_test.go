@@ -46,24 +46,22 @@ func TestPrimKruskalAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
 		g := randomConnectedUndirected(rng, n, n)
-		for _, kind := range []HeapKind{BinaryHeap, PairingHeap} {
-			p, err := PrimMST(g, 0, ByStorage, kind)
-			if err != nil {
-				t.Logf("Prim: %v", err)
-				return false
-			}
-			k, err := KruskalMST(g, 0, ByStorage)
-			if err != nil {
-				t.Logf("Kruskal: %v", err)
-				return false
-			}
-			if p.Validate() != nil || k.Validate() != nil {
-				return false
-			}
-			if math.Abs(p.TotalStorage()-k.TotalStorage()) > 1e-9 {
-				t.Logf("Prim %g vs Kruskal %g", p.TotalStorage(), k.TotalStorage())
-				return false
-			}
+		p, err := PrimMST(g, 0, ByStorage)
+		if err != nil {
+			t.Logf("Prim: %v", err)
+			return false
+		}
+		k, err := KruskalMST(g, 0, ByStorage)
+		if err != nil {
+			t.Logf("Kruskal: %v", err)
+			return false
+		}
+		if p.Validate() != nil || k.Validate() != nil {
+			return false
+		}
+		if math.Abs(p.TotalStorage()-k.TotalStorage()) > 1e-9 {
+			t.Logf("Prim %g vs Kruskal %g", p.TotalStorage(), k.TotalStorage())
+			return false
 		}
 		return true
 	}
@@ -215,21 +213,19 @@ func TestSPTMatchesFloydWarshall(t *testing.T) {
 			g = randomConnectedUndirected(rng, n, n)
 		}
 		want := floydDistances(g, ByRecreate)[0]
-		for _, kind := range []HeapKind{BinaryHeap, PairingHeap} {
-			tr, dist, err := SPTDistances(g, 0, ByRecreate, kind)
-			if err != nil {
-				t.Logf("SPT: %v", err)
+		tr, dist, err := SPT(g, 0, ByRecreate)
+		if err != nil {
+			t.Logf("SPT: %v", err)
+			return false
+		}
+		if tr.Validate() != nil {
+			return false
+		}
+		r := tr.RecreationCosts()
+		for v := 0; v < n; v++ {
+			if math.Abs(dist[v]-want[v]) > 1e-9 || math.Abs(r[v]-want[v]) > 1e-9 {
+				t.Logf("v=%d dist=%g treeR=%g want=%g", v, dist[v], r[v], want[v])
 				return false
-			}
-			if tr.Validate() != nil {
-				return false
-			}
-			r := tr.RecreationCosts()
-			for v := 0; v < n; v++ {
-				if math.Abs(dist[v]-want[v]) > 1e-9 || math.Abs(r[v]-want[v]) > 1e-9 {
-					t.Logf("v=%d dist=%g treeR=%g want=%g", v, dist[v], r[v], want[v])
-					return false
-				}
 			}
 		}
 		return true
@@ -242,7 +238,7 @@ func TestSPTMatchesFloydWarshall(t *testing.T) {
 func TestSPTRejectsNegativeWeights(t *testing.T) {
 	g := New(2, true)
 	g.AddEdge(0, 1, -5, -5)
-	if _, err := SPT(g, 0, ByRecreate, BinaryHeap); err == nil {
+	if _, _, err := SPT(g, 0, ByRecreate); err == nil {
 		t.Errorf("Dijkstra accepted a negative weight")
 	}
 }
@@ -250,7 +246,7 @@ func TestSPTRejectsNegativeWeights(t *testing.T) {
 func TestSPTUnreachable(t *testing.T) {
 	g := New(3, true)
 	g.AddEdge(0, 1, 1, 1)
-	if _, err := SPT(g, 0, ByRecreate, BinaryHeap); err == nil {
+	if _, _, err := SPT(g, 0, ByRecreate); err == nil {
 		t.Errorf("SPT on disconnected graph succeeded")
 	}
 }
@@ -258,7 +254,7 @@ func TestSPTUnreachable(t *testing.T) {
 func TestPrimRequiresUndirected(t *testing.T) {
 	g := New(2, true)
 	g.AddEdge(0, 1, 1, 1)
-	if _, err := PrimMST(g, 0, ByStorage, BinaryHeap); err == nil {
+	if _, err := PrimMST(g, 0, ByStorage); err == nil {
 		t.Errorf("PrimMST accepted a directed graph")
 	}
 	if _, err := KruskalMST(g, 0, ByStorage); err == nil {
@@ -273,7 +269,7 @@ func TestMCAOnUndirectedFallsBackToMST(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MCA: %v", err)
 	}
-	prim, err := PrimMST(g, 0, ByStorage, BinaryHeap)
+	prim, err := PrimMST(g, 0, ByStorage)
 	if err != nil {
 		t.Fatalf("Prim: %v", err)
 	}
@@ -285,7 +281,7 @@ func TestMCAOnUndirectedFallsBackToMST(t *testing.T) {
 func TestPrimDisconnected(t *testing.T) {
 	g := New(3, false)
 	g.AddEdge(0, 1, 1, 1) // vertex 2 isolated
-	if _, err := PrimMST(g, 0, ByStorage, BinaryHeap); err == nil {
+	if _, err := PrimMST(g, 0, ByStorage); err == nil {
 		t.Errorf("Prim on disconnected graph succeeded")
 	}
 	if _, err := KruskalMST(g, 0, ByStorage); err == nil {
@@ -310,7 +306,7 @@ func TestSPTParallelEdgesPickCheapest(t *testing.T) {
 	g := New(2, true)
 	g.AddEdge(0, 1, 10, 50)
 	g.AddEdge(0, 1, 99, 7)
-	tr, err := SPT(g, 0, ByRecreate, BinaryHeap)
+	tr, _, err := SPT(g, 0, ByRecreate)
 	if err != nil {
 		t.Fatalf("SPT: %v", err)
 	}

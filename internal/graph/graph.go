@@ -113,35 +113,5 @@ func (g *Graph) Edges() []Edge {
 	return res
 }
 
-// InDegreeAll computes the in-degree of every vertex. For undirected graphs
-// this equals the degree.
-func (g *Graph) InDegreeAll() []int {
-	deg := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		for _, e := range g.out[v] {
-			deg[e.To]++
-		}
-	}
-	return deg
-}
-
-// Reachable returns the set of vertices reachable from root along out-edges.
-func (g *Graph) Reachable(root int) []bool {
-	seen := make([]bool, g.n)
-	stack := []int{root}
-	seen[root] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[v] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
-
 // Inf is the infinite cost used for unknown/unrevealed entries.
 var Inf = math.Inf(1)

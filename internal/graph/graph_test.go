@@ -59,29 +59,6 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := New(4, true)
-	g.AddEdge(0, 1, 1, 1)
-	g.AddEdge(1, 2, 1, 1)
-	seen := g.Reachable(0)
-	want := []bool{true, true, true, false}
-	for v, w := range want {
-		if seen[v] != w {
-			t.Errorf("Reachable[%d] = %v, want %v", v, seen[v], w)
-		}
-	}
-}
-
-func TestInDegreeAll(t *testing.T) {
-	g := New(3, true)
-	g.AddEdge(0, 2, 1, 1)
-	g.AddEdge(1, 2, 1, 1)
-	deg := g.InDegreeAll()
-	if deg[2] != 2 || deg[0] != 0 {
-		t.Errorf("InDegreeAll = %v", deg)
-	}
-}
-
 func TestWeightString(t *testing.T) {
 	if ByStorage.String() != "storage" || ByRecreate.String() != "recreate" {
 		t.Errorf("Weight.String broken: %v %v", ByStorage, ByRecreate)
@@ -126,13 +103,6 @@ func TestTreeCosts(t *testing.T) {
 
 func TestTreeStructureQueries(t *testing.T) {
 	tr := chainTree()
-	sz := tr.SubtreeSizes()
-	wantSz := []int{4, 2, 1, 1}
-	for v := range wantSz {
-		if sz[v] != wantSz[v] {
-			t.Errorf("SubtreeSizes[%d] = %d, want %d", v, sz[v], wantSz[v])
-		}
-	}
 	d := tr.Depths()
 	wantD := []int{0, 1, 2, 1}
 	for v := range wantD {

@@ -12,7 +12,7 @@ import "fmt"
 func MCA(g *Graph, root int, w Weight) (*Tree, error) {
 	if !g.Directed() {
 		// An undirected graph's MCA is its MST.
-		return PrimMST(g, root, w, BinaryHeap)
+		return PrimMST(g, root, w)
 	}
 	all := g.Edges()
 	arcs := make([]arc, len(all))

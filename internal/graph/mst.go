@@ -8,39 +8,10 @@ import (
 	"versiondb/internal/uf"
 )
 
-// PQ is the priority-queue interface shared by the binary and pairing heaps;
-// Prim's and Dijkstra's algorithms are parameterized over it so the heap
-// choice can be benchmarked (paper §3 discusses both complexities).
-type PQ interface {
-	Len() int
-	Push(item int, priority float64)
-	DecreaseKey(item int, priority float64)
-	Pop() (int, float64)
-	Contains(item int) bool
-}
-
-// HeapKind selects the priority-queue implementation.
-type HeapKind int
-
-const (
-	// BinaryHeap is an indexed binary heap (O(E log V) Prim/Dijkstra).
-	BinaryHeap HeapKind = iota
-	// PairingHeap is a pairing heap (Fibonacci-like amortized profile).
-	PairingHeap
-)
-
-// NewPQ returns an empty priority queue of the given kind sized for n items.
-func NewPQ(kind HeapKind, n int) PQ {
-	if kind == PairingHeap {
-		return heaps.NewPairing(n)
-	}
-	return heaps.NewBinary(n)
-}
-
 // PrimMST computes a minimum spanning tree of an undirected graph rooted at
 // root, minimizing the selected weight. It returns an error if the graph is
 // disconnected. Runs in O(E log V) with the binary heap.
-func PrimMST(g *Graph, root int, w Weight, kind HeapKind) (*Tree, error) {
+func PrimMST(g *Graph, root int, w Weight) (*Tree, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("graph: PrimMST requires an undirected graph; use MCA")
 	}
@@ -53,7 +24,7 @@ func PrimMST(g *Graph, root int, w Weight, kind HeapKind) (*Tree, error) {
 		dist[i] = Inf
 	}
 	dist[root] = 0
-	pq := NewPQ(kind, n)
+	pq := heaps.NewBinary(n)
 	pq.Push(root, 0)
 	visited := 0
 	for pq.Len() > 0 {

@@ -1,24 +1,18 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"versiondb/internal/heaps"
+)
 
 // SPT computes the shortest path tree from root using Dijkstra's algorithm
 // over the selected weight (the paper's Problem 2 solver when run with
-// ByRecreate on the augmented graph). Weights must be non-negative.
-// It returns an error if some vertex is unreachable.
-func SPT(g *Graph, root int, w Weight, kind HeapKind) (*Tree, error) {
-	t, dist, err := sptWithDist(g, root, w, kind)
-	_ = dist
-	return t, err
-}
-
-// SPTDistances is like SPT but also returns the shortest-path distance of
-// every vertex from root; LAST consumes these as its α-comparison baseline.
-func SPTDistances(g *Graph, root int, w Weight, kind HeapKind) (*Tree, []float64, error) {
-	return sptWithDist(g, root, w, kind)
-}
-
-func sptWithDist(g *Graph, root int, w Weight, kind HeapKind) (*Tree, []float64, error) {
+// ByRecreate on the augmented graph), together with every vertex's
+// shortest-path distance from root — LAST and the exact solver's bound
+// consume these. Weights must be non-negative. It returns an error if some
+// vertex is unreachable.
+func SPT(g *Graph, root int, w Weight) (*Tree, []float64, error) {
 	n := g.N()
 	dist := make([]float64, n)
 	best := make([]Edge, n)
@@ -28,7 +22,7 @@ func sptWithDist(g *Graph, root int, w Weight, kind HeapKind) (*Tree, []float64,
 	}
 	dist[root] = 0
 	t := NewTree(n, root)
-	pq := NewPQ(kind, n)
+	pq := heaps.NewBinary(n)
 	pq.Push(root, 0)
 	reached := 0
 	for pq.Len() > 0 {

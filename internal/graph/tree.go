@@ -144,23 +144,6 @@ func (t *Tree) Children() [][]int {
 	return ch
 }
 
-// SubtreeSizes returns, for each vertex, the number of vertices in its
-// subtree (including itself). LMG uses these counts to compute the ρ
-// numerator in O(1) per candidate edge.
-func (t *Tree) SubtreeSizes() []int {
-	n := len(t.Parent)
-	sz := make([]int, n)
-	order := t.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		sz[v]++
-		if p := t.Parent[v]; p >= 0 {
-			sz[p] += sz[v]
-		}
-	}
-	return sz
-}
-
 // TopoOrder returns the vertices in root-first (preorder BFS) order.
 func (t *Tree) TopoOrder() []int {
 	ch := t.Children()

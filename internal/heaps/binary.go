@@ -1,11 +1,14 @@
-// Package heaps provides indexed priority queues used by the graph
-// algorithms in this module: a binary heap with decrease-key and a pairing
-// heap. Both store integer items (vertex ids) with float64 priorities.
+// Package heaps provides the indexed binary min-heap that Prim's and
+// Dijkstra's algorithms (and MP's greedy attachment loop) run on. Items
+// are integers (vertex ids) with float64 priorities; pushing an item that
+// is already queued updates its priority in place, so the queue never
+// holds stale duplicates.
 //
 // The paper (§3) notes that Prim's and Dijkstra's algorithms run in
 // O(E log V) with a binary-heap priority queue and O(E + V log V) with a
-// Fibonacci-heap-style queue; the pairing heap provides the latter's
-// amortized profile in practice with far less constant overhead.
+// Fibonacci-heap-style queue. The binary heap is the one the solvers use:
+// a different heap could change which of several equal-priority items
+// pops first, and with it tie order, layouts and benchmark counters.
 package heaps
 
 // Binary is an indexed binary min-heap keyed by float64 priority.
@@ -29,21 +32,6 @@ func NewBinary(n int) *Binary {
 // Len reports the number of items in the heap.
 func (h *Binary) Len() int { return len(h.items) }
 
-// Contains reports whether item is in the heap.
-func (h *Binary) Contains(item int) bool {
-	_, ok := h.pos[item]
-	return ok
-}
-
-// Priority returns the current priority of item and whether it is present.
-func (h *Binary) Priority(item int) (float64, bool) {
-	i, ok := h.pos[item]
-	if !ok {
-		return 0, false
-	}
-	return h.prio[i], true
-}
-
 // Push inserts item with the given priority. If the item is already present
 // its priority is updated (up or down).
 func (h *Binary) Push(item int, priority float64) {
@@ -63,17 +51,6 @@ func (h *Binary) Push(item int, priority float64) {
 	h.up(len(h.items) - 1)
 }
 
-// DecreaseKey lowers the priority of item. It is a no-op if the new priority
-// is not lower or the item is absent.
-func (h *Binary) DecreaseKey(item int, priority float64) {
-	i, ok := h.pos[item]
-	if !ok || priority >= h.prio[i] {
-		return
-	}
-	h.prio[i] = priority
-	h.up(i)
-}
-
 // Pop removes and returns the item with the minimum priority.
 // It panics if the heap is empty.
 func (h *Binary) Pop() (int, float64) {
@@ -91,33 +68,6 @@ func (h *Binary) Pop() (int, float64) {
 		h.down(0)
 	}
 	return top, pri
-}
-
-// Peek returns the minimum item without removing it.
-// It panics if the heap is empty.
-func (h *Binary) Peek() (int, float64) {
-	if len(h.items) == 0 {
-		panic("heaps: Peek on empty Binary heap")
-	}
-	return h.items[0], h.prio[0]
-}
-
-// Remove deletes item from the heap if present, returning whether it was.
-func (h *Binary) Remove(item int) bool {
-	i, ok := h.pos[item]
-	if !ok {
-		return false
-	}
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.items = h.items[:last]
-	h.prio = h.prio[:last]
-	delete(h.pos, item)
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-	return true
 }
 
 func (h *Binary) up(i int) {

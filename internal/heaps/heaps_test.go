@@ -7,239 +7,123 @@ import (
 	"testing/quick"
 )
 
-// pq is the common surface both heaps satisfy.
-type pq interface {
-	Len() int
-	Push(item int, priority float64)
-	DecreaseKey(item int, priority float64)
-	Pop() (int, float64)
-	Peek() (int, float64)
-	Contains(item int) bool
-	Priority(item int) (float64, bool)
-	Remove(item int) bool
-}
-
-func heapsUnderTest() map[string]func(int) pq {
-	return map[string]func(int) pq{
-		"binary":  func(n int) pq { return NewBinary(n) },
-		"pairing": func(n int) pq { return NewPairing(n) },
-	}
-}
-
 func TestPushPopSorted(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(8)
-			values := []float64{5, 3, 8, 1, 9, 2, 7, 4}
-			for i, v := range values {
-				h.Push(i, v)
-			}
-			if h.Len() != len(values) {
-				t.Fatalf("Len = %d, want %d", h.Len(), len(values))
-			}
-			var got []float64
-			for h.Len() > 0 {
-				_, p := h.Pop()
-				got = append(got, p)
-			}
-			if !sort.Float64sAreSorted(got) {
-				t.Errorf("pop sequence not sorted: %v", got)
-			}
-		})
-	}
+	t.Run("binary", testPushPopSorted)
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(4)
-			h.Push(1, 10)
-			h.Push(2, 5)
-			item, p := h.Peek()
-			if item != 2 || p != 5 {
-				t.Errorf("Peek = (%d,%g), want (2,5)", item, p)
-			}
-			if h.Len() != 2 {
-				t.Errorf("Peek changed Len to %d", h.Len())
-			}
-		})
+func testPushPopSorted(t *testing.T) {
+	h := NewBinary(8)
+	values := []float64{5, 3, 8, 1, 9, 2, 7, 4}
+	for i, v := range values {
+		h.Push(i, v)
 	}
-}
-
-func TestDecreaseKeyReordersMin(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(4)
-			h.Push(0, 10)
-			h.Push(1, 20)
-			h.Push(2, 30)
-			h.DecreaseKey(2, 1)
-			if item, p := h.Pop(); item != 2 || p != 1 {
-				t.Errorf("after DecreaseKey, Pop = (%d,%g), want (2,1)", item, p)
-			}
-		})
+	if h.Len() != len(values) {
+		t.Fatalf("Len = %d, want %d", h.Len(), len(values))
 	}
-}
-
-func TestDecreaseKeyIgnoresIncrease(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(2)
-			h.Push(0, 10)
-			h.DecreaseKey(0, 50)
-			if p, ok := h.Priority(0); !ok || p != 10 {
-				t.Errorf("priority = (%g,%v), want (10,true)", p, ok)
-			}
-			h.DecreaseKey(99, 1) // absent: no-op, no panic
-		})
+	var got []float64
+	for h.Len() > 0 {
+		_, p := h.Pop()
+		got = append(got, p)
+	}
+	if !sort.Float64sAreSorted(got) {
+		t.Errorf("pop sequence not sorted: %v", got)
 	}
 }
 
 func TestPushExistingUpdates(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(4)
-			h.Push(0, 10)
-			h.Push(1, 20)
-			h.Push(1, 5) // decrease via Push
-			if item, _ := h.Peek(); item != 1 {
-				t.Errorf("Peek = %d, want 1 after decrease", item)
-			}
-			h.Push(1, 30) // increase via Push
-			if item, _ := h.Peek(); item != 0 {
-				t.Errorf("Peek = %d, want 0 after increase", item)
-			}
-			if h.Len() != 2 {
-				t.Errorf("Len = %d, want 2 (no duplicates)", h.Len())
-			}
-		})
-	}
+	t.Run("binary", testPushExistingUpdates)
 }
 
-func TestRemove(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			h := mk(8)
-			for i := 0; i < 6; i++ {
-				h.Push(i, float64(10-i))
+func testPushExistingUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		newPrio float64
+		want    []int
+	}{
+		{"decrease", 5, []int{1, 0}},
+		{"increase", 30, []int{0, 1}},
+	} {
+		h := NewBinary(4)
+		h.Push(0, 10)
+		h.Push(1, 20)
+		h.Push(1, tc.newPrio)
+		if h.Len() != 2 {
+			t.Errorf("%s: Len = %d, want 2 (no duplicates)", tc.name, h.Len())
+		}
+		for _, want := range tc.want {
+			if item, _ := h.Pop(); item != want {
+				t.Errorf("%s: Pop = %d, want %d", tc.name, item, want)
 			}
-			if !h.Remove(3) {
-				t.Fatalf("Remove(3) = false")
-			}
-			if h.Remove(3) {
-				t.Fatalf("double Remove(3) = true")
-			}
-			if h.Contains(3) {
-				t.Errorf("Contains(3) after Remove")
-			}
-			var got []int
-			for h.Len() > 0 {
-				item, _ := h.Pop()
-				got = append(got, item)
-			}
-			want := []int{5, 4, 2, 1, 0} // priorities 5,6,8,9,10
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("pop order %v, want %v", got, want)
-					break
-				}
-			}
-		})
+		}
 	}
 }
 
 func TestPopEmptyPanics(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Pop on empty heap did not panic")
-				}
-			}()
-			mk(0).Pop()
-		})
-	}
+	t.Run("binary", testPopEmptyPanics)
 }
 
-// TestQuickAgainstReference drives both heaps with random operation
+func testPopEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Pop on empty heap did not panic")
+		}
+	}()
+	NewBinary(0).Pop()
+}
+
+// TestQuickAgainstReference drives the heap with random operation
 // sequences and checks every observation against a naive reference.
 func TestQuickAgainstReference(t *testing.T) {
-	for name, mk := range heapsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				h := mk(16)
-				ref := map[int]float64{}
-				for op := 0; op < 300; op++ {
-					switch rng.Intn(5) {
-					case 0, 1: // push
-						item := rng.Intn(20)
-						pri := float64(rng.Intn(1000))
-						if old, ok := ref[item]; ok && pri > old {
-							// Push with higher priority: binary updates,
-							// pairing reinserts — both must end at pri.
-							h.Push(item, pri)
-							ref[item] = pri
-						} else {
-							h.Push(item, pri)
-							ref[item] = pri
-						}
-					case 2: // decrease-key
-						item := rng.Intn(20)
-						pri := float64(rng.Intn(1000))
-						if old, ok := ref[item]; ok && pri < old {
-							ref[item] = pri
-						}
-						h.DecreaseKey(item, pri)
-					case 3: // pop
-						if len(ref) == 0 {
-							continue
-						}
-						item, pri := h.Pop()
-						want, ok := ref[item]
-						if !ok || want != pri {
-							t.Logf("pop returned (%d,%g), ref %v", item, pri, ref)
-							return false
-						}
-						for _, p := range ref {
-							if p < pri {
-								t.Logf("pop %g was not the minimum (%v)", pri, ref)
-								return false
-							}
-						}
-						delete(ref, item)
-					case 4: // remove
-						item := rng.Intn(20)
-						_, ok := ref[item]
-						if h.Remove(item) != ok {
-							t.Logf("Remove(%d) mismatch", item)
-							return false
-						}
-						delete(ref, item)
-					}
-					if h.Len() != len(ref) {
-						t.Logf("Len %d, ref %d", h.Len(), len(ref))
+	t.Run("binary", testQuickAgainstReference)
+}
+
+func testQuickAgainstReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewBinary(16)
+		ref := map[int]float64{}
+		for op := 0; op < 300; op++ {
+			if rng.Intn(3) < 2 { // push, new item or priority update
+				item := rng.Intn(20)
+				pri := float64(rng.Intn(1000))
+				h.Push(item, pri)
+				ref[item] = pri
+			} else if len(ref) > 0 { // pop
+				item, pri := h.Pop()
+				want, ok := ref[item]
+				if !ok || want != pri {
+					t.Logf("pop returned (%d,%g), ref %v", item, pri, ref)
+					return false
+				}
+				for _, p := range ref {
+					if p < pri {
+						t.Logf("pop %g was not the minimum (%v)", pri, ref)
 						return false
 					}
 				}
-				// Drain and verify sortedness + exact multiset.
-				prev := -1.0
-				for h.Len() > 0 {
-					item, pri := h.Pop()
-					if pri < prev {
-						return false
-					}
-					prev = pri
-					if ref[item] != pri {
-						return false
-					}
-					delete(ref, item)
-				}
-				return len(ref) == 0
+				delete(ref, item)
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-				t.Error(err)
+			if h.Len() != len(ref) {
+				t.Logf("Len %d, ref %d", h.Len(), len(ref))
+				return false
 			}
-		})
+		}
+		// Drain and verify sortedness + exact multiset.
+		prev := -1.0
+		for h.Len() > 0 {
+			item, pri := h.Pop()
+			if pri < prev {
+				return false
+			}
+			prev = pri
+			if ref[item] != pri {
+				return false
+			}
+			delete(ref, item)
+		}
+		return len(ref) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }

@@ -107,11 +107,8 @@ type Repo struct {
 	optConflicts atomic.Int64
 
 	// log is the append-only metadata record log, the repository's durable
-	// form; nil only on a replica, which never writes. compactEvery is the
-	// tail-record count that triggers snapshot compaction on the commit
-	// path.
-	log          *metalog.Log
-	compactEvery int64
+	// form; nil only on a replica, which never writes.
+	log *metalog.Log
 
 	// shadowMu guards shadow: blob addresses a concurrent Optimize has
 	// registered ahead of writing, which GC must not collect even though no
@@ -167,7 +164,6 @@ func newRepoShell(b store.Backend) *Repo {
 	return &Repo{
 		backend:         b,
 		meta:            meta{Branches: map[string]int{}},
-		compactEvery:    DefaultCompactEvery,
 		shadow:          map[store.ID]int{},
 		jobsOutstanding: map[string]string{},
 		jobsRunning:     map[string]bool{},
@@ -344,30 +340,13 @@ func (r *Repo) EnableCacheBytes(budget int64) {
 	r.layout.SetCache(r.serving.newCache())
 }
 
-// SetNegativeTTL configures how long the serving path remembers failed
-// materializations (store.Layout's negative-result cache): retries of a
-// failing version inside the TTL are answered from memory instead of
-// hammering a struggling backend. d ≤ 0 disables the memory; without an
-// explicit setting layouts use store.DefaultNegativeTTL. The setting
-// survives Optimize, which builds a fresh layout on every swap.
-func (r *Repo) SetNegativeTTL(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.serving.negTTL, r.serving.negTTLSet = d, true
-	r.layout.SetNegativeTTL(d)
-}
-
 // servingConfig is the serving-path configuration a fresh layout inherits
 // at restore and at every Optimize swap. cacheBytes > 0 selects the
 // byte-budgeted cache and wins over cacheSize, the version-count
-// compatibility mode; neither means no cache. negTTL is the negative-result
-// TTL for failed materializations; negTTLSet distinguishes an explicit
-// disable (SetNegativeTTL ≤ 0) from "never configured" (layout default).
+// compatibility mode; neither means no cache.
 type servingConfig struct {
 	cacheSize  int
 	cacheBytes int64
-	negTTL     time.Duration
-	negTTLSet  bool
 }
 
 // newCache builds a fresh, empty cache per the configured mode; nil when
@@ -377,15 +356,6 @@ func (c servingConfig) newCache() *store.VersionCache {
 		return store.NewVersionCacheBytes(c.cacheBytes)
 	}
 	return store.NewVersionCache(c.cacheSize)
-}
-
-// apply gives l a fresh cache and the configured negative TTL: the one
-// place a new layout receives the repository's serving settings.
-func (c servingConfig) apply(l *store.Layout) {
-	l.SetCache(c.newCache())
-	if c.negTTLSet {
-		l.SetNegativeTTL(c.negTTL)
-	}
 }
 
 // CacheStats returns cumulative checkout-cache hits and misses.
@@ -1121,7 +1091,7 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	cfg := r.serving
 	stats := r.stats
 	r.mu.RUnlock()
-	cfg.apply(newLayout)
+	newLayout.SetCache(cfg.newCache())
 	if newLayout.Cache() != nil {
 		progress("warm")
 		hot := stats.TopK(warmTopK)
@@ -1146,9 +1116,6 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	}
 	if r.serving.cacheSize != cfg.cacheSize || r.serving.cacheBytes != cfg.cacheBytes {
 		newLayout.SetCache(r.serving.newCache())
-	}
-	if r.serving.negTTLSet {
-		newLayout.SetNegativeTTL(r.serving.negTTL)
 	}
 	oldLayout := r.layout
 	r.layout = newLayout

@@ -153,7 +153,7 @@ func (r *Repo) persistHash(id int, hash string) error {
 // failed compaction leaves a longer tail for the next try, never a broken
 // repository (the snapshot write is atomic and replay skips by sequence).
 func (r *Repo) maybeCompact() {
-	if r.log.TailRecords() >= r.compactEvery {
+	if r.log.TailRecords() >= DefaultCompactEvery {
 		_ = r.compact()
 	}
 }
@@ -246,10 +246,10 @@ func (r *Repo) resetToState(st snapshotState) error {
 }
 
 // installLayout swaps the served layout pointer, re-applying the cache
-// and negative-TTL configuration and folding the retired layout's I/O
-// counter. Callers hold the write lock or have exclusive access.
+// configuration and folding the retired layout's I/O counter. Callers hold
+// the write lock or have exclusive access.
 func (r *Repo) installLayout(l *store.Layout) {
-	r.serving.apply(l)
+	l.SetCache(r.serving.newCache())
 	if old := r.layout; old != nil {
 		r.retiredBlobReads.Add(old.BlobReads())
 	}
@@ -352,16 +352,6 @@ func (r *Repo) dropJob(id string) {
 		}
 	}
 	r.jobsOrder = order
-}
-
-// SetLogCompactEvery overrides how many tail records may accumulate before
-// the commit path compacts the log (≤ 0 restores the default). Call before
-// concurrent use; no-op on a replica.
-func (r *Repo) SetLogCompactEvery(n int64) {
-	if n <= 0 {
-		n = DefaultCompactEvery
-	}
-	r.compactEvery = n
 }
 
 // LogStats reports the metadata log's counters; all zeros on a replica.

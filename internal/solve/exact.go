@@ -44,7 +44,7 @@ func exactRun(ctx context.Context, inst *Instance, theta float64, maxNodes int64
 	// filter, chain pruning, leaf acceptance); mixing strict and tolerant
 	// checks would prune boundary optima that sit exactly on θ.
 	thetaTol := theta + 1e-9
-	_, sp, err := graph.SPTDistances(g, Root, graph.ByRecreate, graph.BinaryHeap)
+	_, sp, err := graph.SPT(g, Root, graph.ByRecreate)
 	if err != nil {
 		return nil, fmt.Errorf("solve: exact: %w", err)
 	}

@@ -28,7 +28,7 @@ func lastRun(ctx context.Context, inst *Instance, alpha float64) (*Solution, err
 	if err != nil {
 		return nil, err
 	}
-	sptTree, sp, err := graph.SPTDistances(inst.G, Root, graph.ByRecreate, graph.BinaryHeap)
+	sptTree, sp, err := graph.SPT(inst.G, Root, graph.ByRecreate)
 	if err != nil {
 		return nil, err
 	}

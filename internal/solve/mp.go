@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"versiondb/internal/graph"
+	"versiondb/internal/heaps"
 )
 
 // mpRun runs the Modified Prim's algorithm (paper §4.2, Algorithm 2) for
@@ -34,7 +35,7 @@ func mpRun(ctx context.Context, inst *Instance, theta float64) (*Solution, error
 		p[v] = -1
 	}
 	l[Root], d[Root] = 0, 0
-	pq := graph.NewPQ(graph.BinaryHeap, n)
+	pq := heaps.NewBinary(n)
 	pq.Push(Root, 0)
 	added := 0
 	for pq.Len() > 0 {

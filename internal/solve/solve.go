@@ -75,7 +75,7 @@ func MinStorage(inst *Instance) (*Solution, error) {
 	if inst.G.Directed() {
 		t, err = graph.MCA(inst.G, Root, graph.ByStorage)
 	} else {
-		t, err = graph.PrimMST(inst.G, Root, graph.ByStorage, graph.BinaryHeap)
+		t, err = graph.PrimMST(inst.G, Root, graph.ByStorage)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("solve: MinStorage: %w", err)
@@ -87,7 +87,7 @@ func MinStorage(inst *Instance) (*Solution, error) {
 // individually minimized by the shortest path tree on Φ weights (Lemma 3).
 func MinRecreation(inst *Instance) (*Solution, error) {
 	start := time.Now()
-	t, err := graph.SPT(inst.G, Root, graph.ByRecreate, graph.BinaryHeap)
+	t, _, err := graph.SPT(inst.G, Root, graph.ByRecreate)
 	if err != nil {
 		return nil, fmt.Errorf("solve: MinRecreation: %w", err)
 	}

@@ -234,7 +234,7 @@ func TestQuickLASTUndirectedGuarantees(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, sp, err := graph.SPTDistances(inst.G, Root, graph.ByRecreate, graph.BinaryHeap)
+		_, sp, err := graph.SPT(inst.G, Root, graph.ByRecreate)
 		if err != nil {
 			return false
 		}

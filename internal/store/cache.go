@@ -97,11 +97,6 @@ func NewLRUBytes[K comparable](budget int64) *LRU[K] {
 // used. A nil cache always misses without counting.
 func (c *LRU[K]) Get(k K) ([]byte, bool) { return c.lookup(k, true, true) }
 
-// getQuiet behaves like Get — returning and promoting k's payload — but
-// records no hit/miss: for re-probes of a version whose lookup was
-// already counted on the checkout fast path.
-func (c *LRU[K]) getQuiet(k K) ([]byte, bool) { return c.lookup(k, false, true) }
-
 // peek returns k's payload without promoting it or counting the lookup
 // (introspection for tests and invariants).
 func (c *LRU[K]) peek(k K) ([]byte, bool) { return c.lookup(k, false, false) }

@@ -42,13 +42,13 @@ type Layout struct {
 	flightMu sync.Mutex
 	flight   map[int]*flightCall
 
-	// neg remembers failed materializations for a short TTL so a retry
-	// storm against a struggling backend is answered from memory. negTTL
-	// holds the configured TTL in nanoseconds: 0 means DefaultNegativeTTL,
-	// < 0 means disabled. Lock order: flightMu before negMu.
+	// neg remembers failed materializations for DefaultNegativeTTL so a
+	// retry storm against a struggling backend is answered from memory.
+	// negTTL, when non-zero, replaces that window; only tests set it.
+	// Lock order: flightMu before negMu.
 	negMu  sync.Mutex
 	neg    map[int]negEntry
-	negTTL atomic.Int64
+	negTTL time.Duration
 
 	// memo caches the per-version cold-cost DP (ChainCosts).
 	// Entries are append-only and immutable, so a memo covering a prefix
@@ -72,40 +72,14 @@ type negEntry struct {
 	until time.Time
 }
 
-// DefaultNegativeTTL is how long a failed materialization is remembered
-// when no explicit TTL was configured: long enough to absorb a retry storm,
-// short enough that a healed backend is retried promptly.
+// DefaultNegativeTTL is how long a failed materialization is remembered:
+// long enough to absorb a retry storm, short enough that a healed backend
+// is retried promptly.
 const DefaultNegativeTTL = time.Second
-
-// SetNegativeTTL configures how long failed materializations are remembered
-// (the negative-result cache on the singleflight map). d ≤ 0 disables the
-// memory entirely; the zero-value layout uses DefaultNegativeTTL.
-func (l *Layout) SetNegativeTTL(d time.Duration) {
-	if d <= 0 {
-		l.negTTL.Store(-1)
-		return
-	}
-	l.negTTL.Store(int64(d))
-}
-
-// negativeTTL resolves the configured failure-memory TTL; 0 means disabled.
-func (l *Layout) negativeTTL() time.Duration {
-	switch d := l.negTTL.Load(); {
-	case d > 0:
-		return time.Duration(d)
-	case d < 0:
-		return 0
-	default:
-		return DefaultNegativeTTL
-	}
-}
 
 // negFailure returns the remembered error for v when a materialization
 // failed within the TTL window; expired entries are dropped on probe.
 func (l *Layout) negFailure(v int) error {
-	if l.negativeTTL() == 0 {
-		return nil
-	}
 	l.negMu.Lock()
 	defer l.negMu.Unlock()
 	e, ok := l.neg[v]
@@ -119,11 +93,11 @@ func (l *Layout) negFailure(v int) error {
 	return e.err
 }
 
-// noteFailure remembers a materialization failure for the configured TTL.
+// noteFailure remembers a materialization failure for the TTL window.
 func (l *Layout) noteFailure(v int, err error) {
-	ttl := l.negativeTTL()
+	ttl := l.negTTL
 	if ttl == 0 {
-		return
+		ttl = DefaultNegativeTTL
 	}
 	l.negMu.Lock()
 	if l.neg == nil {

@@ -236,7 +236,7 @@ func (f *failBackend) Get(id ID) ([]byte, error) {
 func TestNegativeResultTTL(t *testing.T) {
 	fb := &failBackend{Backend: NewMemStore()}
 	l, payloads := linearLayout(t, fb, 4)
-	l.SetNegativeTTL(50 * time.Millisecond)
+	l.negTTL = 50 * time.Millisecond
 
 	fb.fail.Store(true)
 	if _, err := l.Checkout(3); !errors.Is(err, errBackendDown) {
@@ -268,47 +268,58 @@ func TestNegativeResultTTL(t *testing.T) {
 	}
 }
 
-// TestNegativeTTLDisabled: with the memory off, every retry reaches the
-// backend — the pre-TTL behavior remains available.
-func TestNegativeTTLDisabled(t *testing.T) {
-	fb := &failBackend{Backend: NewMemStore()}
-	l, _ := linearLayout(t, fb, 3)
-	l.SetNegativeTTL(0)
-
-	fb.fail.Store(true)
-	for i := 0; i < 3; i++ {
-		if _, err := l.Checkout(2); err == nil {
-			t.Fatal("checkout succeeded during outage")
-		}
-	}
-	if g := fb.gets.Load(); g != 3 {
-		t.Fatalf("disabled TTL: %d backend gets, want 3", g)
-	}
+// gateBackend parks every Get until release is closed, announcing each on
+// held, and fails GetStream while failStream is set: it orders a buffered
+// and a streaming checkout of one version around an outage.
+type gateBackend struct {
+	*MemStore
+	held, release chan struct{}
+	failStream    atomic.Bool
 }
 
-// TestNegativeTTLClearedOnSuccess: a success forgets any remembered failure
-// so the window never outlives the recovery it is meant to bridge.
-func TestNegativeTTLClearedOnSuccess(t *testing.T) {
-	fb := &failBackend{Backend: NewMemStore()}
-	l, payloads := linearLayout(t, fb, 3)
-	l.SetNegativeTTL(time.Hour) // would wedge forever if success didn't clear
+func (g *gateBackend) Get(id ID) ([]byte, error) {
+	g.held <- struct{}{}
+	<-g.release
+	return g.MemStore.Get(id)
+}
 
-	fb.fail.Store(true)
-	if _, err := l.Checkout(2); err == nil {
-		t.Fatal("checkout succeeded during outage")
+func (g *gateBackend) GetStream(id ID) (io.ReadCloser, error) {
+	if g.failStream.Load() {
+		return nil, errBackendDown
 	}
-	fb.fail.Store(false)
-	// The failure is remembered; expire it manually by clearing, as a
-	// success of a *different* version would not: the memory is per-version.
-	l.clearFailure(2)
-	got, err := l.Checkout(2)
-	if err != nil || !bytes.Equal(got, payloads[2]) {
-		t.Fatalf("post-clear Checkout: %v", err)
+	return g.MemStore.GetStream(id)
+}
+
+// TestNegativeTTLClearedOnSuccess: a buffered materialization that succeeds
+// forgets the failure a stream of the same version recorded while it was
+// in flight, so the failure window never outlives the recovery it is meant
+// to bridge.
+func TestNegativeTTLClearedOnSuccess(t *testing.T) {
+	gb := &gateBackend{MemStore: NewMemStore(), held: make(chan struct{}), release: make(chan struct{})}
+	l, payloads := linearLayout(t, gb, 2)
+	l.negTTL = time.Hour // only the success can clear the failure in time
+
+	done := make(chan error, 1)
+	go func() {
+		got, err := l.Checkout(0)
+		if err == nil && !bytes.Equal(got, payloads[0]) {
+			err = errors.New("wrong payload")
+		}
+		done <- err
+	}()
+	<-gb.held
+
+	gb.failStream.Store(true)
+	if _, _, err := l.CheckoutStream(0); !errors.Is(err, errBackendDown) {
+		t.Fatalf("CheckoutStream during outage: %v, want %v", err, errBackendDown)
 	}
-	// A second outage + success cycle: the success must have cleared the
-	// remembered entry (not just expired it).
-	if err := func() error { _, err := l.Checkout(2); return err }(); err != nil {
-		t.Fatalf("hot checkout: %v", err)
+	gb.failStream.Store(false)
+	close(gb.release)
+	if err := <-done; err != nil {
+		t.Fatalf("buffered Checkout: %v", err)
+	}
+	if got := drainStream(t, l, 0); !bytes.Equal(got, payloads[0]) {
+		t.Fatal("post-recovery stream diverges from the committed payload")
 	}
 }
 

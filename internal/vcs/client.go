@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"versiondb/internal/repo"
 )
@@ -15,10 +14,6 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// raw caches validated /checkout/raw payloads by version, keyed for
-	// If-None-Match revalidation (see CheckoutRaw).
-	rawMu sync.Mutex
-	raw   map[int]rawEntry
 }
 
 // NewClient returns a client for the server at base (e.g.

@@ -36,14 +36,14 @@ func etagMatch(header, current string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request advertises gzip support. A
-// q-value of 0 is a refusal, anything else (including absence of q) is
-// acceptance; identity fallback is always available so no finer
-// negotiation is needed.
+// acceptsGzip reports whether the request advertises gzip support. Coding
+// names are case-insensitive (RFC 9110 §8.4.1). A q-value of 0 is a
+// refusal, anything else (including absence of q) is acceptance; identity
+// fallback is always available so no finer negotiation is needed.
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(enc) != "gzip" {
+		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
 			continue
 		}
 		if hasQ {
@@ -58,7 +58,7 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-func (s *Server) handleCheckoutRaw(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
 	v, err := strconv.Atoi(r.URL.Query().Get("v"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
@@ -110,13 +110,6 @@ func (s *Server) handleCheckoutRaw(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rawEntry is one validated payload in the client's conditional-fetch
-// cache: the entity-tag the server minted and the bytes it tagged.
-type rawEntry struct {
-	etag    string
-	payload []byte
-}
-
 // CheckoutStream fetches version v's payload as a stream from GET
 // /checkout/raw. It returns the body reader and the payload size when the
 // transport knows it (-1 otherwise, e.g. when the response is
@@ -134,47 +127,4 @@ func (c *Client) CheckoutStream(v int) (io.ReadCloser, int64, error) {
 		return nil, 0, decodeResponse(path, httpResp, nil)
 	}
 	return httpResp.Body, httpResp.ContentLength, nil
-}
-
-// CheckoutRaw fetches version v's payload through the raw endpoint with
-// conditional-request caching: the first fetch records the response ETag,
-// and every subsequent fetch revalidates with If-None-Match, so an
-// unchanged version costs a 304 and zero payload bytes on the wire. The
-// returned slice is shared with the cache; callers must not mutate it.
-func (c *Client) CheckoutRaw(v int) ([]byte, error) {
-	path := fmt.Sprintf("/checkout/raw?v=%d", v)
-	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("vcs: %s: %w", path, err)
-	}
-	c.rawMu.Lock()
-	cached, ok := c.raw[v]
-	c.rawMu.Unlock()
-	if ok {
-		req.Header.Set("If-None-Match", cached.etag)
-	}
-	httpResp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("vcs: %s: %w", path, err)
-	}
-	defer httpResp.Body.Close()
-	if ok && httpResp.StatusCode == http.StatusNotModified {
-		return cached.payload, nil
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeResponse(path, httpResp, nil)
-	}
-	payload, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("vcs: %s: read body: %w", path, err)
-	}
-	if etag := httpResp.Header.Get("ETag"); etag != "" {
-		c.rawMu.Lock()
-		if c.raw == nil {
-			c.raw = map[int]rawEntry{}
-		}
-		c.raw[v] = rawEntry{etag: etag, payload: payload}
-		c.rawMu.Unlock()
-	}
-	return payload, nil
 }

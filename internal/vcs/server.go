@@ -163,7 +163,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /commit", s.handleCommit)
 	mux.HandleFunc("GET /checkout", s.handleCheckout)
-	mux.HandleFunc("GET /checkout/raw", s.handleCheckoutRaw)
+	mux.HandleFunc("GET /checkout/raw", s.handleRawCheckout)
 	mux.HandleFunc("POST /branch", s.handleBranch)
 	mux.HandleFunc("GET /log", s.handleLog)
 	mux.HandleFunc("POST /optimize", s.handleOptimize)

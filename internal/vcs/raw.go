@@ -13,9 +13,46 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// Idle gzip coders are kept on bounded free lists rather than built per
+// request: a fresh compressor costs ~1 MiB of allocation, several times
+// the work of compressing a typical payload. Each list holds GOMAXPROCS
+// coders, as many as can be working at one instant; a coder returned to a
+// full list is dropped. A
+// sync.Pool is avoided on purpose, because its victim cache keeps a second
+// generation of these large writers alive across a garbage collection.
+var (
+	gzipWriters = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
+	gzipReaders = make(chan *gzip.Reader, runtime.GOMAXPROCS(0))
+)
+
+// getGzipWriter returns an idle writer reset onto w. BestSpeed: on CSV
+// versions it compresses as well as DefaultCompression at a third of the
+// cost.
+func getGzipWriter(w io.Writer) *gzip.Writer {
+	select {
+	case zw := <-gzipWriters:
+		zw.Reset(w)
+		return zw
+	default:
+		zw, _ := gzip.NewWriterLevel(w, gzip.BestSpeed) // the level is valid
+		return zw
+	}
+}
+
+// putGzipWriter recycles a writer whose stream was closed cleanly. It is
+// pointed at io.Discard first so the idle writer pins no response.
+func putGzipWriter(zw *gzip.Writer) {
+	zw.Reset(io.Discard)
+	select {
+	case gzipWriters <- zw:
+	default:
+	}
+}
 
 // etagMatch implements the If-None-Match weak comparison (RFC 9110
 // §13.1.2): any listed entity-tag — or "*" — matches the current one,
@@ -71,6 +108,9 @@ func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
 	}
 	etag := `"` + hash + `"`
 	w.Header().Set("ETag", etag)
+	// The body's coding depends on Accept-Encoding, so shared caches must
+	// key on it; a 304 repeats the header (RFC 9110 §12.5.5, §15.4.5).
+	w.Header().Set("Vary", "Accept-Encoding")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
 		// Revalidated from metadata alone: the repository was not asked to
 		// reconstruct anything, so the 304 costs zero blob reads.
@@ -91,7 +131,7 @@ func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
 		// Content-Length header away; the gzip trailer still lets clients
 		// detect truncation.
 		w.Header().Set("Content-Encoding", "gzip")
-		zw = gzip.NewWriter(w)
+		zw = getGzipWriter(w)
 		dst = zw
 	} else if size >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
@@ -104,21 +144,30 @@ func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	if zw != nil {
+		// Only a cleanly closed writer is recycled; the abort paths drop
+		// theirs with whatever half-written state it holds.
 		if err := zw.Close(); err != nil {
 			panic(http.ErrAbortHandler)
 		}
+		putGzipWriter(zw)
 	}
 }
 
 // CheckoutStream fetches version v's payload as a stream from GET
 // /checkout/raw. It returns the body reader and the payload size when the
-// transport knows it (-1 otherwise, e.g. when the response is
-// transparently gunzipped). The caller must Close the reader; bytes are
-// consumed directly from the socket, so a payload larger than client
-// memory is fine.
+// response states it (-1 for a gzipped response). It asks for gzip itself
+// and inflates through a reused reader, so the transport's transparent
+// decompression never runs. The caller must Close the reader, and must not
+// call Close while a Read is in progress; bytes are consumed directly from
+// the socket, so a payload larger than client memory is fine.
 func (c *Client) CheckoutStream(v int) (io.ReadCloser, int64, error) {
 	path := fmt.Sprintf("/checkout/raw?v=%d", v)
-	httpResp, err := c.http.Get(c.base + path)
+	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("vcs: %s: %w", path, err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	httpResp, err := c.http.Do(req)
 	if err != nil {
 		return nil, 0, fmt.Errorf("vcs: %s: %w", path, err)
 	}
@@ -126,5 +175,60 @@ func (c *Client) CheckoutStream(v int) (io.ReadCloser, int64, error) {
 		defer httpResp.Body.Close()
 		return nil, 0, decodeResponse(path, httpResp, nil)
 	}
-	return httpResp.Body, httpResp.ContentLength, nil
+	if !strings.EqualFold(httpResp.Header.Get("Content-Encoding"), "gzip") {
+		return httpResp.Body, httpResp.ContentLength, nil
+	}
+	body, err := newGunzipBody(httpResp.Body)
+	if err != nil {
+		httpResp.Body.Close()
+		return nil, 0, fmt.Errorf("vcs: %s: gzip: %w", path, err)
+	}
+	return body, -1, nil
+}
+
+// gunzipBody inflates a gzip response body through a reader taken from
+// gzipReaders, and hands that reader back on Close.
+type gunzipBody struct {
+	zr   *gzip.Reader // nil once closed
+	body io.ReadCloser
+}
+
+// newGunzipBody reads body's gzip header with an idle reader, or a new one.
+func newGunzipBody(body io.ReadCloser) (*gunzipBody, error) {
+	var zr *gzip.Reader
+	var err error
+	select {
+	case zr = <-gzipReaders:
+		err = zr.Reset(body)
+	default:
+		zr, err = gzip.NewReader(body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &gunzipBody{zr: zr, body: body}, nil
+}
+
+func (g *gunzipBody) Read(p []byte) (int, error) {
+	if g.zr == nil {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return g.zr.Read(p)
+}
+
+// Close closes the response body and recycles the reader. Reset fully
+// reinitialises a gzip.Reader, so one that stopped mid-stream or on an
+// error is as good as new for the next response.
+func (g *gunzipBody) Close() error {
+	if g.zr == nil {
+		return nil
+	}
+	zr := g.zr
+	g.zr = nil
+	err := g.body.Close()
+	select {
+	case gzipReaders <- zr:
+	default:
+	}
+	return err
 }

@@ -2,15 +2,21 @@ package vcs
 
 // Tests for the streaming raw checkout endpoint: byte equality with the
 // JSON path, Content-Length, ETag/304 revalidation (with the zero-blob-read
-// guarantee), and gzip negotiation.
+// guarantee), gzip negotiation, and the reuse of gzip writers and readers.
 
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"runtime/metrics"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"versiondb/internal/repo"
@@ -105,6 +111,9 @@ func TestCheckoutRawConditional304(t *testing.T) {
 		if got := resp.Header.Get("ETag"); got != etag {
 			t.Errorf("304 ETag = %q, want %q", got, etag)
 		}
+		if got := resp.Header.Get("Vary"); got != "Accept-Encoding" {
+			t.Errorf("304 Vary = %q, want Accept-Encoding", got)
+		}
 	}
 	after, err := c.Stats()
 	if err != nil {
@@ -142,6 +151,9 @@ func TestCheckoutRawGzip(t *testing.T) {
 		if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
 			t.Fatalf("Accept-Encoding %s: Content-Encoding = %q, want gzip", enc, got)
 		}
+		if got := resp.Header.Get("Vary"); got != "Accept-Encoding" {
+			t.Errorf("Accept-Encoding %s: Vary = %q, want Accept-Encoding", enc, got)
+		}
 		compressed, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
@@ -178,6 +190,9 @@ func TestCheckoutRawGzip(t *testing.T) {
 	if got := resp2.Header.Get("Content-Encoding"); got != "" {
 		t.Errorf("q=0 still compressed: Content-Encoding %q", got)
 	}
+	if got := resp2.Header.Get("Vary"); got != "Accept-Encoding" {
+		t.Errorf("q=0: Vary = %q, want Accept-Encoding", got)
+	}
 }
 
 func TestCheckoutRawErrors(t *testing.T) {
@@ -200,4 +215,259 @@ func TestCheckoutRawErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad version: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// hexLines is n bytes of random hex in 64 KiB lines: text that gzip only
+// halves, so a large one keeps the server compressing long after a client
+// has stopped reading, yet few enough lines to diff cheaply on commit.
+func hexLines(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	raw := make([]byte, 32<<10)
+	out := make([]byte, 0, n+len(raw)*2+1)
+	for len(out) < n {
+		rng.Read(raw)
+		out = hex.AppendEncode(out, raw)
+		out = append(out, '\n')
+	}
+	return out
+}
+
+// readStream drains CheckoutStream(v) and closes it.
+func readStream(c *Client, v int) ([]byte, error) {
+	rc, _, err := c.CheckoutStream(v)
+	if err != nil {
+		return nil, err
+	}
+	got, err := io.ReadAll(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
+	}
+	return got, err
+}
+
+// Reused writers and readers must carry no state from one response into
+// the next, including from a response the client abandoned mid-body,
+// whose writer the server drops instead of recycling.
+func TestCheckoutRawConcurrentGzip(t *testing.T) {
+	c, _ := newServerURL(t)
+	payloads := [][]byte{hexLines(1, 2<<20)}
+	if _, err := c.Commit(repo.DefaultBranch, payloads[0], "large"); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	payloads = append(payloads, commitChain(t, c, 8)...)
+
+	// Abandon the large version after its first bytes.
+	rc, _, err := c.CheckoutStream(0)
+	if err != nil {
+		t.Fatalf("CheckoutStream(0): %v", err)
+	}
+	head := make([]byte, 100)
+	if _, err := io.ReadFull(rc, head); err != nil {
+		t.Fatalf("read head: %v", err)
+	}
+	if !bytes.Equal(head, payloads[0][:len(head)]) {
+		t.Fatalf("abandoned stream's head diverges")
+	}
+	rc.Close()
+
+	const workers, rounds = 8, 6
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				v := 1 + (g+r)%(len(payloads)-1)
+				if r == rounds-1 && g == 0 {
+					v = 0
+				}
+				got, err := readStream(c, v)
+				if err != nil {
+					t.Errorf("worker %d: CheckoutStream(%d): %v", g, v, err)
+					return
+				}
+				if !bytes.Equal(got, payloads[v]) {
+					t.Errorf("worker %d: version %d diverges (%d bytes, want %d)", g, v, len(got), len(payloads[v]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A gzip body cut off mid-stream must surface as an error, never as a
+// short payload; reads after Close must fail without touching the reader,
+// which by then inflates another response.
+func TestCheckoutStreamTruncatedGzip(t *testing.T) {
+	whole := hexLines(2, 64<<10)
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	zw.Write(whole)
+	zw.Close()
+	cut := zbuf.Bytes()[:zbuf.Len()/2]
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Encoding", "gzip")
+		if r.URL.Query().Get("v") == "1" {
+			w.Write(zbuf.Bytes())
+			return
+		}
+		w.Write(cut)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL)
+
+	rc, size, err := c.CheckoutStream(0)
+	if err != nil {
+		t.Fatalf("CheckoutStream: %v", err)
+	}
+	if size != -1 {
+		t.Errorf("gzip stream size = %d, want -1", size)
+	}
+	got, err := io.ReadAll(rc)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated gzip: read %d bytes, err %v; want io.ErrUnexpectedEOF", len(got), err)
+	}
+	rc.Close()
+
+	next, _, err := c.CheckoutStream(1)
+	if err != nil {
+		t.Fatalf("CheckoutStream: %v", err)
+	}
+	defer next.Close()
+	if n, err := rc.Read(make([]byte, 16)); n != 0 || !errors.Is(err, http.ErrBodyReadAfterClose) {
+		t.Errorf("Read after Close = %d, %v; want 0, ErrBodyReadAfterClose", n, err)
+	}
+	if got, err := io.ReadAll(next); err != nil || !bytes.Equal(got, whole) {
+		t.Errorf("stream after a recycled reader: %d bytes, err %v; want %d bytes", len(got), err, len(whole))
+	}
+}
+
+// An upstream that answers without gzip passes its body and its
+// Content-Length through untouched.
+func TestCheckoutStreamIdentity(t *testing.T) {
+	want := hexLines(3, 4<<10)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Accept-Encoding") != "gzip" {
+			t.Errorf("Accept-Encoding = %q, want gzip", r.Header.Get("Accept-Encoding"))
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		w.Write(want)
+	}))
+	t.Cleanup(srv.Close)
+
+	rc, size, err := NewClient(srv.URL).CheckoutStream(0)
+	if err != nil {
+		t.Fatalf("CheckoutStream: %v", err)
+	}
+	defer rc.Close()
+	if size != int64(len(want)) {
+		t.Errorf("identity size = %d, want %d", size, len(want))
+	}
+	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("identity body: %d bytes, err %v; want %d bytes", len(got), err, len(want))
+	}
+}
+
+// countingTransport counts the response body bytes that cross the wire.
+type countingTransport struct{ n atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		resp.Body = &countingBody{ReadCloser: resp.Body, n: &ct.n}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (cb *countingBody) Read(p []byte) (int, error) {
+	n, err := cb.ReadCloser.Read(p)
+	cb.n.Add(int64(n))
+	return n, err
+}
+
+// newHitServer serves one committed CSV version of about 10 KiB from a
+// warm cache, the shape of a hot checkout.
+func newHitServer(tb testing.TB) (*Client, *countingTransport, []byte) {
+	tb.Helper()
+	r, err := repo.Init(tb.TempDir())
+	if err != nil {
+		tb.Fatalf("Init: %v", err)
+	}
+	r.EnableCacheBytes(1 << 20)
+	srv := httptest.NewServer(NewServer(r).Handler())
+	tb.Cleanup(srv.Close)
+	ct := &countingTransport{}
+	c := NewClient(srv.URL)
+	c.http = &http.Client{Transport: ct}
+	want := payload(tb, 7, 200)
+	if _, err := c.Commit(repo.DefaultBranch, want, "hot"); err != nil {
+		tb.Fatalf("Commit: %v", err)
+	}
+	if got, err := readStream(c, 0); err != nil || !bytes.Equal(got, want) {
+		tb.Fatalf("warm-up checkout: %d bytes, err %v", len(got), err)
+	}
+	return c, ct, want
+}
+
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// A cache-hit checkout, server and client together, must not build a
+// compressor or decompressor per request.
+func TestCheckoutRawHitAllocs(t *testing.T) {
+	c, _, want := newHitServer(t)
+	const n = 200
+	var buf bytes.Buffer
+	before := heapAllocs()
+	for i := 0; i < n; i++ {
+		rc, _, err := c.CheckoutStream(0)
+		if err != nil {
+			t.Fatalf("CheckoutStream: %v", err)
+		}
+		buf.Reset()
+		_, err = buf.ReadFrom(rc)
+		rc.Close()
+		if err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("checkout %d: %d bytes, err %v", i, buf.Len(), err)
+		}
+	}
+	if mean := (heapAllocs() - before) / n; mean >= 128<<10 {
+		t.Errorf("cache-hit checkout allocates %d KiB, want < 128 KiB", mean>>10)
+	}
+}
+
+// BenchmarkCheckoutRawHit reports a cache-hit checkout's latency and
+// allocation next to its compressed response size (resp_B/op), the two
+// sides of the compression-level trade.
+func BenchmarkCheckoutRawHit(b *testing.B) {
+	c, ct, want := newHitServer(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	ct.n.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, _, err := c.CheckoutStream(0)
+		if err != nil {
+			b.Fatalf("CheckoutStream: %v", err)
+		}
+		buf.Reset()
+		_, err = buf.ReadFrom(rc)
+		rc.Close()
+		if err != nil || buf.Len() != len(want) {
+			b.Fatalf("checkout: %d bytes, err %v", buf.Len(), err)
+		}
+	}
+	b.ReportMetric(float64(ct.n.Load())/float64(b.N), "resp_B/op")
 }

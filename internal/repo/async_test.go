@@ -118,17 +118,25 @@ func TestCheckoutUnblockedDuringSlowSolve(t *testing.T) {
 // TestMidSolveCommitTriggersConflictRetry proves the swap's conflict
 // check: a commit landing while the solver runs forces a re-snapshot, the
 // conflict counter advances, and the retried layout includes the new
-// version.
+// version. The retry reuses the pairs the lost attempt sized: it sizes
+// only the pairs that touch the version committed mid-solve.
 func TestMidSolveCommitTriggersConflictRetry(t *testing.T) {
 	r := newRepo(t)
 	payloads := seedRepo(t, r, 4)
+	before, _ := revealedCount(r, 5, 0)
 
 	started, release := gate.Arm()
 	defer gate.Disarm()
 	optErr := make(chan error, 1)
+	sizedAtRetry := make(chan int64, 4)
 	go func() {
 		_, err := r.Optimize(context.Background(), OptimizeOptions{
 			Request: solve.Request{Solver: "gate"},
+			Progress: func(phase string) {
+				if phase == "retry" {
+					sizedAtRetry <- r.pairsSized.Load()
+				}
+			},
 		})
 		optErr <- err
 	}()
@@ -150,6 +158,13 @@ func TestMidSolveCommitTriggersConflictRetry(t *testing.T) {
 	}
 	if got := r.OptimizeConflicts(); got < 1 {
 		t.Errorf("OptimizeConflicts = %d, want ≥ 1 (swap must have lost to the commit)", got)
+	}
+	if got := <-sizedAtRetry; got != int64(before) {
+		t.Errorf("the lost attempt sized %d pairs, want all %d revealed among the first 4 versions", got, before)
+	}
+	if _, touching := revealedCount(r, 5, 4); r.pairsSized.Load() != int64(before+touching) {
+		t.Errorf("Optimize sized %d pairs over both attempts, want %d: the retry should size only the %d touching the mid-solve commit",
+			r.pairsSized.Load(), before+touching, touching)
 	}
 	if n := r.NumVersions(); n != len(payloads) {
 		t.Fatalf("NumVersions = %d, want %d", n, len(payloads))

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,62 +142,100 @@ func TestCostMatrixMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := costMatrix(context.Background(), versions, payloads, 5)
+			got, _, err := costMatrix(context.Background(), versions, payloads, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameMatrix(t, got, want)
 		})
 	}
+	t.Run("sequence", func(t *testing.T) {
+		memoSequence(t, "lmg", func(t *testing.T, r *Repo, hops int, err error) {
+			if err != nil {
+				t.Fatalf("Optimize: %v", err)
+			}
+			checkMemo(t, r, hops)
+		})
+	})
+}
+
+// layoutOf solves m with the named solver, as Optimize would with
+// telemetry weights off, and builds the layout of payloads.
+func layoutOf(t *testing.T, m *costs.Matrix, versions []VersionInfo, payloads [][]byte, name string) ([]store.Entry, error) {
+	t.Helper()
+	inst, err := solve.NewInstance(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _, err := solveRequest(inst, versions, OptimizeOptions{Request: solve.Request{Solver: name}}, 1)
+	if err != nil {
+		return nil, err
+	}
+	res, err := solve.Solve(context.Background(), inst, req)
+	if err != nil {
+		return nil, err
+	}
+	l, err := store.BuildLayout(store.NewMemStore(), payloads, res.Tree, false)
+	if err != nil {
+		t.Fatalf("BuildLayout(%s): %v", name, err)
+	}
+	return l.Entries, nil
+}
+
+// sameLayout fails the test unless both solves agree: the same error, or
+// identical entries.
+func sameLayout(t *testing.T, got []store.Entry, gotErr error, want []store.Entry, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("solve error %v, oracle matrix gives %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, want %d", len(got), len(want))
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("entry %d = %+v, want %+v", v, got[v], want[v])
+		}
+	}
 }
 
 // TestSolverLayoutsMatchOracle solves the kernel's matrix and the oracle's
 // with every registered solver and builds both layouts: the entries —
-// parents, blob ids, stored sizes — must be identical.
+// parents, blob ids, stored sizes — must be identical. Its sequence case
+// does the same after every memo-backed Optimize of memoSequence, against
+// the layout of a from-scratch matrix.
 func TestSolverLayoutsMatchOracle(t *testing.T) {
 	versions, payloads := generatedVersions(t, 30, 6)
 	want, err := costMatrixOracle(context.Background(), versions, payloads, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := costMatrix(context.Background(), versions, payloads, 4)
+	got, _, err := costMatrix(context.Background(), versions, payloads, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := func(t *testing.T, m *costs.Matrix, name string) ([]store.Entry, error) {
-		inst, err := solve.NewInstance(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, _, err := solveRequest(inst, versions, OptimizeOptions{Request: solve.Request{Solver: name}}, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := solve.Solve(context.Background(), inst, req)
-		if err != nil {
-			return nil, err
-		}
-		l, err := store.BuildLayout(store.NewMemStore(), payloads, res.Tree, false)
-		if err != nil {
-			t.Fatalf("BuildLayout(%s): %v", name, err)
-		}
-		return l.Entries, nil
-	}
 	for _, name := range solve.Names() {
 		t.Run(name, func(t *testing.T) {
-			wantEntries, wantErr := layout(t, want, name)
-			gotEntries, gotErr := layout(t, got, name)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("solve error %v, oracle matrix gives %v", gotErr, wantErr)
-			}
-			if len(gotEntries) != len(wantEntries) {
-				t.Fatalf("%d entries, want %d", len(gotEntries), len(wantEntries))
-			}
-			for v := range wantEntries {
-				if gotEntries[v] != wantEntries[v] {
-					t.Fatalf("entry %d = %+v, want %+v", v, gotEntries[v], wantEntries[v])
-				}
-			}
+			wantEntries, wantErr := layoutOf(t, want, versions, payloads, name)
+			gotEntries, gotErr := layoutOf(t, got, versions, payloads, name)
+			sameLayout(t, gotEntries, gotErr, wantEntries, wantErr)
+			t.Run("sequence", func(t *testing.T) {
+				memoSequence(t, name, func(t *testing.T, r *Repo, hops int, err error) {
+					versions, payloads, _ := snapshotOf(t, r)
+					m, _, merr := costMatrix(context.Background(), versions, payloads, hops, nil)
+					if merr != nil {
+						t.Fatal(merr)
+					}
+					wantEntries, wantErr := layoutOf(t, m, versions, payloads, name)
+					var gotEntries []store.Entry
+					if err == nil {
+						r.mu.RLock()
+						gotEntries = append(gotEntries, r.layout.Entries...)
+						r.mu.RUnlock()
+					}
+					sameLayout(t, gotEntries, err, wantEntries, wantErr)
+				})
+			})
 		})
 	}
 }
@@ -293,8 +332,304 @@ func BenchmarkOptimizeCostMatrix(b *testing.B) {
 	versions, payloads := generatedVersions(b, 240, 1)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := costMatrix(context.Background(), versions, payloads, 5); err != nil {
+		if _, _, err := costMatrix(context.Background(), versions, payloads, 5, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// history commits random CSV versions onto a repository: evolving
+// branches, new branches and merges, and now and then a payload without a
+// trailing newline (no delta edge may enter one).
+type history struct {
+	t      *testing.T
+	rng    *rand.Rand
+	tables map[int]*dataset.Table // version → the table it was built from
+	tips   []string               // branches, DefaultBranch first
+}
+
+func newHistory(t *testing.T, seed int64) *history {
+	return &history{t: t, rng: rand.New(rand.NewSource(seed)), tables: map[int]*dataset.Table{}}
+}
+
+// payload encodes tb, cutting the final newline off one payload in five.
+func (h *history) payload(tb *dataset.Table) []byte {
+	b, err := tb.EncodeCSV()
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if h.rng.Intn(5) == 0 {
+		b = append(b, "unterminated"...)
+	}
+	return b
+}
+
+// evolve applies a random edit script to version v's table.
+func (h *history) evolve(v int) *dataset.Table {
+	tb := h.tables[v]
+	out, err := dataset.RandomScript(h.rng, tb.NumRows(), tb.NumCols(), 2).Apply(tb)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return out
+}
+
+// step makes n random operations on r: mostly commits, some branches, some
+// merges. merges=false keeps every new version a leaf with one parent.
+func (h *history) step(r *Repo, n int, merges bool) {
+	h.t.Helper()
+	for range n {
+		if r.NumVersions() == 0 {
+			tb := dataset.Random(h.rng, 40, 5)
+			id, err := r.Commit(DefaultBranch, h.payload(tb), "root")
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			h.tables[id], h.tips = tb, []string{DefaultBranch}
+			continue
+		}
+		branch := h.tips[h.rng.Intn(len(h.tips))]
+		tip, err := r.Tip(branch)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		switch k := h.rng.Intn(10); {
+		case k == 0:
+			name := fmt.Sprintf("b%d", len(h.tips))
+			if err := r.Branch(name, h.rng.Intn(r.NumVersions())); err != nil {
+				h.t.Fatal(err)
+			}
+			h.tips = append(h.tips, name)
+		case k == 1 && merges && len(h.tips) > 1:
+			other, err := r.Tip(h.tips[h.rng.Intn(len(h.tips))])
+			if err != nil || other == tip {
+				continue
+			}
+			tb := h.evolve(tip)
+			id, err := r.Merge(branch, other, h.payload(tb), "merge")
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			h.tables[id] = tb
+		default:
+			tb := h.evolve(tip)
+			id, err := r.Commit(branch, h.payload(tb), "commit")
+			if err != nil {
+				h.t.Fatal(err)
+			}
+			h.tables[id] = tb
+		}
+	}
+}
+
+// snapshotOf copies r's versions, memo and payloads, as Optimize's
+// snapshot does.
+func snapshotOf(t *testing.T, r *Repo) ([]VersionInfo, [][]byte, costs.PairSizes) {
+	t.Helper()
+	r.mu.RLock()
+	versions := append([]VersionInfo(nil), r.meta.Versions...)
+	view := r.layout.Snapshot()
+	memo := r.pairs
+	r.mu.RUnlock()
+	payloads, err := view.CheckoutAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return versions, payloads, memo
+}
+
+// checkMemo asserts that r's pair-size memo covers every pair revealed at
+// hops, that the matrix built from it is the from-scratch matrix entry for
+// entry, and that every pair it holds — of any radius — carries exactly
+// the sizes the differ computes.
+func checkMemo(t *testing.T, r *Repo, hops int) {
+	t.Helper()
+	ctx := context.Background()
+	versions, payloads, memo := snapshotOf(t, r)
+	want, _, err := costMatrix(ctx, versions, payloads, hops, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, fresh, err := costMatrix(ctx, versions, payloads, hops, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != 0 {
+		t.Fatalf("memo misses %d pairs revealed at radius %d", len(fresh), hops)
+	}
+	sameMatrix(t, got, want)
+	checkMemoSizes(t, payloads, memo)
+}
+
+// checkMemoSizes asserts that every pair in memo carries exactly the sizes
+// the differ computes from payloads.
+func checkMemoSizes(t *testing.T, payloads [][]byte, memo costs.PairSizes) {
+	t.Helper()
+	held := make([][]int, len(payloads))
+	for _, p := range memo {
+		held[p.S] = append(held[p.S], int(p.U))
+	}
+	_, truth, err := costs.LineDiffs(context.Background(), payloads, held, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(truth, memo) {
+		t.Fatalf("memo holds sizes the differ does not compute (%d pairs, %d recomputed)", len(memo), len(truth))
+	}
+}
+
+// follow brings a replica up to the primary's log head: the snapshot first
+// when its cursor predates the last compaction, then the records.
+func follow(t *testing.T, rep, primary *Repo) {
+	t.Helper()
+	applied, _, _ := rep.ReplicaStatus()
+	view, err := primary.LogTail(context.Background(), applied, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Snapshot != nil {
+		if err := rep.ApplySnapshot(view.Snapshot, view.BaseSeq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rep.ApplyRecords(view.Records); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// memoSequence drives one repository through the life the pair-size memo
+// must survive, optimizing with solver: random commits, branches and
+// merges; Optimize; more history; Optimize at another radius; a reopen
+// that replays the log tail; a forced compaction and a reopen from the
+// snapshot; Optimize with nothing new; more history; Optimize. After each
+// Optimize, check sees the repository, the radius and Optimize's error.
+// A replica follows the log record by record and another bootstraps from
+// the final snapshot; both must end with the primary's memo.
+func memoSequence(t *testing.T, solver string, check func(t *testing.T, r *Repo, hops int, err error)) {
+	mem := store.NewMemStore()
+	r, err := InitBackend(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := OpenReplica(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHistory(t, 23)
+	optimize := func(hops int) {
+		t.Helper()
+		_, err := r.Optimize(context.Background(), OptimizeOptions{
+			Request: solve.Request{Solver: solver}, RevealHops: hops, NoAutoWeights: true,
+		})
+		check(t, r, hops, err)
+		follow(t, rep, r)
+	}
+	reopen := func() {
+		t.Helper()
+		_, _, memo := snapshotOf(t, r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = OpenBackend(mem); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, got := snapshotOf(t, r); !slices.Equal(got, memo) {
+			t.Fatalf("reopen: memo of %d pairs, want the %d before", len(got), len(memo))
+		}
+	}
+	h.step(r, 20, true)
+	optimize(3)
+	h.step(r, 8, true)
+	optimize(5)
+	reopen()
+	r.mu.Lock()
+	err = r.compact()
+	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen()
+	optimize(5)
+	h.step(r, 4, true)
+	optimize(5)
+	fresh, err := OpenReplica(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follow(t, fresh, r)
+	_, _, memo := snapshotOf(t, r)
+	for name, replica := range map[string]*Repo{"following": rep, "bootstrapped": fresh} {
+		if _, _, got := snapshotOf(t, replica); !slices.Equal(got, memo) {
+			t.Errorf("%s replica: memo of %d pairs, want the primary's %d", name, len(got), len(memo))
+		}
+	}
+}
+
+// revealedCount counts the pairs revealed at hops among r's versions, and
+// those among them whose later end is at or past from.
+func revealedCount(r *Repo, hops, from int) (all, touching int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, us := range revealPairs(r.meta.Versions, len(r.meta.Versions), hops) {
+		for _, u := range us {
+			all++
+			if u >= from {
+				touching++
+			}
+		}
+	}
+	return all, touching
+}
+
+// TestOptimizeSizesOnlyNewPairs is the proportional-work property of the
+// pair-size memo: a canceled Optimize installs none of what it sized, the
+// first Optimize sizes every revealed pair, a second one with no commits
+// in between sizes none (so LineDiffs builds no LineTable), and after k
+// commits an Optimize sizes exactly the revealed pairs that touch the k
+// new versions.
+func TestOptimizeSizesOnlyNewPairs(t *testing.T) {
+	r, err := InitBackend(store.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHistory(t, 5)
+	h.step(r, 30, true)
+	optimize := func() int64 {
+		t.Helper()
+		before := r.pairsSized.Load()
+		if _, err := r.Optimize(context.Background(), OptimizeOptions{Request: solve.Request{Solver: "lmg"}}); err != nil {
+			t.Fatalf("Optimize: %v", err)
+		}
+		return r.pairsSized.Load() - before
+	}
+	all, _ := revealedCount(r, 5, 0)
+	// An Optimize canceled after its diff phase installs nothing it sized.
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = r.Optimize(ctx, OptimizeOptions{
+		Request: solve.Request{Solver: "lmg"},
+		Progress: func(phase string) {
+			if phase == "solve" {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, solve.ErrCanceled) || r.pairsSized.Load() != int64(all) || len(r.pairs) != 0 {
+		t.Fatalf("Optimize canceled after its diff: err %v, %d pairs sized, memo of %d; want ErrCanceled, %d sized, none installed",
+			err, r.pairsSized.Load(), len(r.pairs), all)
+	}
+	if got := optimize(); got != int64(all) || all == 0 {
+		t.Fatalf("first Optimize sized %d pairs, want all %d revealed", got, all)
+	}
+	if got := optimize(); got != 0 {
+		t.Fatalf("second Optimize with no commits sized %d pairs, want 0", got)
+	}
+	for _, k := range []int{1, 3, 8} {
+		n := r.NumVersions()
+		h.step(r, k, false) // leaves only: no new path between old versions
+		_, touching := revealedCount(r, 5, n)
+		if got := optimize(); got != int64(touching) {
+			t.Fatalf("after %d commits: Optimize sized %d pairs, want the %d touching the new versions", r.NumVersions()-n, got, touching)
+		}
+		checkMemo(t, r, 5)
 	}
 }

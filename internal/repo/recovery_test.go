@@ -11,6 +11,8 @@ package repo
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -20,7 +22,9 @@ import (
 	"testing"
 	"time"
 
+	"versiondb/internal/costs"
 	"versiondb/internal/delta"
+	"versiondb/internal/solve"
 	"versiondb/internal/store"
 	"versiondb/internal/store/faultfs"
 	"versiondb/internal/store/remote"
@@ -350,4 +354,244 @@ func TestOpenMigratesPreMetalogRepository(t *testing.T) {
 		t.Fatalf("OpenBackend (recover): %v", err)
 	}
 	check(r2, 7+uint64(len(payloads)))
+}
+
+// memoCrashWorkload drives a history whose log carries the pair-size
+// memo: five commits, an Optimize (a swap record with pairs), a commit, a
+// compaction (a snapshot with the memo) and a second Optimize. Every step
+// is best-effort. It returns the memo after each Optimize that swapped.
+func memoCrashWorkload(b store.Backend, payloads [][]byte) []costs.PairSizes {
+	r, err := InitBackend(b)
+	if err != nil {
+		return nil
+	}
+	var memos []costs.PairSizes
+	optimize := func() {
+		if _, err := r.Optimize(context.Background(), OptimizeOptions{Request: solve.Request{Solver: "lmg"}}); err == nil {
+			memos = append(memos, r.pairs)
+		}
+	}
+	for i, p := range payloads[:5] {
+		_, _ = r.Commit(DefaultBranch, p, fmt.Sprintf("c%d", i))
+	}
+	optimize()
+	_, _ = r.Commit(DefaultBranch, payloads[5], "c5")
+	r.mu.Lock()
+	_ = r.compact()
+	r.mu.Unlock()
+	optimize()
+	return memos
+}
+
+// TestRecoveryMemoEveryCrashPoint cuts power at every byte (or, by
+// default, at a stride through the bytes) of memoCrashWorkload. Whatever
+// prefix reopens, the memo is exactly the snapshot's plus the pairs of the
+// whole swap records replayed after it — a torn swap record loses its
+// swap and its pairs together — so it is one of the memos the uncut run
+// held, and every size in it is what the differ computes.
+func TestRecoveryMemoEveryCrashPoint(t *testing.T) {
+	payloads := [][]byte{
+		[]byte("k,v\na,1\nb,2\n"),
+		[]byte("k,v\na,1\nb,2\nc,3\n"),
+		[]byte("k,v\na,9\nb,2\nc,3\n"),
+		[]byte("k,v\na,9\nb,2\nc,3"),
+		[]byte("k,v\na,9\nc,3\nd,4\n"),
+		[]byte("k,v\na,1\nd,4\n"),
+	}
+	dry := faultfs.Wrap(store.NewMemStore())
+	uncut := memoCrashWorkload(dry, payloads)
+	if len(uncut) != 2 || len(uncut[1]) <= len(uncut[0]) {
+		t.Fatalf("uncut run: memos %v, want two, the second larger", uncut)
+	}
+	w := dry.BytesWritten()
+	stride := w/512 + 1
+	if os.Getenv("RECOVERY_EXHAUSTIVE") != "" {
+		stride = 1
+	}
+	seen := map[int]bool{}
+	// Timestamps vary record sizes by a byte or two between runs, so the
+	// sweep ends with a budget past the dry run's: the uncut history.
+	for k := int64(0); k <= w+stride; k += stride {
+		inner := store.NewMemStore()
+		fault := faultfs.Wrap(inner)
+		fault.SetCrashAfter(k)
+		memoCrashWorkload(fault, payloads)
+
+		r, err := OpenBackend(inner)
+		if err != nil {
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("k=%d: reopen failed with %v, want ErrNotExist or success", k, err)
+			}
+			continue
+		}
+		view, err := r.log.ReadFrom(0)
+		if err != nil {
+			t.Fatalf("k=%d: ReadFrom: %v", k, err)
+		}
+		var replayed costs.PairSizes
+		fold := func(rows pairRows) {
+			t.Helper()
+			added, err := rows.memo(r.NumVersions())
+			if err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+			replayed = replayed.With(added)
+		}
+		if view.Snapshot != nil {
+			var st snapshotState
+			if err := json.Unmarshal(view.Snapshot, &st); err != nil {
+				t.Fatalf("k=%d: snapshot: %v", k, err)
+			}
+			fold(st.Pairs)
+		}
+		for _, rec := range view.Records {
+			if rec.Type != recLayoutSwap {
+				continue
+			}
+			var sr layoutSwapRecord
+			if err := json.Unmarshal(rec.Data, &sr); err != nil {
+				t.Fatalf("k=%d: swap record: %v", k, err)
+			}
+			fold(sr.Pairs)
+		}
+		if !slices.Equal(r.pairs, replayed) {
+			t.Fatalf("k=%d: memo of %d pairs, but the replayed log holds %d", k, len(r.pairs), len(replayed))
+		}
+		which := -1
+		for i, m := range append([]costs.PairSizes{{}}, uncut...) {
+			if slices.Equal(r.pairs, m) {
+				which = i
+			}
+		}
+		if which < 0 {
+			t.Fatalf("k=%d: memo of %d pairs is none of the uncut run's", k, len(r.pairs))
+		}
+		seen[which] = true
+		_, payloads, memo := snapshotOf(t, r)
+		checkMemoSizes(t, payloads, memo)
+		if err := r.Close(); err != nil {
+			t.Fatalf("k=%d: Close: %v", k, err)
+		}
+	}
+	if len(seen) != 3 {
+		t.Errorf("the sweep reopened onto memos %v, want all of none, the first and the second", seen)
+	}
+}
+
+// TestOpenLogWithoutPairs opens a log as written before the pair-size
+// memo existed — swap records and a snapshot with no pairs field — onto
+// an empty memo; the repository serves, and its first Optimize sizes every
+// revealed pair into the from-scratch matrix. A record written now still
+// decodes into the older record shape, which ignores the new field.
+func TestOpenLogWithoutPairs(t *testing.T) {
+	mem := store.NewMemStore()
+	r, err := InitBackend(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHistory(t, 9)
+	// oldSwap is the swap record as logs without the memo carry it.
+	oldSwap := func() {
+		t.Helper()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if err := r.appendJSON(recLayoutSwap, struct {
+			Entries []store.Entry `json:"entries"`
+		}{r.layout.Entries}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.step(r, 12, true)
+	oldSwap()
+	r.mu.Lock()
+	err = r.compact() // the memo is empty, so the snapshot has no pairs
+	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.step(r, 6, true)
+	oldSwap()
+	_, payloads, _ := snapshotOf(t, r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if r, err = OpenBackend(mem); err != nil {
+		t.Fatalf("OpenBackend: %v", err)
+	}
+	if len(r.pairs) != 0 {
+		t.Fatalf("memo of %d pairs from a log without any", len(r.pairs))
+	}
+	for v, want := range payloads {
+		if got, err := r.Checkout(v); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Checkout(%d): %v", v, err)
+		}
+	}
+	if _, err := r.Optimize(context.Background(), OptimizeOptions{Request: solve.Request{Solver: "lmg"}}); err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if all, _ := revealedCount(r, 5, 0); r.pairsSized.Load() != int64(all) {
+		t.Fatalf("first Optimize sized %d pairs, want all %d", r.pairsSized.Load(), all)
+	}
+	checkMemo(t, r, 5)
+
+	view, err := r.log.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := view.Records[len(view.Records)-1]
+	var old struct {
+		Entries []store.Entry `json:"entries"`
+	}
+	if last.Type != recLayoutSwap || json.Unmarshal(last.Data, &old) != nil || len(old.Entries) != len(payloads) {
+		t.Fatalf("the new swap record (type %d) does not decode into the older shape", last.Type)
+	}
+}
+
+// TestUnpersistedSwapInstallsNoPairs cuts power inside an Optimize's swap
+// record — the last write it makes — so the swap fails to persist: the
+// repository keeps serving its old layout and its old memo, not one that
+// holds pairs no record carries.
+func TestUnpersistedSwapInstallsNoPairs(t *testing.T) {
+	build := func() (*Repo, *faultfs.Store) {
+		t.Helper()
+		f := faultfs.Wrap(store.NewMemStore())
+		r, err := InitBackend(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newHistory(t, 31).step(r, 10, false)
+		if _, err := r.Optimize(context.Background(), OptimizeOptions{Request: solve.Request{Solver: "lmg"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Commit(DefaultBranch, []byte("k,v\na,1\n"), "one more"); err != nil {
+			t.Fatal(err)
+		}
+		return r, f
+	}
+	optimize := func(r *Repo) error {
+		_, err := r.Optimize(context.Background(), OptimizeOptions{Request: solve.Request{Solver: "lmg"}, ConflictRetries: -1})
+		return err
+	}
+	// A dry run measures what the second Optimize writes; its bytes do not
+	// depend on commit timestamps.
+	dry, f := build()
+	before := f.BytesWritten()
+	if err := optimize(dry); err != nil {
+		t.Fatal(err)
+	}
+	spent := f.BytesWritten() - before
+
+	r, f := build()
+	memo, entries := r.pairs, append([]store.Entry(nil), r.layout.Entries...)
+	f.SetCrashAfter(spent - 1)
+	if err := optimize(r); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("Optimize with its swap record cut: err = %v, want faultfs.ErrCrashed", err)
+	}
+	if !slices.Equal(r.pairs, memo) {
+		t.Fatalf("failed swap installed a memo of %d pairs, want the %d before", len(r.pairs), len(memo))
+	}
+	if !slices.Equal(r.layout.Entries, entries) {
+		t.Fatalf("failed swap installed its layout")
+	}
 }

@@ -105,6 +105,16 @@ type Repo struct {
 	// optConflicts counts copy-on-write swap attempts that found commits
 	// landed mid-solve and had to re-snapshot.
 	optConflicts atomic.Int64
+	// pairs memoizes the delta sizes of every version pair Optimize's
+	// diff phase has sized, keyed by version id (ids are append-only and
+	// payloads immutable, so an entry never goes stale). Guarded by mu and
+	// never modified once installed: Optimize reads it in its snapshot and
+	// uses it off-lock, and a swap installs a merged copy. It persists in
+	// the swap records and the snapshot (see wal.go).
+	pairs costs.PairSizes
+	// pairsSized counts the pairs Optimize found missing from the memo and
+	// differenced, over all attempts.
+	pairsSized atomic.Int64
 
 	// log is the append-only metadata record log, the repository's durable
 	// form; nil only on a replica, which never writes.
@@ -968,8 +978,11 @@ func (r *Repo) Optimize(ctx context.Context, opts OptimizeOptions) (*solve.Resul
 	}
 	r.optMu.Lock()
 	defer r.optMu.Unlock()
+	// sized holds the pairs this call's attempts have sized but no swap
+	// has installed yet: a retry after a lost swap reuses them.
+	var sized costs.PairSizes
 	for attempt := 0; ; attempt++ {
-		res, err := r.optimizeOnce(ctx, opts, progress)
+		res, err := r.optimizeOnce(ctx, opts, progress, &sized)
 		switch {
 		case err == nil:
 			return res, nil
@@ -997,8 +1010,9 @@ func (r *Repo) OptimizeConflicts() int64 { return r.optConflicts.Load() }
 const warmTopK = 64
 
 // optimizeOnce runs one snapshot → solve → swap attempt; the caller holds
-// optMu.
-func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress func(string)) (*solve.Result, error) {
+// optMu. sized carries the pairs earlier attempts of the same call sized;
+// this attempt adds its own, and a successful swap installs and logs them.
+func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress func(string), sized *costs.PairSizes) (*solve.Result, error) {
 	// Phase 1 — snapshot under a read lock held only long enough to copy
 	// the version records and the layout's entry table. Payloads are then
 	// materialized off-lock against the snapshot (entries are immutable
@@ -1014,6 +1028,7 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	}
 	versions := append([]VersionInfo(nil), r.meta.Versions...)
 	view := r.layout.Snapshot()
+	memo := r.pairs
 	r.mu.RUnlock()
 	payloads, err := view.CheckoutAll(ctx)
 	if err != nil {
@@ -1031,10 +1046,14 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 		hops = 5
 	}
 	progress("diff")
-	m, err := costMatrix(ctx, versions, payloads, hops)
+	known := memo.With(*sized)
+	m, fresh, err := costMatrix(ctx, versions, payloads, hops, known)
 	if err != nil {
 		return nil, err
 	}
+	r.pairsSized.Add(int64(len(fresh)))
+	*sized = sized.With(fresh)
+	merged := known.With(fresh)
 	// Per-tier retrieval pricing: recreation replays bytes out of the
 	// backend, so a remote tier multiplies every Φ entry while Δ (bytes
 	// at rest) is tier-independent. Solvers then weigh materializing
@@ -1117,12 +1136,12 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	if r.serving.cacheSize != cfg.cacheSize || r.serving.cacheBytes != cfg.cacheBytes {
 		newLayout.SetCache(r.serving.newCache())
 	}
-	oldLayout := r.layout
-	r.layout = newLayout
-	if err := r.persistSwap(); err != nil {
+	oldLayout, oldPairs := r.layout, r.pairs
+	r.layout, r.pairs = newLayout, merged
+	if err := r.persistSwap(*sized); err != nil {
 		// Keep served state consistent with what was last persisted, as
 		// addVersionLocked does: an unpersisted swap must not be published.
-		r.layout = oldLayout
+		r.layout, r.pairs = oldLayout, oldPairs
 		return nil, err
 	}
 	// Fold the retired layout's I/O counter into the running total so
@@ -1139,15 +1158,16 @@ func optimizeCanceled(cause error) error {
 
 // costMatrix differences all versions within the hop radius of the version
 // graph, producing directed one-way delta costs (costs.LineDiffs) under the
-// same worker bound as the snapshot; ctx is checked once per source
-// version. It operates on a snapshot (versions, payloads) so it can run
-// without holding the repository lock.
-func costMatrix(ctx context.Context, versions []VersionInfo, payloads [][]byte, hops int) (*costs.Matrix, error) {
-	m, err := costs.LineDiffs(ctx, payloads, revealPairs(versions, len(payloads), hops), store.BulkWorkers())
+// same worker bound as the snapshot; ctx is checked once per pair. Pairs
+// in known are not differenced again; the ones that were come back as
+// fresh. It operates on a snapshot (versions, payloads) so it
+// can run without holding the repository lock.
+func costMatrix(ctx context.Context, versions []VersionInfo, payloads [][]byte, hops int, known costs.PairSizes) (*costs.Matrix, costs.PairSizes, error) {
+	m, fresh, err := costs.LineDiffs(ctx, payloads, revealPairs(versions, len(payloads), hops), known, store.BulkWorkers())
 	if err != nil {
-		return nil, optimizeCanceled(err)
+		return nil, nil, optimizeCanceled(err)
 	}
-	return m, nil
+	return m, fresh, nil
 }
 
 // revealPairs lists, for each source version s, the versions u > s within

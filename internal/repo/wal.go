@@ -9,9 +9,11 @@
 package repo
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 
+	"versiondb/internal/costs"
 	"versiondb/internal/store"
 	"versiondb/internal/store/metalog"
 )
@@ -50,9 +52,42 @@ type branchRecord struct {
 }
 
 // layoutSwapRecord is a whole-table replacement from an Optimize swap:
-// O(versions) once per re-layout, which already rewrote every blob.
+// O(versions) once per re-layout, which already rewrote every blob. Pairs
+// are the version pairs that Optimize sized and added to the pair-size
+// memo; logs written before the memo existed have none.
 type layoutSwapRecord struct {
 	Entries []store.Entry `json:"entries"`
+	Pairs   pairRows      `json:"pairs,omitempty"`
+}
+
+// pairRows is a costs.PairSizes in its log form: one [s, u, fwd, bwd] row
+// per pair, in ascending (s, u) order.
+type pairRows [][4]int
+
+// rowsOf converts a memo (or a part of one) to its log form.
+func rowsOf(p costs.PairSizes) pairRows {
+	rows := make(pairRows, len(p))
+	for i, e := range p {
+		rows[i] = [4]int{int(e.S), int(e.U), e.Fwd, e.Bwd}
+	}
+	return rows
+}
+
+// memo converts rows back to a memo, rejecting rows out of order or naming
+// a pair that is not (s, u) with 0 ≤ s < u < n: a record naming a version
+// it does not follow is corrupt.
+func (rows pairRows) memo(n int) (costs.PairSizes, error) {
+	p := make(costs.PairSizes, len(rows))
+	for i, row := range rows {
+		if row[0] < 0 || row[0] >= row[1] || row[1] >= n {
+			return nil, fmt.Errorf("pair (%d,%d) outside %d versions", row[0], row[1], n)
+		}
+		if i > 0 && cmp.Or(cmp.Compare(rows[i-1][0], row[0]), cmp.Compare(rows[i-1][1], row[1])) >= 0 {
+			return nil, fmt.Errorf("pair (%d,%d) out of order", row[0], row[1])
+		}
+		p[i] = costs.PairSize{S: int32(row[0]), U: int32(row[1]), Fwd: row[2], Bwd: row[3]}
+	}
+	return p, nil
 }
 
 // hashRecord backfills a pre-hash version's payload hash.
@@ -75,6 +110,7 @@ type snapshotState struct {
 	Access  json.RawMessage `json:"access,omitempty"`
 	Jobs    []jobRecord     `json:"jobs,omitempty"`    // outstanding, submission order
 	Running []string        `json:"running,omitempty"` // subset of Jobs that had started
+	Pairs   pairRows        `json:"pairs,omitempty"`   // the whole pair-size memo
 }
 
 // RecoveredJob is a durable job the previous process left unfinished, as
@@ -131,11 +167,12 @@ func (r *Repo) persistBranch(name string, from int) error {
 	return nil
 }
 
-// persistSwap durably records an Optimize layout swap; callers hold the
-// write lock with r.layout already pointing at the new table.
-func (r *Repo) persistSwap() error {
+// persistSwap durably records an Optimize layout swap with the pairs it
+// added to the memo; callers hold the write lock with r.layout and r.pairs
+// already installed.
+func (r *Repo) persistSwap(added costs.PairSizes) error {
 	entries := append([]store.Entry(nil), r.layout.Entries...)
-	if err := r.appendJSON(recLayoutSwap, layoutSwapRecord{Entries: entries}); err != nil {
+	if err := r.appendJSON(recLayoutSwap, layoutSwapRecord{Entries: entries, Pairs: rowsOf(added)}); err != nil {
 		return err
 	}
 	r.maybeCompact()
@@ -165,6 +202,7 @@ func (r *Repo) compact() error {
 	st := snapshotState{
 		Meta:    r.meta,
 		Entries: r.layout.Entries,
+		Pairs:   rowsOf(r.pairs),
 	}
 	if doc, err := r.stats.MarshalDoc(); err == nil {
 		st.Access = doc
@@ -227,7 +265,12 @@ func (r *Repo) resetToState(st snapshotState) error {
 	if st.Meta.Branches == nil {
 		st.Meta.Branches = map[string]int{}
 	}
+	pairs, err := st.Pairs.memo(len(st.Meta.Versions))
+	if err != nil {
+		return fmt.Errorf("repo: restore: snapshot: %w", err)
+	}
 	r.meta = st.Meta
+	r.pairs = pairs
 	r.stats = store.LoadAccessStatsData(st.Access)
 	r.jobMu.Lock()
 	r.jobsOutstanding = map[string]string{}
@@ -291,7 +334,12 @@ func (r *Repo) applyRecord(record metalog.Record) error {
 			return fmt.Errorf("repo: restore: swap record seq %d: %d entries for %d versions",
 				record.Seq, len(sr.Entries), len(r.meta.Versions))
 		}
+		added, err := sr.Pairs.memo(len(r.meta.Versions))
+		if err != nil {
+			return fmt.Errorf("repo: restore: swap record seq %d: %w", record.Seq, err)
+		}
 		r.installLayout(store.NewLayoutFromEntries(r.backend, sr.Entries))
+		r.pairs = r.pairs.With(added)
 	case recAccess:
 		r.stats.ApplyDelta(record.Data)
 	case recHash:

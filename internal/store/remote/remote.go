@@ -323,7 +323,7 @@ func (s *Store) PutMeta(name string, data []byte) error {
 // error satisfying errors.Is(err, fs.ErrNotExist). Meta documents are
 // mutable, so they are never cached.
 func (s *Store) GetMeta(name string) ([]byte, error) {
-	data, err := s.getObject(context.Background(), metaPrefix+name)
+	data, err := s.getObject(context.Background(), metaPrefix+name, false)
 	if err != nil {
 		return nil, fmt.Errorf("remote: meta %s: %w", name, err)
 	}
@@ -408,7 +408,7 @@ func (s *Store) hedgedGet(ctx context.Context, key string) ([]byte, error) {
 	delay := s.hedgeDelay()
 	start := time.Now()
 	if delay < 0 {
-		data, err := s.getObject(ctx, key)
+		data, err := s.getObject(ctx, key, false)
 		if err == nil {
 			s.lat.observe(time.Since(start))
 		}
@@ -425,7 +425,7 @@ func (s *Store) hedgedGet(ctx context.Context, key string) ([]byte, error) {
 	ch := make(chan result, 2)
 	launch := func(hedge bool) {
 		go func() {
-			data, err := s.getObject(ctx, key)
+			data, err := s.getObject(ctx, key, hedge)
 			ch <- result{data, err, hedge}
 		}()
 	}
@@ -489,12 +489,17 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// hedgeHeader marks a hedged read's second request, so the server can
+// tell it from the request it races (see Server.DelayOnce).
+const hedgeHeader = "X-Hedge"
+
 // getObject GETs one object with retry. 404 maps to fs.ErrNotExist.
-func (s *Store) getObject(ctx context.Context, key string) ([]byte, error) {
+// hedge marks the requests as a hedged read's second arm.
+func (s *Store) getObject(ctx context.Context, key string, hedge bool) ([]byte, error) {
 	var data []byte
 	err := s.withRetry(ctx, func() error {
 		var err error
-		data, err = s.getOnce(ctx, key)
+		data, err = s.getOnce(ctx, key, hedge)
 		return err
 	})
 	return data, err
@@ -502,10 +507,13 @@ func (s *Store) getObject(ctx context.Context, key string) ([]byte, error) {
 
 // getOnce is a single GET attempt. Transport errors, 5xx, and short
 // bodies (Content-Length mismatch — a torn response) are transient.
-func (s *Store) getOnce(ctx context.Context, key string) ([]byte, error) {
+func (s *Store) getOnce(ctx context.Context, key string, hedge bool) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/o/"+key, nil)
 	if err != nil {
 		return nil, fmt.Errorf("get %s: %w", key, err)
+	}
+	if hedge {
+		req.Header.Set(hedgeHeader, "1")
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
@@ -659,7 +667,7 @@ type logDevice struct {
 // ReadAll returns the log's contents; a log never appended to is empty,
 // matching the local devices' create-on-open semantics.
 func (d *logDevice) ReadAll() ([]byte, error) {
-	data, err := d.s.getObject(context.Background(), d.key)
+	data, err := d.s.getObject(context.Background(), d.key, false)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}

@@ -21,8 +21,11 @@ import (
 // and per-key latency, periodic 5xx bursts, and torn responses (correct
 // Content-Length, half the body, then a dropped connection) are all
 // injectable, so the client's hedging and retry paths can be driven
-// deterministically. The fault knobs default to off; a Server with no
-// faults configured behaves like a plain object store.
+// deterministically. The periodic faults hit each request (method and
+// key) at most once, so a client's retry gets through however concurrent
+// clients interleave on the shared counters. The fault knobs default to
+// off; a Server with no faults configured behaves like a plain object
+// store.
 type Server struct {
 	mu      sync.Mutex
 	objects map[string][]byte
@@ -37,11 +40,14 @@ type Server struct {
 	tearEvery int64                    // every nth GET /o/ response tears
 	slowEvery int64                    // every nth GET /o/ sleeps slowFor
 	slowFor   time.Duration
+	// faulted holds the "METHOD key" of every request a FailEvery or
+	// TearEvery fault has hit; neither hits one twice.
+	faulted map[string]bool
 }
 
 // NewServer returns an empty object server with no faults configured.
 func NewServer() *Server {
-	return &Server{objects: map[string][]byte{}, delayOnce: map[string]time.Duration{}}
+	return &Server{objects: map[string][]byte{}, delayOnce: map[string]time.Duration{}, faulted: map[string]bool{}}
 }
 
 // SetLatency makes every request sleep d before answering (0 disables).
@@ -53,7 +59,9 @@ func (s *Server) SetLatency(d time.Duration) {
 
 // DelayOnce makes the next GET of the object at key sleep d before
 // answering; the delay is consumed by that one request — the following
-// GET of the same key (a hedge, or a retry) answers at normal speed.
+// GET of the same key (a retry) answers at normal speed. A hedge request
+// never takes the delay: it stalls the request a hedge races, not a
+// losing hedge of an earlier read that arrives after DelayOnce.
 func (s *Server) DelayOnce(key string, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,9 +76,10 @@ func (s *Server) FailNext(n int) {
 	s.failNext = n
 }
 
-// FailEvery makes every nth request answer 503 (0 disables). With n ≥ 2
-// an immediate retry always succeeds, so a retrying client makes
-// progress through an arbitrarily long workload.
+// FailEvery makes every nth request answer 503 (0 disables), except a
+// request whose method and key a periodic fault has already hit: a retry
+// always gets past it, so a retrying client makes progress through an
+// arbitrarily long workload, however many clients share the count.
 func (s *Server) FailEvery(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,7 +89,8 @@ func (s *Server) FailEvery(n int) {
 // TearEvery tears every nth GET /o/ response (0 disables): the handler
 // declares the full Content-Length, writes half the body, and drops the
 // connection — what a mid-transfer network failure looks like to the
-// client, which must detect the short body and retry.
+// client, which must detect the short body and retry. Like FailEvery, it
+// spares a key a periodic fault has already hit.
 func (s *Server) TearEvery(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,29 +145,34 @@ type faultDecision struct {
 
 // decide consumes the fault state for one request. isGet marks GET /o/
 // fetches (the only requests that tear, slow, or honor DelayOnce).
-func (s *Server) decide(isGet bool, key string) faultDecision {
+func (s *Server) decide(isGet bool, r *http.Request) faultDecision {
+	key := r.PathValue("key")
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.requests++
 	var d faultDecision
 	d.sleep = s.latency
+	req := r.Method + " " + key
+	spared := s.faulted[req]
 	if s.failNext > 0 {
 		s.failNext--
 		d.fail = true
-	} else if s.failEvery > 0 && s.requests%s.failEvery == 0 {
+	} else if s.failEvery > 0 && s.requests%s.failEvery == 0 && !spared {
 		d.fail = true
+		s.faulted[req] = true
 	}
 	if isGet {
 		s.gets++
-		if delay, ok := s.delayOnce[key]; ok {
+		if delay, ok := s.delayOnce[key]; ok && r.Header.Get(hedgeHeader) == "" {
 			delete(s.delayOnce, key)
 			d.sleep += delay
 		}
 		if s.slowEvery > 0 && s.gets%s.slowEvery == 0 {
 			d.sleep += s.slowFor
 		}
-		if s.tearEvery > 0 && s.gets%s.tearEvery == 0 {
+		if s.tearEvery > 0 && s.gets%s.tearEvery == 0 && !spared {
 			d.tear = true
+			s.faulted[req] = true
 		}
 	}
 	return d
@@ -183,7 +198,7 @@ func sleep(r *http.Request, d time.Duration) bool {
 // applyFaults runs the decided faults; it reports whether the handler
 // should continue to its real work.
 func (s *Server) applyFaults(w http.ResponseWriter, r *http.Request, isGet bool) (faultDecision, bool) {
-	d := s.decide(isGet, r.PathValue("key"))
+	d := s.decide(isGet, r)
 	if !sleep(r, d.sleep) {
 		return d, false // client gone; any status is unobservable
 	}

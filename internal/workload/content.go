@@ -94,7 +94,8 @@ func (c *Contents) Costs(hops int, directed bool, mode DeltaMode) (*costs.Matrix
 				}
 			}
 		}
-		return costs.LineDiffs(context.Background(), c.Payload[:n], later, store.BulkWorkers())
+		m, _, err := costs.LineDiffs(context.Background(), c.Payload[:n], later, nil, store.BulkWorkers())
+		return m, err
 	}
 	m := costs.NewMatrix(n, directed)
 	for v := 0; v < n; v++ {

@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -244,5 +245,49 @@ func TestCompressShrinksRedundantInput(t *testing.T) {
 func TestDecompressCorrupt(t *testing.T) {
 	if _, err := Decompress([]byte{0x00, 0x01, 0x02}); err == nil {
 		t.Errorf("Decompress accepted garbage")
+	}
+}
+
+// TestApplyReaderWindowReuse: a stage hands its source window back for
+// reuse once it is finished, never while a stack still reads through it.
+// A stack paused mid-stream — each stage past its last hunk, copying the
+// tail through its window — must come out intact however many other
+// stacks run to completion, recycling windows, in between.
+func TestApplyReaderWindowReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	chain := [][]byte{randomLines(rng, 6000)} // ≈ 54 KB: windows fill
+	var encs [][]byte
+	for i := 0; i < 4; i++ {
+		// Edit only the first lines, so the tail is a long copy.
+		head := bytes.SplitAfterN(chain[i], []byte("\n"), 21)
+		next := append(mutate(rng, bytes.Join(head[:20], nil)), head[20]...)
+		encs = append(encs, Encode(DiffLines(chain[i], next), i%2 == 0))
+		chain = append(chain, next)
+	}
+	stack := func() io.Reader {
+		var r io.Reader = bytes.NewReader(chain[0])
+		for _, enc := range encs {
+			r = ApplyReader(enc, r)
+		}
+		return r
+	}
+	want := chain[len(chain)-1]
+	paused := stack()
+	head := make([]byte, 40<<10)
+	if _, err := io.ReadFull(paused, head); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		got, err := io.ReadAll(stack())
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("stack %d: %v (equal=%v)", i, err, bytes.Equal(got, want))
+		}
+	}
+	rest, err := io.ReadAll(paused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(head, rest...); !bytes.Equal(got, want) {
+		t.Fatal("paused stack diverged after other stacks recycled their windows")
 	}
 }

@@ -151,38 +151,14 @@ func Decode(enc []byte) (*LineDelta, bool, error) {
 }
 
 // ApplyEncoded decodes and applies an encoded delta to src. One-way deltas
-// skip the deleted-content context check.
+// decode to count-only hunks, which Apply consumes by NumDel without a
+// deleted-content context check.
 func ApplyEncoded(enc, src []byte) ([]byte, error) {
-	d, oneWay, err := Decode(enc)
+	d, _, err := Decode(enc)
 	if err != nil {
 		return nil, err
 	}
-	if !oneWay {
-		return d.Apply(src)
-	}
-	return applyCounts(d, src)
-}
-
-// applyCounts applies a one-way delta whose hunks carry deletion counts
-// (DelCount) rather than deleted content.
-func applyCounts(d *LineDelta, src []byte) ([]byte, error) {
-	lines := SplitLines(src)
-	var out []string
-	pos := 0
-	for hi := range d.Hunks {
-		h := &d.Hunks[hi]
-		if h.SrcPos < pos || h.SrcPos > len(lines) {
-			return nil, fmt.Errorf("delta: hunk %d at %d out of order", hi, h.SrcPos)
-		}
-		out = append(out, lines[pos:h.SrcPos]...)
-		pos = h.SrcPos + h.NumDel()
-		if pos > len(lines) {
-			return nil, fmt.Errorf("delta: hunk %d deletes past end of source", hi)
-		}
-		out = append(out, h.Ins...)
-	}
-	out = append(out, lines[pos:]...)
-	return JoinLines(out), nil
+	return d.Apply(src)
 }
 
 // Compress deflates b at the default level. Compressing a delta lowers its

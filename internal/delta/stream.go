@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Reader-based delta application for the line codec, the only delta codec
@@ -23,6 +24,13 @@ import (
 // deep composed stack stays cheap.
 const applyReaderBufSize = 32 << 10
 
+// windows recycles the source windows of finished stages: a cold checkout
+// applies one stage per chain edge and drains most of them to EOF. A
+// sync.Pool rather than a bounded free list (as the gzip coders in
+// internal/vcs use) because the number of windows in use scales with
+// chain depth, not with GOMAXPROCS.
+var windows = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, applyReaderBufSize) }}
+
 // errReader delivers a construction-time failure on first Read, so
 // ApplyReader can keep a reader-only signature.
 type errReader struct{ err error }
@@ -39,11 +47,9 @@ func ApplyReader(enc []byte, src io.Reader) io.Reader {
 	if err != nil {
 		return errReader{err}
 	}
-	return &lineApplyReader{
-		src:    bufio.NewReaderSize(src, applyReaderBufSize),
-		hunks:  d.Hunks,
-		twoWay: !oneWay,
-	}
+	w := windows.Get().(*bufio.Reader)
+	w.Reset(src)
+	return &lineApplyReader{src: w, hunks: d.Hunks, twoWay: !oneWay}
 }
 
 // lineApplyReader states. The machine moves copy → hunk → del → ins → copy
@@ -64,7 +70,7 @@ const (
 // the source's final line may lack its newline (SplitLines counts it as a
 // line anyway), which EOF handling completes.
 type lineApplyReader struct {
-	src    *bufio.Reader
+	src    *bufio.Reader // nil once finished: the window is back in windows
 	hunks  []Hunk
 	twoWay bool
 
@@ -117,6 +123,13 @@ func (r *lineApplyReader) Read(p []byte) (int, error) {
 			}
 			return 0, err
 		}
+	}
+	if r.state == larDone && r.src != nil {
+		// Finished: the source is never read again, so its window can
+		// serve another stage.
+		r.src.Reset(nil)
+		windows.Put(r.src)
+		r.src = nil
 	}
 	if n == 0 {
 		if r.state == larDone {

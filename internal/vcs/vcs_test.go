@@ -62,6 +62,38 @@ func TestCommitCheckoutOverHTTP(t *testing.T) {
 	}
 }
 
+// TestEmptyPayloadOverHTTP: an empty version round-trips through
+// GET /checkout, cold and then cached.
+func TestEmptyPayloadOverHTTP(t *testing.T) {
+	r, err := repo.Init(t.TempDir())
+	if err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	r.EnableCacheBytes(1 << 20)
+	srv := httptest.NewServer(NewServer(r).Handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL)
+	if _, err := c.Commit(repo.DefaultBranch, payload(t, 1, 3), "root"); err != nil {
+		t.Fatalf("Commit root: %v", err)
+	}
+	v, err := c.Commit(repo.DefaultBranch, nil, "empty")
+	if err != nil {
+		t.Fatalf("Commit empty: %v", err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := c.Checkout(v)
+		if err != nil {
+			t.Fatalf("pass %d: Checkout(%d): %v", pass, v, err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("pass %d: Checkout(%d) = %q, want empty", pass, v, got)
+		}
+	}
+	if hits, _ := r.CacheStats(); hits == 0 {
+		t.Error("second checkout of the empty version missed the cache")
+	}
+}
+
 func TestBranchMergeLogOverHTTP(t *testing.T) {
 	c := newClientServer(t)
 	if _, err := c.Commit(repo.DefaultBranch, payload(t, 2, 30), "root"); err != nil {

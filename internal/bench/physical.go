@@ -91,7 +91,7 @@ func physicalRow(payloads [][]byte, sol *solve.Solution) (PhysicalRow, error) {
 	if err != nil {
 		return PhysicalRow{}, err
 	}
-	layout, err := store.BuildLayout(s, payloads, sol.Tree, false)
+	layout, err := store.BuildLayout(s, payloads, sol.Tree, false, nil)
 	if err != nil {
 		return PhysicalRow{}, err
 	}

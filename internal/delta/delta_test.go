@@ -5,35 +5,38 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestSplitJoinLines(t *testing.T) {
+// TestSplitLinesEdgeCases pins SplitLines on the inputs where a splitter
+// most easily goes wrong: empty input, lone and doubled newlines, a final
+// line without its newline, and a CRLF line, whose '\r' stays in the line.
+func TestSplitLinesEdgeCases(t *testing.T) {
 	cases := []struct {
 		in   string
 		want []string
 	}{
 		{"", nil},
-		{"a\n", []string{"a"}},
+		{"\n", []string{""}},
+		{"\n\n", []string{"", ""}},
 		{"a", []string{"a"}},
+		{"a\n", []string{"a"}},
 		{"a\nb\n", []string{"a", "b"}},
 		{"a\n\nb", []string{"a", "", "b"}},
-		{"\n", []string{""}},
+		{"a\r\nb\n", []string{"a\r", "b"}},
 	}
 	for _, tc := range cases {
 		got := SplitLines([]byte(tc.in))
-		if len(got) != len(tc.want) {
+		if !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
 			t.Errorf("SplitLines(%q) = %q, want %q", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("SplitLines(%q)[%d] = %q, want %q", tc.in, i, got[i], tc.want[i])
-			}
 		}
 	}
+}
+
+func TestSplitJoinLines(t *testing.T) {
 	if got := JoinLines([]string{"a", "b"}); string(got) != "a\nb\n" {
 		t.Errorf("JoinLines = %q", got)
 	}

@@ -20,6 +20,7 @@ package delta
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -64,16 +65,15 @@ func SplitLines(b []byte) []string {
 	if s[len(s)-1] == '\n' {
 		s = s[:len(s)-1]
 	}
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
+	lines := make([]string, 0, strings.Count(s, "\n")+1)
+	for {
+		i := strings.IndexByte(s, '\n')
+		if i < 0 {
+			return append(lines, s)
 		}
+		lines = append(lines, s[:i])
+		s = s[i+1:]
 	}
-	lines = append(lines, s[start:])
-	return lines
 }
 
 // JoinLines is the inverse of SplitLines (always emits a trailing newline

@@ -314,3 +314,71 @@ func TestSPTParallelEdgesPickCheapest(t *testing.T) {
 		t.Errorf("SPT distance %g, want 7", tr.RecreationCosts()[1])
 	}
 }
+
+// versionGraphInstance builds a directed graph shaped like Optimize's
+// augmented cost graph: vertex 0 is the root with a materialization arc to
+// every version, versions hang off a random bushy version tree, and each
+// pair within hops of each other in that tree gets a delta arc each way of
+// nearly equal cost, growing with the distance. Cheapest in-arcs then close
+// many 2-cycles, which is what makes Chu-Liu/Edmonds contract.
+func versionGraphInstance(rng *rand.Rand, n, hops int) *Graph {
+	g := New(n, true)
+	adj := make([][]int, n)
+	for v := 2; v < n; v++ {
+		p := max(1, v-1-rng.Intn(6))
+		adj[p] = append(adj[p], v)
+		adj[v] = append(adj[v], p)
+	}
+	for v := 1; v < n; v++ {
+		size := float64(6000 + rng.Intn(2000))
+		g.AddEdge(0, v, size, size)
+	}
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	for s := 1; s < n; s++ {
+		queue := []int{s}
+		dist[s] = 0
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			if dist[v] == hops {
+				continue
+			}
+			for _, u := range adj[v] {
+				if dist[u] != -1 {
+					continue
+				}
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+				if s < u {
+					c := float64(40*dist[u] + rng.Intn(30))
+					g.AddEdge(s, u, c, c)
+					g.AddEdge(u, s, c+float64(rng.Intn(3)), c)
+				}
+			}
+		}
+		for _, v := range queue {
+			dist[v] = -1
+		}
+	}
+	return g
+}
+
+var mcaSink *Tree
+
+// BenchmarkMCA times the minimum-cost arborescence on a 500-vertex
+// version-graph-shaped instance with hop-5 neighbourhoods; B/op shows what
+// each contraction level allocates.
+func BenchmarkMCA(b *testing.B) {
+	g := versionGraphInstance(rand.New(rand.NewSource(1)), 500, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := MCA(g, 0, ByStorage)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mcaSink = t
+	}
+}

@@ -6,7 +6,9 @@ import "fmt"
 // rooted at root using the Chu-Liu/Edmonds algorithm with cycle contraction,
 // minimizing the selected weight. This is the directed-case solver for the
 // paper's Problem 1 (§3 cites Edmonds/Tarjan; we implement the classic
-// O(EV) contraction scheme, which is ample at reproduction scale).
+// O(EV) contraction scheme, which is ample at reproduction scale). Each
+// contraction level allocates its arc list once, sized to the level above;
+// the O(E log V) Tarjan/Gabow–Galil–Spencer–Tarjan variant is still open.
 //
 // It returns an error when some vertex is unreachable from root.
 func MCA(g *Graph, root int, w Weight) (*Tree, error) {
@@ -110,10 +112,11 @@ func edmonds(n, root int, arcs []arc) ([]int, bool) {
 		}
 	}
 	// Step 3: build the contracted arc list. meta[i] records, for contracted
-	// arc i, the original arc index and its original head vertex.
+	// arc i, the original arc index and its original head vertex. Neither
+	// can outgrow arcs, so each is allocated once at that capacity.
 	type metaEntry struct{ origIdx, origHead int }
-	var contracted []arc
-	var meta []metaEntry
+	contracted := make([]arc, 0, len(arcs))
+	meta := make([]metaEntry, 0, len(arcs))
 	for i, a := range arcs {
 		nu, nv := id[a.u], id[a.v]
 		if nu == nv {

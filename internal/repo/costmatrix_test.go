@@ -175,7 +175,7 @@ func layoutOf(t *testing.T, m *costs.Matrix, versions []VersionInfo, payloads []
 	if err != nil {
 		return nil, err
 	}
-	l, err := store.BuildLayout(store.NewMemStore(), payloads, res.Tree, false)
+	l, err := store.BuildLayout(store.NewMemStore(), payloads, res.Tree, false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout(%s): %v", name, err)
 	}

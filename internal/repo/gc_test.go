@@ -211,3 +211,79 @@ func TestGCSparesShadowBlobsMidBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestGCSparesReusedBlobsAtSwap sweeps from the "swap" progress callback
+// (rewrite done, swap not yet taken, no lock held) during an Optimize that
+// keeps most entries as they were. Until the swap a reused blob is
+// referenced only by the served layout and a rewritten one only by the
+// shadow set, so the sweep must collect neither: every blob of the new
+// layout survives, and every version checks out its committed bytes after
+// the swap and after a second sweep.
+func TestGCSparesReusedBlobsAtSwap(t *testing.T) {
+	mem := store.NewMemStore()
+	r, err := InitBackend(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHistory(t, 5)
+	h.step(r, 30, true)
+	lmg := OptimizeOptions{Request: solve.Request{Solver: "lmg"}, NoAutoWeights: true}
+	if _, err := r.Optimize(context.Background(), lmg); err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	h.step(r, 8, false)
+	if _, err := r.GC(); err != nil { // sweep the retired layout first
+		t.Fatalf("GC: %v", err)
+	}
+	_, payloads, _ := snapshotOf(t, r)
+	before := entriesOf(r)
+
+	var mid GCResult
+	var midErr error
+	swept := false
+	opts := lmg
+	opts.Progress = func(phase string) {
+		if phase == "swap" {
+			mid, midErr = r.GC()
+			swept = true
+		}
+	}
+	if _, err := r.Optimize(context.Background(), opts); err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if !swept || midErr != nil {
+		t.Fatalf("GC at swap: ran %v, err %v", swept, midErr)
+	}
+	after := entriesOf(r)
+	reused := 0
+	for v := range after {
+		if after[v] == before[v] {
+			reused++
+		}
+	}
+	if reused == 0 || reused == len(after) {
+		t.Fatalf("%d of %d entries reused — test premise needs some reused and some rewritten", reused, len(after))
+	}
+	if mid.Collected != 0 {
+		t.Errorf("GC at swap collected %d blobs, want 0 (all served or shadow-protected)", mid.Collected)
+	}
+	for v, e := range after {
+		if !mem.Has(e.Blob) {
+			t.Fatalf("entry %d's blob %s is gone after the swap", v, e.Blob)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for v, want := range payloads {
+			got, err := r.Checkout(v)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Checkout(%d) %s diverges: %v", v, when, err)
+			}
+		}
+	}
+	check("after the swap")
+	if _, err := r.GC(); err != nil {
+		t.Fatalf("GC after swap: %v", err)
+	}
+	check("after a second GC")
+}

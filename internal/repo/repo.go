@@ -323,7 +323,7 @@ func (r *Repo) openLegacy(ms store.MetaStore) error {
 }
 
 func emptyLayout(b store.Backend) *store.Layout {
-	l, _ := store.BuildLayout(b, nil, graph.NewTree(1, 0), false)
+	l, _ := store.BuildLayout(b, nil, graph.NewTree(1, 0), false, nil)
 	return l
 }
 
@@ -883,7 +883,9 @@ type OptimizeOptions struct {
 // solveRequest resolves opts into a fully-parameterized solve.Request
 // against inst, defaulting any required knob the caller left unset: budgets
 // from BudgetFactor × minimum storage, max-Φ bounds from twice the largest
-// version size, Σ-Φ bounds from 1.25× the SPT minimum, α from 2. An empty
+// version size, Σ-Φ bounds from 1.25× the SPT minimum, α from 2. The MST or
+// SPT a default was derived from rides along as req.Hints (unless the
+// caller set Hints), so the solver does not compute it again. An empty
 // solver name means "mst"; unknown names surface solve.ErrUnknownSolver.
 // versions is the snapshot being optimized — not r.meta — so the request is
 // consistent with the payloads even when commits land mid-solve. The
@@ -913,6 +915,9 @@ func solveRequest(inst *solve.Instance, versions []VersionInfo, opts OptimizeOpt
 				f = 1.25
 			}
 			req.Budget = mca.Storage * f
+			if req.Hints == nil {
+				req.Hints = &solve.Hints{MST: mca}
+			}
 		}
 	case solve.KnobThetaMax:
 		if req.Theta <= 0 {
@@ -931,6 +936,9 @@ func solveRequest(inst *solve.Instance, versions []VersionInfo, opts OptimizeOpt
 				return req, info, err
 			}
 			req.Theta = spt.SumR * 1.25
+			if req.Hints == nil {
+				req.Hints = &solve.Hints{SPT: spt}
+			}
 		}
 	case solve.KnobAlpha:
 		if req.Alpha <= 1 {
@@ -1089,9 +1097,15 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	// protections drop when this attempt returns — after a successful swap
 	// is persisted (defers run last-in-first-out, so release follows the
 	// unlock), or on failure, when the blobs become collectible orphans.
+	//
+	// Versions whose parent, materialized flag and codec are unchanged
+	// keep their snapshot entries and are not rewritten. Those blobs need
+	// no shadow protection: the served layout references them from the
+	// snapshot until the swap, because only Optimize replaces the served
+	// layout (commits only append entries) and optMu serializes Optimize.
 	shadow := newShadowRecorder(r)
 	defer shadow.release()
-	built, err := store.BuildLayout(shadow, payloads, res.Tree, opts.Compress)
+	built, err := store.BuildLayout(shadow, payloads, res.Tree, opts.Compress, view.Entries)
 	if err != nil {
 		return nil, err
 	}

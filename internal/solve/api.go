@@ -75,7 +75,8 @@ type Request struct {
 	MaxNodes int64 `json:"max_nodes,omitempty"`
 	// Hints carries precomputed artifacts a solver may reuse; it is not
 	// part of the wire format. Sweep drivers attach the shared MST/SPT so
-	// per-point solves skip recomputing them.
+	// per-point solves skip recomputing them; callers that derived a
+	// default knob from either attach it for the same reason.
 	Hints *Hints `json:"-"`
 }
 
@@ -382,7 +383,7 @@ func init() {
 			return nil
 		},
 		run: func(ctx context.Context, inst *Instance, req Request) (*Result, error) {
-			s, err := lastRun(ctx, inst, req.Alpha)
+			s, err := lastRun(ctx, inst, req.Alpha, req.Hints)
 			if err != nil {
 				return nil, err
 			}

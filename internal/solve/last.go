@@ -21,12 +21,18 @@ import (
 // (1 + 2/(α−1)) of the MST. For directed instances it applies without
 // guarantees, exactly as the paper does. alpha must exceed 1. It backs the
 // registered "last" solver; ctx is checked per DFS vertex and per cycle
-// repair.
-func lastRun(ctx context.Context, inst *Instance, alpha float64) (*Solution, error) {
+// repair, and hints (when given) supply the precomputed MST.
+func lastRun(ctx context.Context, inst *Instance, alpha float64, hints *Hints) (*Solution, error) {
 	start := time.Now()
-	mst, err := MinStorage(inst)
-	if err != nil {
-		return nil, err
+	var mst *Solution
+	if hints != nil {
+		mst = hints.MST
+	}
+	if mst == nil {
+		var err error
+		if mst, err = MinStorage(inst); err != nil {
+			return nil, err
+		}
 	}
 	sptTree, sp, err := graph.SPT(inst.G, Root, graph.ByRecreate)
 	if err != nil {

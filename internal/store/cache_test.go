@@ -206,7 +206,7 @@ func linearLayout(t *testing.T, b Backend, n int) (*Layout, [][]byte) {
 	for v := 1; v <= n; v++ {
 		tr.SetEdge(graph.Edge{From: v - 1, To: v})
 	}
-	l, err := BuildLayout(b, payloads, tr, false)
+	l, err := BuildLayout(b, payloads, tr, false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout: %v", err)
 	}

@@ -120,7 +120,15 @@ func (l *Layout) clearFailure(v int) {
 // one-way line delta from its tree parent. With compress=true both
 // payloads and deltas are flate-compressed, shrinking Δ while leaving
 // apply work Φ untouched — the paper's compressed-delta regime.
-func BuildLayout(b Backend, payloads [][]byte, tree *graph.Tree, compress bool) (*Layout, error) {
+//
+// reuse holds entries already written for the same versions (nil means
+// none). A version whose tree parent, materialized flag and codec match
+// its reuse entry keeps that entry as is: it is neither diffed, encoded
+// nor written again. Since the encoding is deterministic and blobs are
+// content-addressed, the result equals a build without reuse, blob ids
+// included. Reused blobs are not written, so the caller must keep them
+// from being collected until the new layout is served.
+func BuildLayout(b Backend, payloads [][]byte, tree *graph.Tree, compress bool, reuse []Entry) (*Layout, error) {
 	n := len(payloads)
 	if tree.N() != n+1 {
 		return nil, fmt.Errorf("store: tree spans %d vertices, want %d (versions+root)", tree.N(), n+1)
@@ -135,12 +143,16 @@ func BuildLayout(b Backend, payloads [][]byte, tree *graph.Tree, compress bool) 
 		}
 		v := vtx - 1
 		parentVtx := tree.Parent[vtx]
-		var blob []byte
 		e := Entry{Parent: parentVtx - 1, Materialized: parentVtx == tree.Root}
 		if e.Materialized {
 			e.Parent = -1
-			blob = payloads[v]
-		} else {
+		}
+		if v < len(reuse) && reuse[v].Parent == e.Parent && reuse[v].Materialized == e.Materialized && reuse[v].Compressed == compress {
+			l.Entries[v] = reuse[v]
+			continue
+		}
+		blob := payloads[v]
+		if !e.Materialized {
 			if !delta.LineExact(payloads[v]) {
 				return nil, fmt.Errorf("store: version %d does not end in a newline; a line delta cannot rebuild it", v)
 			}

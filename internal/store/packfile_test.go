@@ -171,7 +171,7 @@ func TestRepackedLayoutStillCheckouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := randomStorageTree(rng, 6)
-	l, err := BuildLayout(s, payloads, tr, true)
+	l, err := BuildLayout(s, payloads, tr, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func TestChainCostsMemoExtension(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		payloads := chainPayloads(rng, n)
 		s := NewMemStore()
-		l, err := BuildLayout(s, payloads, randomStorageTree(rng, n), false)
+		l, err := BuildLayout(s, payloads, randomStorageTree(rng, n), false, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkColdCostAccounting(b *testing.B) {
 	for v := 1; v <= n; v++ {
 		tr.SetEdge(graph.Edge{From: v - 1, To: v})
 	}
-	l, err := BuildLayout(NewMemStore(), payloads, tr, false)
+	l, err := BuildLayout(NewMemStore(), payloads, tr, false, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func BenchmarkCheckoutAllParallel(b *testing.B) {
 	const n = 512
 	rng := rand.New(rand.NewSource(5))
 	payloads := chainPayloads(rng, n)
-	l, err := BuildLayout(NewMemStore(), payloads, randomStorageTree(rng, n), false)
+	l, err := BuildLayout(NewMemStore(), payloads, randomStorageTree(rng, n), false, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestCheckoutAllMatchesCheckout(t *testing.T) {
 		payloads := chainPayloads(rng, n)
 		s := NewMemStore()
 		tr := randomStorageTree(rng, n)
-		l, err := BuildLayout(s, payloads, tr, seed%2 == 0)
+		l, err := BuildLayout(s, payloads, tr, seed%2 == 0, nil)
 		if err != nil {
 			t.Fatalf("seed %d: BuildLayout: %v", seed, err)
 		}
@@ -41,7 +41,7 @@ func TestSnapshotIsolatedFromAppendsAndCache(t *testing.T) {
 	payloads := chainPayloads(rng, n)
 	s := NewMemStore()
 	tr := randomStorageTree(rng, n)
-	l, err := BuildLayout(s, payloads, tr, false)
+	l, err := BuildLayout(s, payloads, tr, false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestCheckoutAllCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	payloads := chainPayloads(rng, 4)
 	s := NewMemStore()
-	l, err := BuildLayout(s, payloads, randomStorageTree(rng, 4), false)
+	l, err := BuildLayout(s, payloads, randomStorageTree(rng, 4), false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout: %v", err)
 	}

@@ -152,7 +152,7 @@ func TestLayoutCheckoutMatchesPayloads(t *testing.T) {
 			return false
 		}
 		tr := randomStorageTree(rng, n)
-		l, err := BuildLayout(s, payloads, tr, compress)
+		l, err := BuildLayout(s, payloads, tr, compress, nil)
 		if err != nil {
 			t.Logf("BuildLayout: %v", err)
 			return false
@@ -185,7 +185,7 @@ func TestLayoutStats(t *testing.T) {
 	tr.SetEdge(graph.Edge{From: 2, To: 3})
 	tr.SetEdge(graph.Edge{From: 0, To: 4})
 	tr.SetEdge(graph.Edge{From: 4, To: 5})
-	l, err := BuildLayout(s, payloads, tr, false)
+	l, err := BuildLayout(s, payloads, tr, false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout: %v", err)
 	}
@@ -215,11 +215,11 @@ func TestLayoutStats(t *testing.T) {
 func TestBuildLayoutValidation(t *testing.T) {
 	s := newStore(t)
 	payloads := [][]byte{[]byte("a\n")}
-	if _, err := BuildLayout(s, payloads, graph.NewTree(5, 0), false); err == nil {
+	if _, err := BuildLayout(s, payloads, graph.NewTree(5, 0), false, nil); err == nil {
 		t.Errorf("mismatched tree size accepted")
 	}
 	bad := graph.NewTree(2, 0) // vertex 1 unattached
-	if _, err := BuildLayout(s, payloads, bad, false); err == nil {
+	if _, err := BuildLayout(s, payloads, bad, false, nil); err == nil {
 		t.Errorf("invalid tree accepted")
 	}
 }
@@ -233,13 +233,13 @@ func TestBuildLayoutRefusesDeltaIntoUnterminatedPayload(t *testing.T) {
 	chained := graph.NewTree(3, 0)
 	chained.SetEdge(graph.Edge{From: 0, To: 1})
 	chained.SetEdge(graph.Edge{From: 1, To: 2})
-	if _, err := BuildLayout(s, payloads, chained, false); err == nil {
+	if _, err := BuildLayout(s, payloads, chained, false, nil); err == nil {
 		t.Fatal("BuildLayout stored a line delta into a payload without a trailing newline")
 	}
 	flat := graph.NewTree(3, 0)
 	flat.SetEdge(graph.Edge{From: 0, To: 1})
 	flat.SetEdge(graph.Edge{From: 0, To: 2})
-	l, err := BuildLayout(s, payloads, flat, false)
+	l, err := BuildLayout(s, payloads, flat, false, nil)
 	if err != nil {
 		t.Fatalf("BuildLayout(materialized): %v", err)
 	}
@@ -251,7 +251,7 @@ func TestBuildLayoutRefusesDeltaIntoUnterminatedPayload(t *testing.T) {
 func TestCheckoutOutOfRange(t *testing.T) {
 	s := newStore(t)
 	tr := graph.NewTree(1, 0)
-	l, err := BuildLayout(s, nil, tr, false)
+	l, err := BuildLayout(s, nil, tr, false, nil)
 	if err != nil {
 		t.Fatalf("empty layout: %v", err)
 	}

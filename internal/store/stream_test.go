@@ -49,7 +49,7 @@ func TestCheckoutStreamMatchesBuffered(t *testing.T) {
 							payloads[0] = nil
 							payloads[rng.Intn(n)] = nil
 						}
-						l, err := BuildLayout(NewMemStore(), payloads, tree, compress)
+						l, err := BuildLayout(NewMemStore(), payloads, tree, compress, nil)
 						if err != nil {
 							t.Fatalf("BuildLayout: %v", err)
 						}
@@ -328,7 +328,7 @@ func TestNegativeTTLClearedOnSuccess(t *testing.T) {
 func TestCheckoutStreamCompressedChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	payloads := chainPayloads(rng, 6)
-	l, err := BuildLayout(NewMemStore(), payloads, randomStorageTree(rng, 6), true)
+	l, err := BuildLayout(NewMemStore(), payloads, randomStorageTree(rng, 6), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func FuzzCheckoutStreamMatchesBuffered(f *testing.F) {
 				payloads[v] = nil
 			}
 		}
-		l, err := BuildLayout(NewMemStore(), payloads, tree, rng.Intn(2) == 1)
+		l, err := BuildLayout(NewMemStore(), payloads, tree, rng.Intn(2) == 1, nil)
 		if err != nil {
 			t.Fatalf("BuildLayout: %v", err)
 		}

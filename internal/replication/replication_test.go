@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +188,92 @@ func TestRouterFallbackToPrimary(t *testing.T) {
 	if replica == 0 || fallbacks == 0 {
 		t.Fatalf("expected a replica route with a primary fallback, got replica=%d fallbacks=%d",
 			replica, fallbacks)
+	}
+}
+
+// TestCheckoutNegotiatedThroughRouter: the proxy relays GET /checkout's
+// raw form. The replica sees the client's Accept header, and the bytes
+// match a checkout made directly against the primary.
+func TestCheckoutNegotiatedThroughRouter(t *testing.T) {
+	ctx := context.Background()
+	shared := store.NewMemStore()
+	primary, err := repo.InitBackend(shared)
+	if err != nil {
+		t.Fatalf("InitBackend: %v", err)
+	}
+	psrv := vcs.NewServer(primary)
+	t.Cleanup(psrv.Close)
+	pts := httptest.NewServer(psrv.Handler())
+	t.Cleanup(pts.Close)
+	direct := vcs.NewClient(pts.URL)
+	payloads := [][]byte{[]byte("root\n"), bytes.Repeat([]byte("row,1,2,3\n"), 64), nil}
+	for i, p := range payloads {
+		if _, err := direct.Commit(repo.DefaultBranch, p, fmt.Sprintf("c%d", i)); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+
+	rep, err := repo.OpenReplica(shared)
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	if _, err := NewFollower(rep, direct).Sync(ctx, false); err != nil {
+		t.Fatalf("replica sync: %v", err)
+	}
+	rsrv := vcs.NewServer(rep)
+	t.Cleanup(rsrv.Close)
+	var rawAccepts atomic.Int32
+	rh := rsrv.Handler()
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/checkout" && r.Header.Get("Accept") == "application/octet-stream" {
+			rawAccepts.Add(1)
+		}
+		rh.ServeHTTP(w, r)
+	}))
+	t.Cleanup(rts.Close)
+
+	router, err := NewRouter(pts.URL, []string{rts.URL})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	if err := router.Sync(ctx); err != nil {
+		t.Fatalf("router sync: %v", err)
+	}
+	proxy := httptest.NewServer(router.Handler())
+	t.Cleanup(proxy.Close)
+	c := vcs.NewClient(proxy.URL)
+	for id, want := range payloads {
+		got, err := c.Checkout(id)
+		if err != nil {
+			t.Fatalf("checkout %d through the proxy: %v", id, err)
+		}
+		fromPrimary, err := direct.Checkout(id)
+		if err != nil {
+			t.Fatalf("checkout %d from the primary: %v", id, err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, fromPrimary) {
+			t.Fatalf("checkout %d: proxy and primary disagree with the committed payload", id)
+		}
+	}
+	// The relayed response keeps the raw form's framing.
+	req, err := http.NewRequest(http.MethodGet, proxy.URL+"/checkout?v=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/octet-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("raw GET through the proxy: %v", err)
+	}
+	resp.Body.Close()
+	if ct, n := resp.Header.Get("Content-Type"), resp.ContentLength; ct != "application/octet-stream" || n != int64(len(payloads[1])) {
+		t.Errorf("proxied raw checkout: Content-Type %q, length %d; want application/octet-stream, %d", ct, n, len(payloads[1]))
+	}
+	if _, replica, fallbacks := router.RouteCounts(); replica != int64(len(payloads))+1 || fallbacks != 0 {
+		t.Errorf("routes: replica=%d fallbacks=%d, want %d replica routes and no fallback", replica, fallbacks, len(payloads)+1)
+	}
+	if n := int(rawAccepts.Load()); n != len(payloads)+1 {
+		t.Errorf("replica saw Accept: application/octet-stream on %d of %d checkouts", n, len(payloads)+1)
 	}
 }
 

@@ -278,6 +278,25 @@ func TestOptimizeProgressPhases(t *testing.T) {
 	}
 }
 
+// TestOptimizeSolvePhaseCoversRequest: resolving the solve request (a
+// default budget, auto-weights) belongs to the solve phase, so a request
+// solveRequest rejects fails after "solve" has fired, not during "diff".
+func TestOptimizeSolvePhaseCoversRequest(t *testing.T) {
+	r := newRepo(t)
+	seedRepo(t, r, 3)
+	var phases []string
+	_, err := r.Optimize(context.Background(), OptimizeOptions{
+		Request:  solve.Request{Solver: "nope"},
+		Progress: func(p string) { phases = append(phases, p) },
+	})
+	if !errors.Is(err, solve.ErrUnknownSolver) {
+		t.Fatalf("Optimize err = %v, want ErrUnknownSolver", err)
+	}
+	if want := []string{"snapshot", "diff", "solve"}; fmt.Sprint(phases) != fmt.Sprint(want) {
+		t.Fatalf("phases %v, want %v", phases, want)
+	}
+}
+
 // TestOptimizeStressUnderCommitsAndCheckouts hammers the repository with
 // concurrent committers and checkouters while optimizations run, asserting
 // no torn layout is ever observed: every checkout returns exactly the

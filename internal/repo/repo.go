@@ -1074,6 +1074,9 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	if err != nil {
 		return nil, err
 	}
+	// The solve phase starts before solveRequest, whose default budget can
+	// cost a whole minimum-storage arborescence.
+	progress("solve")
 	req, info, err := solveRequest(inst, versions, opts, factor)
 	if err != nil {
 		return nil, err
@@ -1084,7 +1087,6 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	if info.Weighted && req.Weights == nil && !opts.NoAutoWeights {
 		req.Weights = r.stats.Weights(n)
 	}
-	progress("solve")
 	res, err := solve.Solve(ctx, inst, req)
 	if err != nil {
 		return nil, err

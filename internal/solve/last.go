@@ -21,7 +21,7 @@ import (
 // (1 + 2/(α−1)) of the MST. For directed instances it applies without
 // guarantees, exactly as the paper does. alpha must exceed 1. It backs the
 // registered "last" solver; ctx is checked per DFS vertex and per cycle
-// repair, and hints (when given) supply the precomputed MST.
+// repair, and hints (when given) supply the precomputed MST and SPT.
 func lastRun(ctx context.Context, inst *Instance, alpha float64, hints *Hints) (*Solution, error) {
 	start := time.Now()
 	var mst *Solution
@@ -34,9 +34,19 @@ func lastRun(ctx context.Context, inst *Instance, alpha float64, hints *Hints) (
 			return nil, err
 		}
 	}
-	sptTree, sp, err := graph.SPT(inst.G, Root, graph.ByRecreate)
-	if err != nil {
-		return nil, err
+	var sptTree *graph.Tree
+	var sp []float64
+	if hints != nil && hints.SPT != nil {
+		// Dijkstra set each distance to its tree parent's plus the tree
+		// edge's Φ; summing Φ root-down repeats exactly those additions,
+		// so these distances equal graph.SPT's bit for bit.
+		sptTree = hints.SPT.Tree
+		sp = sptTree.RecreationCosts()
+	} else {
+		var err error
+		if sptTree, sp, err = graph.SPT(inst.G, Root, graph.ByRecreate); err != nil {
+			return nil, err
+		}
 	}
 	g := inst.G
 	n := g.N()

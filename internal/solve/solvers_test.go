@@ -3,8 +3,10 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +270,80 @@ func TestQuickLASTUndirectedGuarantees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLASTHintedSPTMatchesDijkstra: with an SPT hint, lastRun sums Φ
+// root-down over the hinted tree instead of re-running Dijkstra. Those
+// sums must equal graph.SPT's distances bit for bit, on random directed
+// instances and on the vbench -scale test datasets, so every "last" sweep
+// point (the sweep hints the SPT) returns exactly the unhinted tree.
+func TestLASTHintedSPTMatchesDijkstra(t *testing.T) {
+	type named struct {
+		name string
+		inst *Instance
+	}
+	var cases []named
+	for seed := int64(1); seed <= 12; seed++ {
+		cases = append(cases, named{fmt.Sprintf("random/%d", seed), randomInstance(t, seed, 15+5*int(seed), true)})
+	}
+	// bench.TestScale's dataset sizes and seed.
+	sizes := map[workload.Preset]int{workload.DC: 120, workload.LC: 120, workload.BF: 60, workload.LF: 40}
+	for _, p := range workload.Presets {
+		for _, directed := range []bool{true, false} {
+			m, err := workload.Build(p, sizes[p], directed, 1)
+			if err != nil {
+				t.Fatalf("Build %s: %v", p, err)
+			}
+			inst, err := NewInstance(m)
+			if err != nil {
+				t.Fatalf("NewInstance %s: %v", p, err)
+			}
+			cases = append(cases, named{fmt.Sprintf("%s/directed=%v", p, directed), inst})
+		}
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		_, want, err := graph.SPT(c.inst.G, Root, graph.ByRecreate)
+		if err != nil {
+			t.Fatalf("%s: SPT: %v", c.name, err)
+		}
+		spt, err := MinRecreation(c.inst)
+		if err != nil {
+			t.Fatalf("%s: MinRecreation: %v", c.name, err)
+		}
+		for v, d := range spt.Tree.RecreationCosts() {
+			if math.Float64bits(d) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: vertex %d: root-down sum %v, Dijkstra %v", c.name, v, d, want[v])
+			}
+		}
+		mst, err := MinStorage(c.inst)
+		if err != nil {
+			t.Fatalf("%s: MinStorage: %v", c.name, err)
+		}
+		reqs, err := SweepRequests(c.inst, "last", 4)
+		if err != nil {
+			t.Fatalf("%s: SweepRequests: %v", c.name, err)
+		}
+		swept, err := SweepSolver(ctx, c.inst, "last", 4)
+		if err != nil {
+			t.Fatalf("%s: SweepSolver: %v", c.name, err)
+		}
+		if len(swept) != len(reqs) {
+			t.Fatalf("%s: sweep returned %d points, want %d", c.name, len(swept), len(reqs))
+		}
+		for i, req := range reqs {
+			req.Hints = &Hints{MST: mst}
+			plain, err := Solve(ctx, c.inst, req)
+			if err != nil {
+				t.Fatalf("%s: last α=%g: %v", c.name, req.Alpha, err)
+			}
+			got := swept[i]
+			if !slices.Equal(got.Tree.Parent, plain.Tree.Parent) || got.Storage != plain.Storage ||
+				got.SumR != plain.SumR || got.MaxR != plain.MaxR {
+				t.Fatalf("%s: last α=%g: SPT-hinted sweep point differs from the unhinted solve", c.name, req.Alpha)
+			}
+		}
 	}
 }
 

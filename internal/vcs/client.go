@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"versiondb/internal/repo"
@@ -77,13 +78,41 @@ func (c *Client) Merge(branch string, other int, payload []byte, message string)
 	return resp.ID, err
 }
 
-// Checkout fetches version v's payload.
+// Checkout fetches version v's payload. It asks GET /checkout for the raw
+// form and reads the body into one buffer of the stated Content-Length,
+// so no JSON or base64 is decoded; a server that ignores Accept answers
+// JSON, which is decoded as before.
 func (c *Client) Checkout(v int) ([]byte, error) {
-	var resp CheckoutResponse
-	if err := c.get(fmt.Sprintf("/checkout?v=%d", v), &resp); err != nil {
-		return nil, err
+	path := fmt.Sprintf("/checkout?v=%d", v)
+	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("vcs: %s: %w", path, err)
 	}
-	return resp.Payload, nil
+	req.Header.Set("Accept", octetStream)
+	httpResp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("vcs: %s: %w", path, err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK || httpResp.Header.Get("Content-Type") != octetStream {
+		var resp CheckoutResponse
+		if err := decodeResponse(path, httpResp, &resp); err != nil {
+			return nil, err
+		}
+		return resp.Payload, nil
+	}
+	var payload []byte
+	if n := httpResp.ContentLength; n >= 0 {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(httpResp.Body, payload)
+	} else {
+		// A relay that re-framed the body dropped its length.
+		payload, err = io.ReadAll(httpResp.Body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("vcs: %s: read: %w", path, err)
+	}
+	return payload, nil
 }
 
 // Branch creates a branch at version from.

@@ -3,10 +3,12 @@
 // management system in a client-server model over HTTP"). The server owns
 // the repository; the client offers commit/checkout/branch/merge/log/
 // optimize calls. Payloads travel base64-encoded inside JSON bodies, with
-// one exception: GET /checkout/raw streams the payload as the raw response
-// body (strong ETag, If-None-Match → 304, optional gzip), so large
-// checkouts cost neither a base64 blow-up nor a whole-payload buffer on
-// either end.
+// two exceptions. GET /checkout answers a request that sends Accept:
+// application/octet-stream with the payload as the raw body, which is
+// the form Client.Checkout asks for. GET /checkout/raw streams the
+// payload as the raw response body (strong ETag, If-None-Match → 304,
+// optional gzip), so large checkouts cost neither a base64 blow-up nor a
+// whole-payload buffer on either end.
 package vcs
 
 import (
@@ -34,11 +36,15 @@ type CommitResponse struct {
 	ID int `json:"id"`
 }
 
-// CheckoutResponse carries a reconstructed payload.
+// CheckoutResponse carries a reconstructed payload. It is GET /checkout's
+// default body; a request that accepts octetStream gets the payload raw.
 type CheckoutResponse struct {
 	ID      int    `json:"id"`
 	Payload []byte `json:"payload"`
 }
+
+// octetStream is the media type of a raw payload body.
+const octetStream = "application/octet-stream"
 
 // BranchRequest creates a branch at a version.
 type BranchRequest struct {

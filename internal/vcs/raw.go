@@ -73,26 +73,32 @@ func etagMatch(header, current string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request advertises gzip support. Coding
-// names are case-insensitive (RFC 9110 §8.4.1). A q-value of 0 is a
-// refusal, anything else (including absence of q) is acceptance; identity
-// fallback is always available so no finer negotiation is needed.
+// acceptsGzip reports whether the request advertises gzip support. A
+// q-value of 0 is a refusal; identity fallback is always available so no
+// finer negotiation is needed.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
+	return headerQ(r.Header.Get("Accept-Encoding"), "gzip") > 0
+}
+
+// headerQ returns the q-value that a comma-separated Accept-style header
+// (RFC 9110 §12.4.2) gives name, compared case-insensitively. A listed
+// name without a parsable q parameter has q=1; an unlisted one has q=-1.
+func headerQ(header, name string) float64 {
+	for _, part := range strings.Split(header, ",") {
+		item, params, _ := strings.Cut(part, ";")
+		if !strings.EqualFold(strings.TrimSpace(item), name) {
 			continue
 		}
-		if hasQ {
-			if v, ok := strings.CutPrefix(strings.TrimSpace(q), "q="); ok {
-				if f, err := strconv.ParseFloat(v, 64); err == nil && f == 0 {
-					return false
+		for _, p := range strings.Split(params, ";") {
+			if v, ok := strings.CutPrefix(strings.TrimSpace(p), "q="); ok {
+				if f, err := strconv.ParseFloat(v, 64); err == nil {
+					return f
 				}
 			}
 		}
-		return true
+		return 1
 	}
-	return false
+	return -1
 }
 
 func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
@@ -123,7 +129,7 @@ func (s *Server) handleRawCheckout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Type", octetStream)
 	var dst io.Writer = w
 	var zw *gzip.Writer
 	if acceptsGzip(r) {

@@ -242,6 +242,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {
+	// The body's form depends on Accept, so shared caches must key on it.
+	w.Header().Set("Vary", "Accept")
 	v, err := strconv.Atoi(r.URL.Query().Get("v"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
@@ -252,7 +254,23 @@ func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
+	if wantsOctetStream(r) {
+		w.Header().Set("Content-Type", octetStream)
+		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+		_, _ = w.Write(payload)
+		return
+	}
 	writeJSON(w, http.StatusOK, CheckoutResponse{ID: v, Payload: payload})
+}
+
+// wantsOctetStream reports whether a GET /checkout request negotiates the
+// raw form: Accept lists octetStream with a nonzero q-value no lower than
+// application/json's. Wildcards never select it, so a request with no
+// Accept, or with "*/*", still gets the JSON CheckoutResponse.
+func wantsOctetStream(r *http.Request) bool {
+	accept := r.Header.Get("Accept")
+	q := headerQ(accept, octetStream)
+	return q > 0 && q >= headerQ(accept, "application/json")
 }
 
 func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,6 +275,78 @@ func TestCheckoutNegotiatedThroughRouter(t *testing.T) {
 	}
 	if n := int(rawAccepts.Load()); n != len(payloads)+1 {
 		t.Errorf("replica saw Accept: application/octet-stream on %d of %d checkouts", n, len(payloads)+1)
+	}
+}
+
+// TestCommitRawThroughRouter: the proxy relays POST /commit's raw form to
+// the primary with its query string, Content-Type and Content-Length
+// intact, for a plain commit and a merge alike.
+func TestCommitRawThroughRouter(t *testing.T) {
+	primary, err := repo.InitBackend(store.NewMemStore())
+	if err != nil {
+		t.Fatalf("InitBackend: %v", err)
+	}
+	psrv := vcs.NewServer(primary)
+	t.Cleanup(psrv.Close)
+	type seen struct {
+		query, contentType string
+		length             int64
+	}
+	var (
+		mu    sync.Mutex
+		seens []seen
+	)
+	ph := psrv.Handler()
+	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/commit" {
+			mu.Lock()
+			seens = append(seens, seen{r.URL.RawQuery, r.Header.Get("Content-Type"), r.ContentLength})
+			mu.Unlock()
+		}
+		ph.ServeHTTP(w, r)
+	}))
+	t.Cleanup(pts.Close)
+	router, err := NewRouter(pts.URL, nil)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	proxy := httptest.NewServer(router.Handler())
+	t.Cleanup(proxy.Close)
+
+	c := vcs.NewClient(proxy.URL)
+	payloads := [][]byte{[]byte("root\n"), []byte("side\xff\n"), []byte("merged, no newline")}
+	if _, err := c.Commit(repo.DefaultBranch, payloads[0], "root & co"); err != nil {
+		t.Fatalf("commit through the proxy: %v", err)
+	}
+	if err := c.Branch("side", 0); err != nil {
+		t.Fatalf("branch through the proxy: %v", err)
+	}
+	if _, err := c.Commit("side", payloads[1], "side"); err != nil {
+		t.Fatalf("commit to side through the proxy: %v", err)
+	}
+	id, err := c.Merge(repo.DefaultBranch, 1, payloads[2], "merge side")
+	if err != nil || id != 2 {
+		t.Fatalf("merge through the proxy = %d, %v; want 2", id, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []seen{
+		{"branch=master&message=root+%26+co", "application/octet-stream", int64(len(payloads[0]))},
+		{"branch=side&message=side", "application/octet-stream", int64(len(payloads[1]))},
+		{"branch=master&merge_parent=1&message=merge+side", "application/octet-stream", int64(len(payloads[2]))},
+	}
+	if fmt.Sprint(seens) != fmt.Sprint(want) {
+		t.Errorf("primary saw %+v, want %+v", seens, want)
+	}
+	for v, p := range payloads {
+		got, err := primary.Checkout(v)
+		if err != nil || !bytes.Equal(got, p) {
+			t.Errorf("primary Checkout(%d) = %q (%v), want %q", v, got, err, p)
+		}
+	}
+	log := primary.Log()
+	if log[0].Message != "root & co" || log[2].Branch != repo.DefaultBranch || len(log[2].Parents) != 2 {
+		t.Errorf("primary log %+v: metadata did not survive the proxy", log)
 	}
 }
 

@@ -157,7 +157,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, target string)
 
 // do re-issues the inbound request against target, preserving method,
 // path, query, headers (conditional-request headers like If-None-Match
-// matter for /checkout/raw) and body, under the inbound request's context
+// matter for /checkout/raw) and body with its stated length (a raw
+// POST /commit presizes from it), under the inbound request's context
 // so a dropped client cancels the upstream call.
 func (rt *Router) do(r *http.Request, target string) (*http.Response, error) {
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.RequestURI(), r.Body)
@@ -165,6 +166,7 @@ func (rt *Router) do(r *http.Request, target string) (*http.Response, error) {
 		return nil, err
 	}
 	out.Header = r.Header.Clone()
+	out.ContentLength = r.ContentLength
 	return rt.client.Do(out)
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"versiondb/internal/repo"
 )
@@ -45,7 +47,18 @@ func (c *Client) get(path string, resp any) error {
 	return decodeResponse(path, httpResp, resp)
 }
 
+// maxDrain bounds how much of a response's unread tail decodeResponse
+// reads off before the caller closes the body; a longer tail costs the
+// connection instead.
+const maxDrain = 64 << 10
+
+// decodeResponse decodes a JSON answer into resp, or a non-2xx answer
+// into a *StatusError. Either way it then reads the body to its end, so
+// closing it returns the connection to the keep-alive pool: json.Decoder
+// stops at the value's last byte and would leave the trailing newline,
+// or a chunked body's terminator, unread.
 func decodeResponse(path string, httpResp *http.Response, resp any) error {
+	defer func() { _, _ = io.CopyN(io.Discard, httpResp.Body, maxDrain) }()
 	if httpResp.StatusCode < 200 || httpResp.StatusCode > 299 {
 		se := &StatusError{Code: httpResp.StatusCode, Path: path}
 		var e ErrorResponse
@@ -65,23 +78,33 @@ func decodeResponse(path string, httpResp *http.Response, resp any) error {
 
 // Commit creates a version on branch and returns its id.
 func (c *Client) Commit(branch string, payload []byte, message string) (int, error) {
-	var resp CommitResponse
-	err := c.post("/commit", CommitRequest{Branch: branch, Message: message, Payload: payload, MergeParent: -1}, &resp)
-	return resp.ID, err
+	return c.commit(url.Values{"branch": {branch}, "message": {message}}, payload)
 }
 
 // Merge creates a merge commit of branch's tip and other with the
 // client-merged payload.
 func (c *Client) Merge(branch string, other int, payload []byte, message string) (int, error) {
+	return c.commit(url.Values{"branch": {branch}, "message": {message}, "merge_parent": {strconv.Itoa(other)}}, payload)
+}
+
+// commit sends POST /commit in its raw form: the payload is the body,
+// sent as octetStream, and the metadata rides in the query string, so
+// neither end encodes or decodes base64.
+func (c *Client) commit(query url.Values, payload []byte) (int, error) {
+	httpResp, err := c.http.Post(c.base+"/commit?"+query.Encode(), octetStream, bytes.NewReader(payload))
+	if err != nil {
+		return 0, fmt.Errorf("vcs: /commit: %w", err)
+	}
+	defer httpResp.Body.Close()
 	var resp CommitResponse
-	err := c.post("/commit", CommitRequest{Branch: branch, Message: message, Payload: payload, MergeParent: other}, &resp)
+	err = decodeResponse("/commit", httpResp, &resp)
 	return resp.ID, err
 }
 
 // Checkout fetches version v's payload. It asks GET /checkout for the raw
-// form and reads the body into one buffer of the stated Content-Length,
-// so no JSON or base64 is decoded; a server that ignores Accept answers
-// JSON, which is decoded as before.
+// form and reads the body into one buffer of the stated Content-Length
+// (see readPayload), so no JSON or base64 is decoded; a server that
+// ignores Accept answers JSON, which is decoded as before.
 func (c *Client) Checkout(v int) ([]byte, error) {
 	path := fmt.Sprintf("/checkout?v=%d", v)
 	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
@@ -101,14 +124,8 @@ func (c *Client) Checkout(v int) ([]byte, error) {
 		}
 		return resp.Payload, nil
 	}
-	var payload []byte
-	if n := httpResp.ContentLength; n >= 0 {
-		payload = make([]byte, n)
-		_, err = io.ReadFull(httpResp.Body, payload)
-	} else {
-		// A relay that re-framed the body dropped its length.
-		payload, err = io.ReadAll(httpResp.Body)
-	}
+	// The length is -1 when a relay re-framed the body and dropped it.
+	payload, err := readPayload(httpResp.Body, httpResp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("vcs: %s: read: %w", path, err)
 	}

@@ -200,3 +200,22 @@ func TestCheckoutNegotiatedJSONOnlyServer(t *testing.T) {
 		t.Errorf("Checkout(99) = %v, want a 404 StatusError", err)
 	}
 }
+
+// TestCheckoutNegotiatedLyingLength: a raw answer that states a length it
+// never sends — far past what the client presizes, and just past what it
+// receives — makes Client.Checkout return an error, without allocating
+// the stated length.
+func TestCheckoutNegotiatedLyingLength(t *testing.T) {
+	for _, stated := range []string{strconv.FormatInt(1<<40, 10), "100"} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", octetStream)
+			w.Header().Set("Content-Length", stated)
+			_, _ = w.Write([]byte("0123456789"))
+		}))
+		got, err := NewClient(srv.URL).Checkout(0)
+		srv.Close()
+		if err == nil {
+			t.Errorf("Content-Length %s with 10 bytes sent: Checkout = %q, want an error", stated, got)
+		}
+	}
+}

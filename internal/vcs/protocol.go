@@ -3,7 +3,10 @@
 // management system in a client-server model over HTTP"). The server owns
 // the repository; the client offers commit/checkout/branch/merge/log/
 // optimize calls. Payloads travel base64-encoded inside JSON bodies, with
-// two exceptions. GET /checkout answers a request that sends Accept:
+// three exceptions. POST /commit takes a body sent as Content-Type:
+// application/octet-stream as the payload itself, with the commit's
+// metadata in the query string; that is the form Client.Commit and
+// Client.Merge send. GET /checkout answers a request that sends Accept:
 // application/octet-stream with the payload as the raw body, which is
 // the form Client.Checkout asks for. GET /checkout/raw streams the
 // payload as the raw response body (strong ETag, If-None-Match → 304,
@@ -14,6 +17,8 @@ package vcs
 import (
 	"errors"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
 	"time"
 
@@ -45,6 +50,40 @@ type CheckoutResponse struct {
 
 // octetStream is the media type of a raw payload body.
 const octetStream = "application/octet-stream"
+
+// isOctetStream reports whether a Content-Type header names octetStream,
+// parameters and letter case aside.
+func isOctetStream(contentType string) bool {
+	mt, _, err := mime.ParseMediaType(contentType)
+	return err == nil && mt == octetStream
+}
+
+// maxPresize bounds the buffer a raw body's stated length may allocate
+// before any of it arrives. A longer body still reads whole, into a
+// buffer that grows with the bytes actually received, so a peer that
+// claims a length it never sends cannot make its reader allocate it.
+const maxPresize = 16 << 20
+
+// readPayload reads a raw payload body of stated length n (-1 when
+// unknown). Up to maxPresize it reads into one buffer of exactly n
+// bytes; a body that ends before n bytes is an error.
+func readPayload(body io.Reader, n int64) ([]byte, error) {
+	switch {
+	case n < 0:
+		return io.ReadAll(body)
+	case n <= maxPresize:
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(body, payload); err != nil {
+			return nil, err
+		}
+		return payload, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(body, n))
+	if err == nil && int64(len(payload)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
+}
 
 // BranchRequest creates a branch at a version.
 type BranchRequest struct {

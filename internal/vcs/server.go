@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"versiondb/internal/autotune"
 	"versiondb/internal/jobs"
@@ -220,15 +221,27 @@ func statusFor(err error) int {
 	}
 }
 
+// handleCommit takes the commit in one of two forms. A body sent as
+// octetStream is the payload itself, with branch, message and
+// merge_parent in the query string; that is the form Client.Commit
+// sends, so no base64 is decoded on the write path. Any other body is a
+// JSON CommitRequest.
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	var req CommitRequest
-	req.MergeParent = -1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	var err error
+	if isOctetStream(r.Header.Get("Content-Type")) {
+		req, err = rawCommitRequest(r)
+	} else {
+		req.MergeParent = -1
+		if err = json.NewDecoder(r.Body).Decode(&req); err != nil {
+			err = fmt.Errorf("decode: %w", err)
+		}
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var id int
-	var err error
 	if req.MergeParent >= 0 {
 		id, err = s.repo.Merge(req.Branch, req.MergeParent, req.Payload, req.Message)
 	} else {
@@ -239,6 +252,38 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CommitResponse{ID: id})
+}
+
+// rawCommitRequest reads a raw-form commit: the metadata from the query
+// string (merge_parent absent means a plain commit) and the payload from
+// the body.
+func rawCommitRequest(r *http.Request) (CommitRequest, error) {
+	q := r.URL.Query()
+	req := CommitRequest{Branch: jsonString(q.Get("branch")), Message: jsonString(q.Get("message")), MergeParent: -1}
+	if q.Has("merge_parent") {
+		mp, err := strconv.Atoi(q.Get("merge_parent"))
+		if err != nil {
+			return req, fmt.Errorf("bad merge_parent: %w", err)
+		}
+		req.MergeParent = mp
+	}
+	payload, err := readPayload(r.Body, r.ContentLength)
+	if err != nil {
+		return req, fmt.Errorf("read payload: %w", err)
+	}
+	req.Payload = payload
+	return req, nil
+}
+
+// jsonString returns s as a JSON string decodes it: each byte that is not
+// part of valid UTF-8 becomes U+FFFD. A query string can carry any bytes,
+// and the metadata log stores strings as JSON, so without this a raw
+// commit's in-memory message would differ from the one a reopen reads.
+func jsonString(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {

@@ -126,6 +126,10 @@ type Scratch struct {
 	v     []int    // furthest-reaching x per diagonal, the current round
 	trace []int    // each round's meaningful window of v, for backtracking
 	ops   []opKind // the edit script of the last diff
+	// seen[id] is the generation that last stamped line ID id, and gen the
+	// current one: LineTable.Sizes marks one side's lines without clearing.
+	seen []uint32
+	gen  uint32
 }
 
 // scratchPool serves DiffLines callers, which do not carry a Scratch.

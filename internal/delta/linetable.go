@@ -68,6 +68,13 @@ func NewLineTable(payloads [][]byte) *LineTable {
 // script's hunks without building a string, a Hunk or an encoding.
 func (t *LineTable) Sizes(a, b int, s *Scratch) (fwd, bwd int) {
 	x, y := t.lines[a], t.lines[b]
+	if del, ins, ok := t.disjoint(x, y, s); ok && len(x)+len(y) > 0 {
+		// Every op deletes or inserts, so whatever order the differ picks
+		// they form one hunk at line 0 of both sides: the hunk count 1, the
+		// one-way flag and position 0 take a byte each.
+		counts := uvarintLen(len(x)) + uvarintLen(len(y))
+		return 3 + counts + ins, 3 + counts + del
+	}
 	ops := myers(x, y, s)
 	// A hunk is a maximal run of non-keep ops. Forward it encodes
 	// [srcPos][ndel][nins] plus the inserted lines; its inverse starts at
@@ -102,6 +109,30 @@ func (t *LineTable) Sizes(a, b int, s *Scratch) (fwd, bwd int) {
 	}
 	head := uvarintLen(hunks) + 1 // hunk count, then the one-way flag
 	return head + fwd, head + bwd
+}
+
+// disjoint reports whether x and y share no line, and if so the content
+// bytes each side's lines carry. It stamps x's IDs in s.seen with a fresh
+// generation, so the marks need no clearing between calls.
+func (t *LineTable) disjoint(x, y []uint32, s *Scratch) (del, ins int, ok bool) {
+	if len(s.seen) < len(t.cost) {
+		s.seen, s.gen = make([]uint32, len(t.cost)), 0
+	}
+	if s.gen++; s.gen == 0 {
+		clear(s.seen)
+		s.gen = 1
+	}
+	for _, id := range x {
+		s.seen[id] = s.gen
+		del += t.cost[id]
+	}
+	for _, id := range y {
+		if s.seen[id] == s.gen {
+			return 0, 0, false
+		}
+		ins += t.cost[id]
+	}
+	return del, ins, true
 }
 
 // uvarintLen is the number of bytes binary.PutUvarint writes for v.

@@ -182,3 +182,60 @@ func TestDiffLinesReusesScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestLineSizesDisjointPairs checks Sizes' shortcut for pairs that share no
+// line against the encoder, on 3,000 random pairs: empty sides, duplicate
+// and empty lines, no trailing newline, and lines and line counts long
+// enough for multi-byte uvarints. One Scratch serves two tables, and its
+// generation counter wraps mid-way.
+func TestLineSizesDisjointPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := func(prefix string) []byte {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		var lines []string
+		for n := 1 + rng.Intn(200); len(lines) < n; {
+			line := []byte(prefix)
+			for n := rng.Intn(160); n > 0; n-- {
+				line = append(line, "ab,0"[rng.Intn(4)])
+			}
+			lines = append(lines, string(line))
+			if rng.Intn(8) == 0 {
+				lines = append(lines, lines[rng.Intn(len(lines))])
+			}
+		}
+		p := JoinLines(lines)
+		if rng.Intn(4) == 0 {
+			p = p[:len(p)-1]
+		}
+		return p
+	}
+	var s Scratch
+	for round := 0; round < 2; round++ {
+		// The first 60 payloads' lines hold no 'B' and the last 60's all
+		// start with one, so a pair across the halves shares no line.
+		var payloads [][]byte
+		for i := 0; i < 60; i++ {
+			payloads = append(payloads, gen(""))
+		}
+		for i := 0; i < 60; i++ {
+			payloads = append(payloads, gen("B"))
+		}
+		table := NewLineTable(payloads)
+		for k := 0; k < 1500; k++ {
+			i, j := rng.Intn(60), 60+rng.Intn(60)
+			if k%2 == 1 {
+				i, j = j, i
+			}
+			if k == 700 {
+				s.gen = ^uint32(0)
+			}
+			d := DiffLines(payloads[i], payloads[j])
+			wantFwd, wantBwd := len(Encode(d, true)), len(Encode(d.Invert(), true))
+			if fwd, bwd := table.Sizes(i, j, &s); fwd != wantFwd || bwd != wantBwd {
+				t.Fatalf("round %d: Sizes(%d, %d) = (%d, %d), want (%d, %d)", round, i, j, fwd, bwd, wantFwd, wantBwd)
+			}
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"versiondb/internal/costs"
 	"versiondb/internal/delta"
@@ -421,6 +422,7 @@ func (r *Repo) Branches() []string {
 
 // Tip returns the tip version of a branch.
 func (r *Repo) Tip(branch string) (int, error) {
+	branch = logString(branch)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	tip, ok := r.meta.Branches[branch]
@@ -445,6 +447,7 @@ func (r *Repo) Commit(branch string, payload []byte, message string) (int, error
 	if err := r.writable(); err != nil {
 		return 0, err
 	}
+	branch, message = logString(branch), logString(message)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var parents []int
@@ -464,6 +467,7 @@ func (r *Repo) Merge(branch string, other int, payload []byte, message string) (
 	if err := r.writable(); err != nil {
 		return 0, err
 	}
+	branch, message = logString(branch), logString(message)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tip, ok := r.meta.Branches[branch]
@@ -484,6 +488,7 @@ func (r *Repo) Branch(name string, from int) error {
 	if err := r.writable(); err != nil {
 		return err
 	}
+	name = logString(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.meta.Branches[name]; exists {
@@ -498,6 +503,18 @@ func (r *Repo) Branch(name string, from int) error {
 		return err
 	}
 	return nil
+}
+
+// logString returns s as the metadata log reads it back. The log stores
+// strings as JSON, which turns each byte that is not part of valid UTF-8
+// into U+FFFD, so messages and branch names are normalized the same way on
+// the way in: otherwise the served state would differ from what a reopen
+// reads.
+func logString(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 // addVersionLocked appends a version; callers hold the write lock. On failure

@@ -181,6 +181,71 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	}
 }
 
+// A message or branch name that is not valid UTF-8 reads the same before
+// and after a reopen: the metadata log stores it as JSON, which replaces
+// each invalid byte with U+FFFD, so the live repository must too.
+func TestNonUTF8MetadataSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(6))
+	r, err := Init(dir)
+	if err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	const bad, branch = "bad \xff msg", "b\xff"
+	root, err := r.Commit(DefaultBranch, csvPayload(t, rng, 10), bad)
+	if err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if err := r.Branch(branch, root); err != nil {
+		t.Fatalf("Branch: %v", err)
+	}
+	side, err := r.Commit(branch, csvPayload(t, rng, 11), "side \xfe")
+	if err != nil {
+		t.Fatalf("Commit to %q: %v", branch, err)
+	}
+	if _, err := r.Commit(DefaultBranch, csvPayload(t, rng, 12), "main"); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if _, err := r.Merge(DefaultBranch, side, csvPayload(t, rng, 13), "merge \xc3"); err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	if err := r.Branch(branch, root); !errors.Is(err, ErrBranchExists) {
+		t.Errorf("Branch(%q) again: %v, want ErrBranchExists", branch, err)
+	}
+	if got := r.Log()[0].Message; got != "bad \ufffd msg" {
+		t.Errorf("live message = %q, want %q", got, "bad \ufffd msg")
+	}
+	type view struct {
+		log      string
+		branches []string
+		tip      int
+	}
+	snapshot := func(r *Repo) view {
+		t.Helper()
+		tip, err := r.Tip(branch)
+		if err != nil {
+			t.Fatalf("Tip(%q): %v", branch, err)
+		}
+		log := r.Log()
+		for i := range log {
+			log[i].Time = log[i].Time.UTC()
+		}
+		return view{fmt.Sprintf("%+v", log), r.Branches(), tip}
+	}
+	before := snapshot(r)
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r2.Close()
+	if after := snapshot(r2); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("reopen changed the metadata:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
 func TestOpenMissingRepo(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Errorf("Open on empty dir succeeded")

@@ -2,13 +2,15 @@ package vcs
 
 // Tests for the streaming raw checkout endpoint: byte equality with the
 // JSON path, Content-Length, ETag/304 revalidation (with the zero-blob-read
-// guarantee), gzip negotiation, and the reuse of gzip writers and readers.
+// guarantee), gzip negotiation and the reuse of gzip writers, and the
+// client's identity-only contract.
 
 import (
 	"bytes"
 	"compress/gzip"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -52,7 +54,7 @@ func TestCheckoutRawStreamsBytes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("raw stream %d diverges from committed payload", v)
 		}
-		if size >= 0 && size != int64(len(want)) {
+		if size != int64(len(want)) {
 			t.Errorf("stream %d size = %d, want %d", v, size, len(want))
 		}
 	}
@@ -245,11 +247,36 @@ func readStream(c *Client, v int) ([]byte, error) {
 	return got, err
 }
 
-// Reused writers and readers must carry no state from one response into
-// the next, including from a response the client abandoned mid-body,
-// whose writer the server drops instead of recycling.
+// gzipStream opens GET /checkout/raw?v= the way a third-party client that
+// asks for gzip would, and returns the inflating reader and the body to
+// close.
+func gzipStream(base string, v int) (*gzip.Reader, io.Closer, error) {
+	req, err := http.NewRequest(http.MethodGet, base+"/checkout/raw?v="+strconv.Itoa(v), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if enc := resp.Header.Get("Content-Encoding"); resp.StatusCode != http.StatusOK || enc != "gzip" {
+		resp.Body.Close()
+		return nil, nil, fmt.Errorf("status %d, Content-Encoding %q", resp.StatusCode, enc)
+	}
+	zr, err := gzip.NewReader(resp.Body)
+	if err != nil {
+		resp.Body.Close()
+		return nil, nil, err
+	}
+	return zr, resp.Body, nil
+}
+
+// Reused writers must carry no state from one response into the next,
+// including from a response the client abandoned mid-body, whose writer
+// the server drops instead of recycling.
 func TestCheckoutRawConcurrentGzip(t *testing.T) {
-	c, _ := newServerURL(t)
+	c, url := newServerURL(t)
 	payloads := [][]byte{hexLines(1, 2<<20)}
 	if _, err := c.Commit(repo.DefaultBranch, payloads[0], "large"); err != nil {
 		t.Fatalf("Commit: %v", err)
@@ -257,18 +284,18 @@ func TestCheckoutRawConcurrentGzip(t *testing.T) {
 	payloads = append(payloads, commitChain(t, c, 8)...)
 
 	// Abandon the large version after its first bytes.
-	rc, _, err := c.CheckoutStream(0)
+	zr, body, err := gzipStream(url, 0)
 	if err != nil {
-		t.Fatalf("CheckoutStream(0): %v", err)
+		t.Fatalf("gzip stream 0: %v", err)
 	}
 	head := make([]byte, 100)
-	if _, err := io.ReadFull(rc, head); err != nil {
+	if _, err := io.ReadFull(zr, head); err != nil {
 		t.Fatalf("read head: %v", err)
 	}
 	if !bytes.Equal(head, payloads[0][:len(head)]) {
 		t.Fatalf("abandoned stream's head diverges")
 	}
-	rc.Close()
+	body.Close()
 
 	const workers, rounds = 8, 6
 	var wg sync.WaitGroup
@@ -281,13 +308,15 @@ func TestCheckoutRawConcurrentGzip(t *testing.T) {
 				if r == rounds-1 && g == 0 {
 					v = 0
 				}
-				got, err := readStream(c, v)
+				zr, body, err := gzipStream(url, v)
 				if err != nil {
-					t.Errorf("worker %d: CheckoutStream(%d): %v", g, v, err)
+					t.Errorf("worker %d: gzip stream %d: %v", g, v, err)
 					return
 				}
-				if !bytes.Equal(got, payloads[v]) {
-					t.Errorf("worker %d: version %d diverges (%d bytes, want %d)", g, v, len(got), len(payloads[v]))
+				got, err := io.ReadAll(zr)
+				body.Close()
+				if err != nil || !bytes.Equal(got, payloads[v]) {
+					t.Errorf("worker %d: version %d: %d bytes, err %v; want %d bytes", g, v, len(got), err, len(payloads[v]))
 					return
 				}
 			}
@@ -296,9 +325,10 @@ func TestCheckoutRawConcurrentGzip(t *testing.T) {
 	wg.Wait()
 }
 
-// A gzip body cut off mid-stream must surface as an error, never as a
-// short payload; reads after Close must fail without touching the reader,
-// which by then inflates another response.
+// The client asks for identity, so a gzip answer, whole or cut off, is
+// refused outright rather than handed over as the payload, and the
+// connection it arrived on is not left in a state that fails the next
+// call.
 func TestCheckoutStreamTruncatedGzip(t *testing.T) {
 	whole := hexLines(2, 64<<10)
 	var zbuf bytes.Buffer
@@ -308,51 +338,40 @@ func TestCheckoutStreamTruncatedGzip(t *testing.T) {
 	cut := zbuf.Bytes()[:zbuf.Len()/2]
 
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Encoding", "gzip")
-		if r.URL.Query().Get("v") == "1" {
+		switch r.URL.Query().Get("v") {
+		case "0":
+			w.Header().Set("Content-Encoding", "gzip")
 			w.Write(zbuf.Bytes())
-			return
+		case "1":
+			w.Header().Set("Content-Encoding", "gzip")
+			w.Write(cut)
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		default:
+			w.Write(whole)
 		}
-		w.Write(cut)
-		w.(http.Flusher).Flush()
-		panic(http.ErrAbortHandler)
 	}))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
 
-	rc, size, err := c.CheckoutStream(0)
-	if err != nil {
-		t.Fatalf("CheckoutStream: %v", err)
-	}
-	if size != -1 {
-		t.Errorf("gzip stream size = %d, want -1", size)
-	}
-	got, err := io.ReadAll(rc)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated gzip: read %d bytes, err %v; want io.ErrUnexpectedEOF", len(got), err)
-	}
-	rc.Close()
-
-	next, _, err := c.CheckoutStream(1)
-	if err != nil {
-		t.Fatalf("CheckoutStream: %v", err)
-	}
-	defer next.Close()
-	if n, err := rc.Read(make([]byte, 16)); n != 0 || !errors.Is(err, http.ErrBodyReadAfterClose) {
-		t.Errorf("Read after Close = %d, %v; want 0, ErrBodyReadAfterClose", n, err)
-	}
-	if got, err := io.ReadAll(next); err != nil || !bytes.Equal(got, whole) {
-		t.Errorf("stream after a recycled reader: %d bytes, err %v; want %d bytes", len(got), err, len(whole))
+	for v := 0; v < 2; v++ {
+		if rc, _, err := c.CheckoutStream(v); err == nil {
+			rc.Close()
+			t.Fatalf("CheckoutStream(%d) accepted a gzip answer", v)
+		}
+		if got, err := readStream(c, 2); err != nil || !bytes.Equal(got, whole) {
+			t.Fatalf("stream after refusing %d: %d bytes, err %v; want %d bytes", v, len(got), err, len(whole))
+		}
 	}
 }
 
-// An upstream that answers without gzip passes its body and its
-// Content-Length through untouched.
+// CheckoutStream asks for identity and returns the body with its
+// Content-Length as the size.
 func TestCheckoutStreamIdentity(t *testing.T) {
 	want := hexLines(3, 4<<10)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Accept-Encoding") != "gzip" {
-			t.Errorf("Accept-Encoding = %q, want gzip", r.Header.Get("Accept-Encoding"))
+		if got := r.Header.Get("Accept-Encoding"); got != "identity" {
+			t.Errorf("Accept-Encoding = %q, want identity", got)
 		}
 		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
 		w.Write(want)
@@ -365,7 +384,7 @@ func TestCheckoutStreamIdentity(t *testing.T) {
 	}
 	defer rc.Close()
 	if size != int64(len(want)) {
-		t.Errorf("identity size = %d, want %d", size, len(want))
+		t.Errorf("identity size = %d, want Content-Length %d", size, len(want))
 	}
 	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("identity body: %d bytes, err %v; want %d bytes", len(got), err, len(want))
@@ -424,50 +443,99 @@ func heapAllocs() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// A cache-hit checkout, server and client together, must not build a
-// compressor or decompressor per request.
+// hitIdentity reads version 0 into buf the way CheckoutStream does.
+func hitIdentity(c *Client, buf *bytes.Buffer) error {
+	rc, _, err := c.CheckoutStream(0)
+	if err != nil {
+		return err
+	}
+	defer rc.Close()
+	buf.Reset()
+	_, err = buf.ReadFrom(rc)
+	return err
+}
+
+// hitGzip reads version 0 into buf through req, which asks for gzip,
+// inflating through zr, a reader reused from one call to the next.
+func hitGzip(c *Client, req *http.Request, zr *gzip.Reader, buf *bytes.Buffer) error {
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
+		return fmt.Errorf("Content-Encoding %q, want gzip", enc)
+	}
+	buf.Reset()
+	if err := zr.Reset(resp.Body); err != nil {
+		return err
+	}
+	_, err = buf.ReadFrom(zr)
+	return err
+}
+
+// hitCases are the two ways a cache hit travels: identity is what
+// CheckoutStream asks for, and gzip is what a caller that asks for
+// compression gets from the server's writer pool.
+func hitCases(tb testing.TB, c *Client) []struct {
+	name string
+	hit  func(*bytes.Buffer) error
+} {
+	req, err := http.NewRequest(http.MethodGet, c.base+"/checkout/raw?v=0", nil)
+	if err != nil {
+		tb.Fatalf("NewRequest: %v", err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	var zr gzip.Reader
+	return []struct {
+		name string
+		hit  func(*bytes.Buffer) error
+	}{
+		{"identity", func(buf *bytes.Buffer) error { return hitIdentity(c, buf) }},
+		{"gzip", func(buf *bytes.Buffer) error { return hitGzip(c, req, &zr, buf) }},
+	}
+}
+
+// A cache-hit checkout, server and client together, must allocate far less
+// than one gzip coder costs to build. The gzip case guards the server's
+// writer pool: a handler that built a fresh writer per hit would fail it.
 func TestCheckoutRawHitAllocs(t *testing.T) {
 	c, _, want := newHitServer(t)
-	const n = 200
-	var buf bytes.Buffer
-	before := heapAllocs()
-	for i := 0; i < n; i++ {
-		rc, _, err := c.CheckoutStream(0)
-		if err != nil {
-			t.Fatalf("CheckoutStream: %v", err)
-		}
-		buf.Reset()
-		_, err = buf.ReadFrom(rc)
-		rc.Close()
-		if err != nil || !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("checkout %d: %d bytes, err %v", i, buf.Len(), err)
-		}
-	}
-	if mean := (heapAllocs() - before) / n; mean >= 128<<10 {
-		t.Errorf("cache-hit checkout allocates %d KiB, want < 128 KiB", mean>>10)
+	for _, tc := range hitCases(t, c) {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 200
+			var buf bytes.Buffer
+			before := heapAllocs()
+			for i := 0; i < n; i++ {
+				if err := tc.hit(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("checkout %d: %d bytes, err %v", i, buf.Len(), err)
+				}
+			}
+			if mean := (heapAllocs() - before) / n; mean >= 128<<10 {
+				t.Errorf("cache-hit checkout allocates %d KiB, want < 128 KiB", mean>>10)
+			}
+		})
 	}
 }
 
 // BenchmarkCheckoutRawHit reports a cache-hit checkout's latency and
-// allocation next to its compressed response size (resp_B/op), the two
-// sides of the compression-level trade.
+// allocation, server and client together, next to its response size on
+// the wire (resp_B/op), for each of hitCases. The two sides are the
+// compression trade.
 func BenchmarkCheckoutRawHit(b *testing.B) {
 	c, ct, want := newHitServer(b)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	ct.n.Store(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rc, _, err := c.CheckoutStream(0)
-		if err != nil {
-			b.Fatalf("CheckoutStream: %v", err)
-		}
-		buf.Reset()
-		_, err = buf.ReadFrom(rc)
-		rc.Close()
-		if err != nil || buf.Len() != len(want) {
-			b.Fatalf("checkout: %d bytes, err %v", buf.Len(), err)
-		}
+	for _, tc := range hitCases(b, c) {
+		b.Run(tc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			ct.n.Store(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tc.hit(&buf); err != nil || buf.Len() != len(want) {
+					b.Fatalf("checkout: %d bytes, err %v", buf.Len(), err)
+				}
+			}
+			b.ReportMetric(float64(ct.n.Load())/float64(b.N), "resp_B/op")
+		})
 	}
-	b.ReportMetric(float64(ct.n.Load())/float64(b.N), "resp_B/op")
 }

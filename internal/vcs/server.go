@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"versiondb/internal/autotune"
 	"versiondb/internal/jobs"
@@ -259,7 +258,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 // the body.
 func rawCommitRequest(r *http.Request) (CommitRequest, error) {
 	q := r.URL.Query()
-	req := CommitRequest{Branch: jsonString(q.Get("branch")), Message: jsonString(q.Get("message")), MergeParent: -1}
+	req := CommitRequest{Branch: q.Get("branch"), Message: q.Get("message"), MergeParent: -1}
 	if q.Has("merge_parent") {
 		mp, err := strconv.Atoi(q.Get("merge_parent"))
 		if err != nil {
@@ -273,17 +272,6 @@ func rawCommitRequest(r *http.Request) (CommitRequest, error) {
 	}
 	req.Payload = payload
 	return req, nil
-}
-
-// jsonString returns s as a JSON string decodes it: each byte that is not
-// part of valid UTF-8 becomes U+FFFD. A query string can carry any bytes,
-// and the metadata log stores strings as JSON, so without this a raw
-// commit's in-memory message would differ from the one a reopen reads.
-func jsonString(s string) string {
-	if utf8.ValidString(s) {
-		return s
-	}
-	return string([]rune(s))
 }
 
 func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {

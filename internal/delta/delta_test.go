@@ -294,3 +294,70 @@ func TestApplyReaderWindowReuse(t *testing.T) {
 		t.Fatal("paused stack diverged after other stacks recycled their windows")
 	}
 }
+
+// csvRows returns a header and n rows of a cols-column CSV payload.
+func csvRows(rng *rand.Rand, n, cols int) []string {
+	rows := make([]string, 0, n+1)
+	var sb strings.Builder
+	for c := 0; c < cols; c++ {
+		if c > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "col%d", c)
+	}
+	rows = append(rows, sb.String())
+	for r := 0; r < n; r++ {
+		sb.Reset()
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%d", rng.Intn(100000))
+		}
+		rows = append(rows, sb.String())
+	}
+	return rows
+}
+
+// TestApplyEncodedRightSized: a one-way delta that keeps a few lines of a
+// large source is a few bytes long, so the output buffer sized for the
+// whole source would be almost all spare room; the result must not keep
+// it, or a cache that charges len(payload) would hold far more memory than
+// it counts.
+func TestApplyEncodedRightSized(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rows := csvRows(rng, 600, 20)
+	src, want := JoinLines(rows), JoinLines(append(rows[:3:3], rows[597:]...))
+	enc := Encode(DiffLines(src, want), true)
+	got, err := ApplyEncoded(enc, src)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ApplyEncoded: %v (equal=%v)", err, bytes.Equal(got, want))
+	}
+	if len(enc) > 64 || cap(got) > 2*len(got) {
+		t.Fatalf("%d-byte delta gave len %d, cap %d; want cap <= 2*len", len(enc), len(got), cap(got))
+	}
+}
+
+// TestApplyEncodedAllocs: applying a one-way delta to a 60-row × 20-column
+// CSV payload allocates exactly once — the output buffer — however the
+// hunks fall: no line is split out, decoded into a string or re-joined.
+func TestApplyEncodedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	rows := csvRows(rng, 60, 20)
+	next := append([]string(nil), rows...)
+	next[5], next[30] = next[5]+",x", "edited,"+next[30]
+	next = append(next[:45], next[47:]...)          // delete two rows
+	next = append(next, "appended,1", "appended,2") // insert at the end
+	src, want := JoinLines(rows), JoinLines(next)
+	enc := Encode(DiffLines(src, want), true)
+	if got, err := ApplyEncoded(enc, src); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ApplyEncoded: %v (equal=%v)", err, bytes.Equal(got, want))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ApplyEncoded(enc, src); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("ApplyEncoded allocates %v times per call, want 1", n)
+	}
+}

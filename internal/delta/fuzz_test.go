@@ -17,31 +17,41 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
-// streamEqualsBuffered asserts the reader path agrees with the buffered
-// path for a line delta: same success/error outcome, same bytes. The
-// robustness half of the contract rides along — a corrupt enc or src must
-// error from Read, never panic or hang.
-func streamEqualsBuffered(t *testing.T, enc, src []byte) {
+// matchesReference asserts that ApplyEncoded and ApplyReader each agree
+// with the string reference form, Decode followed by LineDelta.Apply: the
+// same success or failure, the same bytes, and for the buffered path the
+// same nil for an empty result. The robustness half of the contract rides
+// along — a corrupt enc or src must error, never panic or hang.
+func matchesReference(t *testing.T, enc, src []byte) {
 	t.Helper()
-	want, wantErr := ApplyEncoded(enc, src)
-	got, gotErr := io.ReadAll(ApplyReader(enc, bytes.NewReader(src)))
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("stream/buffered disagree on error: stream=%v buffered=%v", gotErr, wantErr)
+	var want []byte
+	d, _, wantErr := Decode(enc)
+	if wantErr == nil {
+		want, wantErr = d.Apply(src)
 	}
-	if wantErr == nil && !bytes.Equal(normalizeEmpty(got), normalizeEmpty(want)) {
-		t.Fatalf("stream apply: got %q, want %q", got, want)
+	got, err := ApplyEncoded(enc, src)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("ApplyEncoded(%q, %q): err %v, reference err %v", enc, src, err, wantErr)
 	}
-}
-
-// normalizeEmpty maps the empty slice to nil: io.ReadAll returns []byte{}
-// where the buffered path returns nil for empty payloads.
-func normalizeEmpty(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+	if err == nil && (!bytes.Equal(got, want) || (got == nil) != (want == nil)) {
+		t.Fatalf("ApplyEncoded(%q, %q) = %q, reference gives %q", enc, src, got, want)
 	}
-	return b
+	for _, name := range []string{"plain", "one-byte"} {
+		r := ApplyReader(enc, bytes.NewReader(src))
+		if name == "one-byte" {
+			r = iotest.OneByteReader(ApplyReader(enc, iotest.OneByteReader(bytes.NewReader(src))))
+		}
+		got, err := io.ReadAll(r)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ApplyReader(%q, %q) %s: err %v, reference err %v", enc, src, name, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("ApplyReader(%q, %q) %s = %q, reference gives %q", enc, src, name, got, want)
+		}
+	}
 }
 
 // canonicalLines is the line codec's normal form: what any apply of a
@@ -132,22 +142,16 @@ func FuzzLineDiffRoundTrip(f *testing.F) {
 			t.Fatalf("one-way apply: got %q, want %q", got, wantB)
 		}
 
-		// The reader path must agree with the buffered path byte for byte,
-		// for both encodings.
-		streamEqualsBuffered(t, enc2, a)
-		streamEqualsBuffered(t, enc1, a)
+		// Both in-place paths must agree with the reference form byte for
+		// byte, for both encodings.
+		matchesReference(t, enc2, a)
+		matchesReference(t, enc1, a)
 
 		// Robustness: the raw inputs are (almost certainly) not valid
-		// encodings; decoding and applying them must error or succeed, but
-		// never panic — on the buffered and the reader path alike.
-		if _, _, err := Decode(a); err == nil {
-			_, _ = ApplyEncoded(a, b)
-		}
-		if _, _, err := Decode(b); err == nil {
-			_, _ = ApplyEncoded(b, a)
-		}
-		streamEqualsBuffered(t, a, b)
-		streamEqualsBuffered(t, b, a)
+		// encodings; applying them must error or succeed as the reference
+		// does, but never panic — on the buffered and the reader path alike.
+		matchesReference(t, a, b)
+		matchesReference(t, b, a)
 	})
 }
 
@@ -167,4 +171,36 @@ func TestOneWayDecodeCannotUpgradeToTwoWay(t *testing.T) {
 	if _, err := ApplyEncoded(reenc, a); err == nil {
 		t.Fatal("two-way re-encode of a count-only delta applied silently; want a context-check error")
 	}
+}
+
+// FuzzApplyEncodedMatchesReference feeds arbitrary encodings and sources to
+// ApplyEncoded and ApplyReader and holds each to the string reference form
+// (matchesReference). Valid encodings of real edits are seeded next to
+// corrupt ones, applied to their own source and to sources with and
+// without a trailing newline and with empty lines, so the fuzzer starts
+// from every check the kernel makes: truncation, counts beyond the bytes,
+// out-of-order hunks, deletion past the end and the context check.
+func FuzzApplyEncodedMatchesReference(f *testing.F) {
+	sources := [][]byte{
+		nil,
+		[]byte("a\nb\nc\n"),
+		[]byte("a\nb\nc"),
+		[]byte("\n\nx\n\n"),
+		[]byte("x\n\ny"),
+	}
+	encs := [][]byte{{}, {0xff}, {2, 0}} // TestDecodeCorrupt's inputs
+	for _, c := range applyCases {
+		d := DiffLines([]byte(c[0]), []byte(c[1]))
+		encs = append(encs, Encode(d, false), Encode(d, true))
+		f.Add(Encode(d, false), []byte(c[0]))
+		f.Add(Encode(d, true), []byte(c[0]))
+	}
+	for _, enc := range encs {
+		for _, src := range sources {
+			f.Add(enc, src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, enc, src []byte) {
+		matchesReference(t, enc, src)
+	})
 }

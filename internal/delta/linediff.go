@@ -8,18 +8,21 @@
 // paper's proportional scenarios); compressing a delta shrinks Δ while
 // leaving the apply work unchanged, which is how the Φ ≠ Δ scenario arises.
 //
-// A line delta reconstructs its target's canonical line form,
-// JoinLines(SplitLines(b)), which differs from b when b is non-empty and
-// lacks a trailing newline (LineExact). This package does not refuse such
-// targets; the layers that choose what to store do: a commit
+// Applying a delta (ApplyEncoded, or ApplyReader on a stream) reads its
+// encoding in place, in one pass over the encoded bytes and the source:
+// the work is copying the kept source ranges and the inserted lines, with
+// no line split out, decoded into a string or re-joined.
+//
+// A line delta reconstructs its target's canonical line form — the lines
+// of SplitLines(b), each ended by a newline — which differs from b when b
+// is non-empty and lacks a trailing newline (LineExact). This package does
+// not refuse such targets; the layers that choose what to store do: a commit
 // (repo.addVersionLocked) materializes such a payload, the cost matrix
 // (costs.LineDiffs) reveals no delta edge into it, and store.BuildLayout
 // returns an error rather than write one.
 package delta
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"sync"
 )
@@ -76,36 +79,50 @@ func SplitLines(b []byte) []string {
 	}
 }
 
-// JoinLines is the inverse of SplitLines (always emits a trailing newline
-// when there is at least one line).
-func JoinLines(lines []string) []byte {
-	if len(lines) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	for _, l := range lines {
-		buf.WriteString(l)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
 // DiffLines computes a two-way line delta from a to b using Myers' O(ND)
-// greedy algorithm.
+// greedy algorithm. When the two sides share no line it skips the differ:
+// every op then deletes or inserts, so whatever order Myers would pick the
+// script is one hunk at line 0 (the shortcut LineTable.Sizes takes).
 func DiffLines(a, b []byte) *LineDelta {
 	al := SplitLines(a)
 	bl := SplitLines(b)
+	if len(al)+len(bl) > 0 && disjointLines(al, bl) {
+		return &LineDelta{Hunks: []Hunk{{Del: al, Ins: bl}}}
+	}
 	s := scratchPool.Get().(*Scratch)
 	d := sesToHunks(al, bl, myers(al, bl, s))
 	s.release()
 	return d
 }
 
+// disjointLines reports whether a and b share no line, so DiffLines can
+// skip Myers' O(d²) trace on a pair that has nothing in common. A pair
+// sharing its first or last line is rejected before any set is built;
+// otherwise the set holds the shorter side.
+func disjointLines(a, b []string) bool {
+	if len(a) > 0 && len(b) > 0 && (a[0] == b[0] || a[len(a)-1] == b[len(b)-1]) {
+		return false
+	}
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	seen := make(map[string]struct{}, len(a))
+	for _, l := range a {
+		seen[l] = struct{}{}
+	}
+	for _, l := range b {
+		if _, ok := seen[l]; ok {
+			return false
+		}
+	}
+	return true
+}
+
 // LineExact reports whether b survives a line delta byte for byte: it is
 // empty or ends in a newline. Applying a line delta always rebuilds the
-// target's canonical line form, JoinLines(SplitLines(b)), which adds a
-// newline to a payload that lacks one — so a payload that is not line-exact
-// may only ever be stored materialized.
+// target's canonical line form, which adds a newline to a payload that
+// lacks one — so a payload that is not line-exact may only ever be stored
+// materialized.
 func LineExact(b []byte) bool {
 	return len(b) == 0 || b[len(b)-1] == '\n'
 }
@@ -278,35 +295,6 @@ func sesToHunks(a, b []string, ops []opKind) *LineDelta {
 	}
 	flush()
 	return d
-}
-
-// Apply transforms src (which must equal the original a) into the target b.
-func (d *LineDelta) Apply(src []byte) ([]byte, error) {
-	lines := SplitLines(src)
-	var out []string
-	pos := 0
-	for hi, h := range d.Hunks {
-		if h.SrcPos < pos || h.SrcPos > len(lines) {
-			return nil, fmt.Errorf("delta: hunk %d at %d out of order (pos %d, %d lines)", hi, h.SrcPos, pos, len(lines))
-		}
-		out = append(out, lines[pos:h.SrcPos]...)
-		pos = h.SrcPos
-		// NumDel keeps count-only hunks (one-way decodes) consuming the
-		// right number of source lines; the content context check below
-		// naturally covers only hunks that carry content.
-		if pos+h.NumDel() > len(lines) {
-			return nil, fmt.Errorf("delta: hunk %d deletes past end of source", hi)
-		}
-		for i, dl := range h.Del {
-			if lines[pos+i] != dl {
-				return nil, fmt.Errorf("delta: hunk %d context mismatch at line %d", hi, pos+i)
-			}
-		}
-		pos += h.NumDel()
-		out = append(out, h.Ins...)
-	}
-	out = append(out, lines[pos:]...)
-	return JoinLines(out), nil
 }
 
 // Invert returns the delta transforming b back into a (swap of Del/Ins with

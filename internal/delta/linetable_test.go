@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -183,11 +184,13 @@ func TestDiffLinesReusesScratch(t *testing.T) {
 	}
 }
 
-// TestLineSizesDisjointPairs checks Sizes' shortcut for pairs that share no
-// line against the encoder, on 3,000 random pairs: empty sides, duplicate
-// and empty lines, no trailing newline, and lines and line counts long
-// enough for multi-byte uvarints. One Scratch serves two tables, and its
-// generation counter wraps mid-way.
+// TestLineSizesDisjointPairs checks the two shortcuts for pairs that share
+// no line against the script Myers finds, on 3,000 random pairs: empty
+// sides, duplicate and empty lines, no trailing newline, and lines and line
+// counts long enough for multi-byte uvarints. Sizes must match the encoded
+// Myers script's sizes, and DiffLines' one-hunk delta must encode, both ways
+// and inverted, byte for byte as that script. One Scratch serves two
+// tables, and its generation counter wraps mid-way.
 func TestLineSizesDisjointPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(prefix string) []byte {
@@ -231,11 +234,42 @@ func TestLineSizesDisjointPairs(t *testing.T) {
 			if k == 700 {
 				s.gen = ^uint32(0)
 			}
-			d := DiffLines(payloads[i], payloads[j])
-			wantFwd, wantBwd := len(Encode(d, true)), len(Encode(d.Invert(), true))
+			al, bl := SplitLines(payloads[i]), SplitLines(payloads[j])
+			var ms Scratch
+			viaMyers := sesToHunks(al, bl, myers(al, bl, &ms))
+			wantFwd, wantBwd := len(Encode(viaMyers, true)), len(Encode(viaMyers.Invert(), true))
 			if fwd, bwd := table.Sizes(i, j, &s); fwd != wantFwd || bwd != wantBwd {
 				t.Fatalf("round %d: Sizes(%d, %d) = (%d, %d), want (%d, %d)", round, i, j, fwd, bwd, wantFwd, wantBwd)
 			}
+			d := DiffLines(payloads[i], payloads[j])
+			for _, oneWay := range []bool{false, true} {
+				if !bytes.Equal(Encode(d, oneWay), Encode(viaMyers, oneWay)) ||
+					!bytes.Equal(Encode(d.Invert(), oneWay), Encode(viaMyers.Invert(), oneWay)) {
+					t.Fatalf("round %d: DiffLines(%d, %d) oneWay=%v encodes unlike the Myers script", round, i, j, oneWay)
+				}
+			}
 		}
+	}
+}
+
+// TestDiffLinesDisjointAllocs: differencing an 8,192-line payload against a
+// one-line one that shares no line with it allocates well under 1 MiB. The
+// Myers trace for that edit distance would hold ~33.6 M ints (~268 MB).
+func TestDiffLinesDisjointAllocs(t *testing.T) {
+	var lines []string
+	for i := 0; i < 8192; i++ {
+		lines = append(lines, fmt.Sprintf("row-%d,%d", i, i*7))
+	}
+	a, b := []byte("header\n"), JoinLines(lines)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	enc := Encode(DiffLines(a, b), true)
+	runtime.ReadMemStats(&after)
+	if got, err := ApplyEncoded(enc, a); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("ApplyEncoded: %v (equal=%v)", err, bytes.Equal(got, b))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("DiffLines+Encode allocated %d bytes, want < 1 MiB", alloc)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // in this package. ApplyReader returns a reader that produces
 // exactly the bytes ApplyEncoded would, without ever materializing the
 // source or target: a delta chain composes into a stack of readers where
-// each stage holds only the (small) decoded delta plus one bounded window
-// of its input. That turns checkout memory from O(payload × chain) into
-// O(window × chain) — the property the streaming serving path is built on.
-// Corrupt or truncated deltas and sources surface as errors from Read,
-// never as hangs or unbounded allocation.
+// each stage holds only its encoded delta, read in place by a cursor, plus
+// one bounded window of its input. That turns checkout memory from
+// O(payload × chain) into O(window × chain) — the property the streaming
+// serving path is built on. Corrupt or truncated deltas and sources
+// surface as errors from Read, never as hangs or unbounded allocation.
 
 // applyReaderBufSize is the copy-through window of the line-delta reader:
 // large enough to amortize syscalls on big payloads, small enough that a
@@ -40,16 +40,23 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // ApplyReader returns a reader applying the encoded line delta enc to the
 // source streamed from src. The output is byte-identical to
 // ApplyEncoded(enc, src-bytes), including the trailing-newline
-// normalization of SplitLines/JoinLines; two-way deltas get the same
-// deleted-content context check, one-way deltas consume counts only.
+// normalization; two-way deltas get the same deleted-content context
+// check, one-way deltas consume counts only. The whole encoding is
+// validated before the first byte is produced, so a corrupt delta fails on
+// the first Read. The reader reads enc in place; the caller must not
+// modify it while the reader is in use.
 func ApplyReader(enc []byte, src io.Reader) io.Reader {
-	d, oneWay, err := Decode(enc)
-	if err != nil {
+	if err := validate(enc); err != nil {
 		return errReader{err}
 	}
-	w := windows.Get().(*bufio.Reader)
-	w.Reset(src)
-	return &lineApplyReader{src: w, hunks: d.Hunks, twoWay: !oneWay}
+	c, _ := newCursor(enc) // validated above
+	r := &lineApplyReader{c: c}
+	if err := r.nextHunk(); err != nil {
+		return errReader{err}
+	}
+	r.src = windows.Get().(*bufio.Reader)
+	r.src.Reset(src)
+	return r
 }
 
 // lineApplyReader states. The machine moves copy → hunk → del → ins → copy
@@ -58,7 +65,7 @@ func ApplyReader(enc []byte, src io.Reader) io.Reader {
 // entering the hunk.
 const (
 	larCopy = iota // copy source lines through until the next hunk
-	larHunk        // begin hunks[hi]: validate position, set up deletion
+	larHunk        // begin the current hunk: set up deletion
 	larDel         // consume (and for two-way, check) deleted source lines
 	larIns         // emit inserted lines
 	larTail        // emit the final normalized '\n', then tailNext
@@ -70,24 +77,39 @@ const (
 // the source's final line may lack its newline (SplitLines counts it as a
 // line anyway), which EOF handling completes.
 type lineApplyReader struct {
-	src    *bufio.Reader // nil once finished: the window is back in windows
-	hunks  []Hunk
-	twoWay bool
+	src *bufio.Reader // nil once finished: the window is back in windows
+	c   cursor        // the encoding, positioned after the current hunk's header
 
 	state    int
 	tailNext int  // state after larTail
-	hi       int  // current hunk index
 	pos      int  // completed source lines consumed
 	mid      bool // partway through copying source line pos
 
-	delLeft int  // source lines the current hunk still deletes
-	delMid  bool // partway through the current deleted line
-	delOff  int  // matched bytes of the expected deleted line (two-way)
+	// The current hunk, read from c: pending until its lines are applied.
+	pending    bool
+	sp, nd, ni int
 
-	insIdx int // next Ins line to emit
-	insOff int // emitted bytes of hunks[hi].Ins[insIdx]
+	delLeft int    // source lines the current hunk still deletes
+	delMid  bool   // partway through the current deleted line
+	delOff  int    // matched bytes of want (two-way)
+	want    []byte // the deleted line the source must match (two-way)
+
+	insLeft int    // inserted lines not yet started
+	ins     []byte // the inserted line being emitted
+	insOff  int    // emitted bytes of ins; len(ins)+1 once its newline is out
 
 	err error
+}
+
+// nextHunk reads the next hunk header, if any, from the cursor.
+func (r *lineApplyReader) nextHunk() error {
+	r.pending = r.c.hunks > 0
+	if !r.pending {
+		return nil
+	}
+	var err error
+	r.sp, r.nd, r.ni, err = r.c.hunk()
+	return err
 }
 
 func (r *lineApplyReader) Read(p []byte) (int, error) {
@@ -101,16 +123,16 @@ func (r *lineApplyReader) Read(p []byte) (int, error) {
 		case larCopy:
 			n, err = r.copyStep(p, n)
 		case larHunk:
-			err = r.startHunk()
+			r.startHunk()
 		case larDel:
 			if r.delLeft == 0 {
-				r.insIdx, r.insOff = 0, 0
+				r.insLeft, r.ins, r.insOff = r.ni, nil, 1
 				r.state = larIns
 			} else {
 				err = r.delStep()
 			}
 		case larIns:
-			n = r.insStep(p, n)
+			n, err = r.insStep(p, n)
 		case larTail:
 			p[n] = '\n'
 			n++
@@ -157,10 +179,10 @@ func (r *lineApplyReader) window() ([]byte, error) {
 // complete.
 func (r *lineApplyReader) copyStep(p []byte, n int) (int, error) {
 	stop := int(^uint(0) >> 1) // no hunk left: copy to EOF
-	if r.hi < len(r.hunks) {
-		stop = r.hunks[r.hi].SrcPos
+	if r.pending {
+		stop = r.sp
 	}
-	if r.hi < len(r.hunks) && r.pos >= stop && !r.mid {
+	if r.pending && r.pos >= stop && !r.mid {
 		r.state = larHunk
 		return n, nil
 	}
@@ -195,7 +217,7 @@ func (r *lineApplyReader) copyStep(p []byte, n int) (int, error) {
 // trailing newline, or admit an insert-at-end hunk positioned just past the
 // final (possibly newline-less) line.
 func (r *lineApplyReader) copyEOF() error {
-	if r.hi >= len(r.hunks) {
+	if !r.pending {
 		if r.mid {
 			r.mid = false
 			r.pos++
@@ -205,8 +227,7 @@ func (r *lineApplyReader) copyEOF() error {
 		}
 		return nil
 	}
-	target := r.hunks[r.hi].SrcPos
-	if r.mid && target == r.pos+1 {
+	if r.mid && r.sp == r.pos+1 {
 		// The final source line lacked its newline; complete it before the
 		// hunk that starts right after it.
 		r.mid = false
@@ -214,45 +235,48 @@ func (r *lineApplyReader) copyEOF() error {
 		r.state, r.tailNext = larTail, larHunk
 		return nil
 	}
-	if !r.mid && target == r.pos {
+	if !r.mid && r.sp == r.pos {
 		r.state = larHunk
 		return nil
 	}
-	return fmt.Errorf("delta: hunk %d at %d out of order", r.hi, target)
+	return fmt.Errorf("delta: hunk %d at %d out of order", r.c.hi, r.sp)
 }
 
-// startHunk validates the current hunk's position and arms the deletion
-// scan.
-func (r *lineApplyReader) startHunk() error {
-	h := &r.hunks[r.hi]
-	if h.SrcPos != r.pos {
-		return fmt.Errorf("delta: hunk %d at %d out of order", r.hi, h.SrcPos)
-	}
-	r.delLeft = h.NumDel()
+// startHunk arms the deletion scan of the current hunk. Its position needs
+// no check here: copyStep enters this state only at the hunk's line, and
+// copyEOF only for a hunk at the source's end.
+func (r *lineApplyReader) startHunk() {
+	r.delLeft = r.nd
 	r.delOff = 0
 	r.delMid = false
 	r.state = larDel
-	return nil
 }
 
 // delStep consumes one window of the current deleted source line, checking
 // it against the recorded content for two-way deltas. A final source line
 // without a trailing newline is completed by EOF.
 func (r *lineApplyReader) delStep() error {
-	h := &r.hunks[r.hi]
+	twoWay := !r.c.oneWay
+	if twoWay && !r.delMid {
+		// A fresh deleted line: its expected content is next in enc.
+		var err error
+		if r.want, err = r.c.line(); err != nil {
+			return err
+		}
+	}
 	w, err := r.window()
 	if err == io.EOF {
 		if !r.delMid {
-			return fmt.Errorf("delta: hunk %d deletes past end of source", r.hi)
+			return fmt.Errorf("delta: hunk %d deletes past end of source", r.c.hi)
 		}
-		if r.twoWay && r.delOff != len(h.Del[h.NumDel()-r.delLeft]) {
-			return fmt.Errorf("delta: hunk %d context mismatch at line %d", r.hi, r.pos)
+		if twoWay && r.delOff != len(r.want) {
+			return fmt.Errorf("delta: hunk %d context mismatch at line %d", r.c.hi, r.pos)
 		}
 		r.delMid = false
 		r.delLeft--
 		r.pos++
 		if r.delLeft > 0 {
-			return fmt.Errorf("delta: hunk %d deletes past end of source", r.hi)
+			return fmt.Errorf("delta: hunk %d deletes past end of source", r.c.hi)
 		}
 		return nil
 	}
@@ -265,11 +289,10 @@ func (r *lineApplyReader) delStep() error {
 		seg = w[:idx]
 		complete = true
 	}
-	if r.twoWay {
-		want := h.Del[h.NumDel()-r.delLeft]
-		if r.delOff+len(seg) > len(want) || string(seg) != want[r.delOff:r.delOff+len(seg)] ||
-			(complete && r.delOff+len(seg) != len(want)) {
-			return fmt.Errorf("delta: hunk %d context mismatch at line %d", r.hi, r.pos)
+	if twoWay {
+		if r.delOff+len(seg) > len(r.want) || !bytes.Equal(seg, r.want[r.delOff:r.delOff+len(seg)]) ||
+			(complete && r.delOff+len(seg) != len(r.want)) {
+			return fmt.Errorf("delta: hunk %d context mismatch at line %d", r.c.hi, r.pos)
 		}
 	}
 	r.delOff += len(seg)
@@ -286,29 +309,34 @@ func (r *lineApplyReader) delStep() error {
 	return nil
 }
 
-// insStep emits the current hunk's inserted lines (each with its newline)
-// into p, moving back to copy once the hunk is drained.
-func (r *lineApplyReader) insStep(p []byte, n int) int {
-	ins := r.hunks[r.hi].Ins
+// insStep emits the current hunk's inserted lines (each with its newline),
+// reading them from the cursor, into p, and moves back to copy with the
+// next hunk's header once the hunk is drained.
+func (r *lineApplyReader) insStep(p []byte, n int) (int, error) {
 	for n < len(p) {
-		if r.insIdx >= len(ins) {
-			r.hi++
-			r.state = larCopy
-			return n
+		if r.insOff > len(r.ins) { // ins and its newline are out
+			if r.insLeft == 0 {
+				r.state = larCopy
+				return n, r.nextHunk()
+			}
+			line, err := r.c.line()
+			if err != nil {
+				return n, err
+			}
+			r.ins, r.insOff = line, 0
+			r.insLeft--
 		}
-		line := ins[r.insIdx]
-		if r.insOff < len(line) {
-			c := copy(p[n:], line[r.insOff:])
+		if r.insOff < len(r.ins) {
+			c := copy(p[n:], r.ins[r.insOff:])
 			n += c
 			r.insOff += c
 			continue
 		}
 		p[n] = '\n'
 		n++
-		r.insIdx++
-		r.insOff = 0
+		r.insOff++
 	}
-	return n
+	return n, nil
 }
 
 // DecompressReader returns a streaming reader inflating a Compress output.

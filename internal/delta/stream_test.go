@@ -94,14 +94,14 @@ func TestApplyReaderLargePayload(t *testing.T) {
 }
 
 // TestApplyReaderTruncatedDelta: every truncation of a valid encoding must
-// leave the stream agreeing with the buffered path — same bytes or both
-// erroring — and always terminating.
+// leave the stream and the buffered path agreeing with the reference form
+// — same bytes or both erroring — and always terminating.
 func TestApplyReaderTruncatedDelta(t *testing.T) {
 	a := []byte("alpha\nbeta\ngamma\ndelta\n")
 	b := []byte("alpha\nBETA\ngamma\nepsilon\nzeta\n")
 	enc := Encode(DiffLines(a, b), false)
 	for cut := 0; cut < len(enc); cut++ {
-		streamEqualsBuffered(t, enc[:cut], a)
+		matchesReference(t, enc[:cut], a)
 	}
 }
 

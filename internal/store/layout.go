@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -294,20 +293,6 @@ func (l *Layout) materialize(v int) ([]byte, error) {
 	return cur, nil
 }
 
-// applyEdge applies one chain edge's decompressed delta blob to its
-// parent's complete payload for CheckoutAll, through delta.ApplyReader —
-// the stage a streaming checkout stacks per edge. The encoded delta
-// carries every inserted line, so parent + blob bounds the output and the
-// buffer is allocated once.
-func applyEdge(blob, parent []byte) ([]byte, error) {
-	var out bytes.Buffer
-	out.Grow(len(parent) + len(blob) + bytes.MinRead)
-	if _, err := out.ReadFrom(delta.ApplyReader(blob, bytes.NewReader(parent))); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
 // chainTo walks v up to its replay base: the nearest ancestor resident in
 // c or, failing that, the materialized root. It is the one serving-path
 // chain walk. chain lists the versions whose blobs are replayed, v first.
@@ -438,7 +423,7 @@ func (l *Layout) CheckoutAll(ctx context.Context) ([][]byte, error) {
 					} else {
 						// The parent's payload is complete: v was enqueued
 						// by the worker that finished it.
-						cur, err := applyEdge(blob, out[l.Entries[v].Parent])
+						cur, err := delta.ApplyEncoded(blob, out[l.Entries[v].Parent])
 						if err != nil {
 							fail(fmt.Errorf("store: checkout-all %d: applying delta: %w", v, err))
 							return

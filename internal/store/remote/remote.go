@@ -11,6 +11,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -703,20 +704,18 @@ func (r *latencyRing) observe(d time.Duration) {
 }
 
 // p95 returns the 95th-percentile observed latency, or 0 until
-// minLatencySamples observations have accumulated.
+// minLatencySamples observations have accumulated. The lock covers only
+// the copy of the ring onto the stack; the sort runs outside it.
 func (r *latencyRing) p95() time.Duration {
+	var sorted [latencySamples]time.Duration
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.n
-	if n > latencySamples {
-		n = latencySamples
-	}
+	n := min(r.n, latencySamples)
+	copy(sorted[:], r.samples[:n])
+	r.mu.Unlock()
 	if n < minLatencySamples {
 		return 0
 	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, r.samples[:n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted[:n])
 	return sorted[(n*95)/100]
 }
 

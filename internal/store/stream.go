@@ -12,8 +12,8 @@ import (
 // reader stack instead of repeated full materializations. The base of the
 // stack is the nearest cached ancestor's payload (or the materialized chain
 // root, streamed from the backend); each chain edge above it contributes
-// one delta.ApplyReader stage holding only its decoded delta plus a bounded
-// window. Per-request memory is therefore O(chain × window), independent of
+// one delta.ApplyReader stage holding only its encoded delta, read in
+// place, plus a bounded window. Per-request memory is therefore O(chain × window), independent of
 // payload size — the property that lets a large artifact be served without
 // ever existing in server memory whole.
 

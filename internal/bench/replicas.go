@@ -251,9 +251,9 @@ func ReplicasOne(sc ReplicaScale, nReplicas int) (ReplicaRow, error) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	var hits, misses uint64
 	for _, rep := range replicas {
-		h, m := rep.CacheStats()
-		hits += h
-		misses += m
+		cs := rep.CacheMetrics()
+		hits += cs.Hits
+		misses += cs.Misses
 	}
 	prim, repl, _ := router.RouteCounts()
 	row := ReplicaRow{

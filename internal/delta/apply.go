@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -133,105 +132,42 @@ func validate(enc []byte) error {
 	return nil
 }
 
-// ApplyEncoded applies an encoded line delta to src in one pass over both:
-// source line ranges and inserted lines are copied straight into a single
-// output buffer, and no line is split out, decoded into a string or
-// re-joined. The result is the edited lines of src, each ended by a
-// newline, so a final source line without one gains it. Two-way deltas check each
-// deleted line against the source; one-way deltas consume counts only.
+// ApplyEncoded applies an encoded line delta to src: it runs ApplyReader's
+// machine with src as an in-memory source, read in place, into a single
+// output buffer. The result is the edited lines of src, each ended by a
+// newline, so a final source line without one gains it. Two-way deltas
+// check each deleted line against the source; one-way deltas consume
+// counts only.
 //
 // It is byte-identical to Decode followed by LineDelta.Apply, and fails
 // wherever they fail; when an encoding is corrupt after a hunk that does
-// not fit the source, it names the misfit rather than the corruption.
+// not fit the source, it names the misfit rather than the corruption. No
+// pre-validation is needed: the result is returned only once the machine
+// has read every hunk.
 func ApplyEncoded(enc, src []byte) ([]byte, error) {
-	c, err := newCursor(enc)
-	if err != nil {
+	r := lineApplyReader{mem: src}
+	if err := r.begin(enc); err != nil {
 		return nil, err
 	}
 	// Each output byte is a kept source byte, an inserted line's byte or
 	// newline (paid for in enc by the line and its length prefix), or the
-	// newline an unterminated final source line gains: one allocation.
-	out := make([]byte, 0, len(src)+len(enc)+1)
-	rest := src // source bytes not yet consumed
-	pos := 0    // source lines consumed
-	for c.hunks > 0 {
-		sp, nd, ni, err := c.hunk()
-		if err != nil {
-			return nil, err
-		}
-		n, k := lineSpan(rest, sp-pos)
-		if k < sp-pos {
-			return nil, fmt.Errorf("delta: hunk %d at %d out of order (pos %d, %d lines)", c.hi, sp, pos, pos+k)
-		}
-		out = appendLines(out, rest[:n])
-		rest, pos = rest[n:], sp
-		if c.oneWay {
-			if n, k = lineSpan(rest, nd); k < nd {
-				return nil, fmt.Errorf("delta: hunk %d deletes past end of source", c.hi)
-			}
-			rest = rest[n:]
-		} else {
-			for j := 0; j < nd; j++ {
-				want, err := c.line()
-				if err != nil {
-					return nil, err
-				}
-				if len(rest) == 0 {
-					return nil, fmt.Errorf("delta: hunk %d deletes past end of source", c.hi)
-				}
-				n, _ = lineSpan(rest, 1)
-				line := rest[:n]
-				if line[n-1] == '\n' {
-					line = line[:n-1]
-				}
-				if !bytes.Equal(line, want) {
-					return nil, fmt.Errorf("delta: hunk %d context mismatch at line %d", c.hi, pos+j)
-				}
-				rest = rest[n:]
-			}
-		}
-		pos += nd
-		for ; ni > 0; ni-- {
-			l, err := c.line()
-			if err != nil {
-				return nil, err
-			}
-			out = append(append(out, l...), '\n')
-		}
+	// newline an unterminated final source line gains; enc's header is two
+	// more bytes. So the machine always finishes short of the buffer's end,
+	// and one allocation serves.
+	out := make([]byte, len(src)+len(enc)+1)
+	n, err := r.run(out)
+	if err != nil {
+		return nil, err
 	}
-	out = appendLines(out, rest)
-	if len(out) == 0 {
+	if n == 0 {
 		return nil, nil // no lines, as the reference form returns
 	}
-	if cap(out) > 2*len(out) {
+	out = out[:n]
+	if cap(out) > 2*n {
 		// A delta that deletes most of its source leaves the buffer mostly
 		// spare; a caller that keeps the result (the version cache charges
 		// len only) must not pin that spare room.
-		out = append(make([]byte, 0, len(out)), out...)
+		out = append(make([]byte, 0, n), out...)
 	}
 	return out, nil
-}
-
-// lineSpan returns the length of the prefix of b holding its first k lines
-// — each with its newline, except a final line b leaves unterminated — and
-// how many lines that prefix holds: fewer than k when b runs out.
-func lineSpan(b []byte, k int) (n, lines int) {
-	for ; lines < k && n < len(b); lines++ {
-		i := bytes.IndexByte(b[n:], '\n')
-		if i < 0 {
-			return len(b), lines + 1
-		}
-		n += i + 1
-	}
-	return n, lines
-}
-
-// appendLines appends whole source lines to out, terminating the last one
-// if the source left it without a newline.
-func appendLines(out, lines []byte) []byte {
-	out = append(out, lines...)
-	if len(lines) > 0 && lines[len(lines)-1] != '\n' {
-		out = append(out, '\n')
-	}
-	return out
 }

@@ -8,10 +8,11 @@
 // paper's proportional scenarios); compressing a delta shrinks Δ while
 // leaving the apply work unchanged, which is how the Φ ≠ Δ scenario arises.
 //
-// Applying a delta (ApplyEncoded, or ApplyReader on a stream) reads its
-// encoding in place, in one pass over the encoded bytes and the source:
-// the work is copying the kept source ranges and the inserted lines, with
-// no line split out, decoded into a string or re-joined.
+// Applying a delta runs one state machine over its encoding, read in
+// place, and the source: ApplyEncoded reads a source in memory into one
+// buffer, ApplyReader a streamed source through a bounded window. The work
+// is copying the kept source ranges and the inserted lines, with no line
+// split out, decoded into a string or re-joined.
 //
 // A line delta reconstructs its target's canonical line form — the lines
 // of SplitLines(b), each ended by a newline — which differs from b when b

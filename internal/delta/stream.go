@@ -9,15 +9,16 @@ import (
 	"sync"
 )
 
-// Reader-based delta application for the line codec, the only delta codec
-// in this package. ApplyReader returns a reader that produces
-// exactly the bytes ApplyEncoded would, without ever materializing the
-// source or target: a delta chain composes into a stack of readers where
-// each stage holds only its encoded delta, read in place by a cursor, plus
-// one bounded window of its input. That turns checkout memory from
-// O(payload × chain) into O(window × chain) — the property the streaming
-// serving path is built on. Corrupt or truncated deltas and sources
-// surface as errors from Read, never as hangs or unbounded allocation.
+// The line codec's one applier, a state machine (lineApplyReader) that
+// both entry points drive. ApplyEncoded runs it over an in-memory source
+// into one buffer. ApplyReader runs it over a streamed source, without
+// ever materializing the source or target: a delta chain composes into a
+// stack of readers where each stage holds only its encoded delta, read in
+// place by a cursor, plus one bounded window of its input. That turns
+// checkout memory from O(payload × chain) into O(window × chain) — the
+// property the streaming serving path is built on. Corrupt or truncated
+// deltas and sources surface as errors from Read, never as hangs or
+// unbounded allocation.
 
 // applyReaderBufSize is the copy-through window of the line-delta reader:
 // large enough to amortize syscalls on big payloads, small enough that a
@@ -38,10 +39,11 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // ApplyReader returns a reader applying the encoded line delta enc to the
-// source streamed from src. The output is byte-identical to
-// ApplyEncoded(enc, src-bytes), including the trailing-newline
-// normalization; two-way deltas get the same deleted-content context
-// check, one-way deltas consume counts only. The whole encoding is
+// source streamed from src. It runs ApplyEncoded's machine, so the output
+// is byte-identical to ApplyEncoded(enc, src-bytes), including the
+// trailing-newline normalization; two-way deltas get the same
+// deleted-content context check, one-way deltas consume counts only.
+// Because bytes leave before the application ends, the whole encoding is
 // validated before the first byte is produced, so a corrupt delta fails on
 // the first Read. The reader reads enc in place; the caller must not
 // modify it while the reader is in use.
@@ -49,9 +51,8 @@ func ApplyReader(enc []byte, src io.Reader) io.Reader {
 	if err := validate(enc); err != nil {
 		return errReader{err}
 	}
-	c, _ := newCursor(enc) // validated above
-	r := &lineApplyReader{c: c}
-	if err := r.nextHunk(); err != nil {
+	r := &lineApplyReader{}
+	if err := r.begin(enc); err != nil {
 		return errReader{err}
 	}
 	r.src = windows.Get().(*bufio.Reader)
@@ -72,12 +73,15 @@ const (
 	larDone
 )
 
-// lineApplyReader streams a line-delta application. It tracks positions in
-// completed source lines (pos), with mid marking a partially copied line;
-// the source's final line may lack its newline (SplitLines counts it as a
-// line anyway), which EOF handling completes.
+// lineApplyReader is the one line-delta applier. It reads its source
+// either through a pooled window (ApplyReader) or in place from memory
+// (ApplyEncoded). It tracks positions in completed source lines (pos),
+// with mid marking a partially copied line; the source's final line may
+// lack its newline (SplitLines counts it as a line anyway), which EOF
+// handling completes.
 type lineApplyReader struct {
-	src *bufio.Reader // nil once finished: the window is back in windows
+	src *bufio.Reader // the streamed source; nil when reading mem, or once finished
+	mem []byte        // the in-memory source's unread bytes, when src is nil
 	c   cursor        // the encoding, positioned after the current hunk's header
 
 	state    int
@@ -101,6 +105,15 @@ type lineApplyReader struct {
 	err error
 }
 
+// begin reads the encoding's header and its first hunk's.
+func (r *lineApplyReader) begin(enc []byte) error {
+	var err error
+	if r.c, err = newCursor(enc); err != nil {
+		return err
+	}
+	return r.nextHunk()
+}
+
 // nextHunk reads the next hunk header, if any, from the cursor.
 func (r *lineApplyReader) nextHunk() error {
 	r.pending = r.c.hunks > 0
@@ -116,6 +129,33 @@ func (r *lineApplyReader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
+	n, err := r.run(p)
+	if err != nil {
+		r.err = err
+		if n > 0 {
+			return n, nil // error surfaces on the next call
+		}
+		return 0, err
+	}
+	if r.state == larDone && r.src != nil {
+		// Finished: the source is never read again, so its window can
+		// serve another stage.
+		r.src.Reset(nil)
+		windows.Put(r.src)
+		r.src = nil
+	}
+	if n == 0 {
+		if r.state == larDone {
+			return 0, io.EOF
+		}
+		return 0, nil // zero-length p
+	}
+	return n, nil
+}
+
+// run steps the machine, writing its output into p, until p is full, the
+// application is done or it fails.
+func (r *lineApplyReader) run(p []byte) (int, error) {
 	n := 0
 	for n < len(p) && r.state != larDone {
 		var err error
@@ -139,32 +179,22 @@ func (r *lineApplyReader) Read(p []byte) (int, error) {
 			r.state = r.tailNext
 		}
 		if err != nil {
-			r.err = err
-			if n > 0 {
-				return n, nil // error surfaces on the next call
-			}
-			return 0, err
+			return n, err
 		}
-	}
-	if r.state == larDone && r.src != nil {
-		// Finished: the source is never read again, so its window can
-		// serve another stage.
-		r.src.Reset(nil)
-		windows.Put(r.src)
-		r.src = nil
-	}
-	if n == 0 {
-		if r.state == larDone {
-			return 0, io.EOF
-		}
-		return 0, nil // zero-length p
 	}
 	return n, nil
 }
 
-// window returns the buffered source bytes, filling the buffer first when
-// it is empty. io.EOF means the source is exhausted.
+// window returns the unread source bytes at hand — all of mem, or the
+// buffered window, filled first when it is empty. io.EOF means the source
+// is exhausted.
 func (r *lineApplyReader) window() ([]byte, error) {
+	if r.src == nil {
+		if len(r.mem) == 0 {
+			return nil, io.EOF
+		}
+		return r.mem, nil
+	}
 	if b := r.src.Buffered(); b > 0 {
 		return r.src.Peek(b)
 	}
@@ -174,15 +204,20 @@ func (r *lineApplyReader) window() ([]byte, error) {
 	return r.src.Peek(r.src.Buffered())
 }
 
-// copyStep copies whole source lines through to p until the next hunk's
-// position (or EOF after the last hunk), advancing pos/mid as lines
-// complete.
-func (r *lineApplyReader) copyStep(p []byte, n int) (int, error) {
-	stop := int(^uint(0) >> 1) // no hunk left: copy to EOF
-	if r.pending {
-		stop = r.sp
+// discard consumes n bytes of the window.
+func (r *lineApplyReader) discard(n int) {
+	if r.src == nil {
+		r.mem = r.mem[n:]
+		return
 	}
-	if r.pending && r.pos >= stop && !r.mid {
+	r.src.Discard(n)
+}
+
+// copyStep copies whole source lines through to p until the next hunk's
+// position, advancing pos/mid as lines complete. After the last hunk lines
+// need no counting, so each window passes through whole until EOF.
+func (r *lineApplyReader) copyStep(p []byte, n int) (int, error) {
+	if r.pending && r.pos >= r.sp && !r.mid {
 		r.state = larHunk
 		return n, nil
 	}
@@ -196,20 +231,25 @@ func (r *lineApplyReader) copyStep(p []byte, n int) (int, error) {
 	if room := len(p) - n; len(w) > room {
 		w = w[:room]
 	}
-	emit := 0
-	for emit < len(w) && r.pos < stop {
-		idx := bytes.IndexByte(w[emit:], '\n')
-		if idx < 0 {
-			emit = len(w)
-			r.mid = true
-			break
+	emit := len(w)
+	if r.pending {
+		emit = 0
+		for emit < len(w) && r.pos < r.sp {
+			idx := bytes.IndexByte(w[emit:], '\n')
+			if idx < 0 {
+				emit = len(w)
+				r.mid = true
+				break
+			}
+			emit += idx + 1
+			r.pos++
+			r.mid = false
 		}
-		emit += idx + 1
-		r.pos++
-		r.mid = false
+	} else {
+		r.mid = w[emit-1] != '\n'
 	}
 	copy(p[n:], w[:emit])
-	r.src.Discard(emit)
+	r.discard(emit)
 	return n + emit, nil
 }
 
@@ -297,13 +337,13 @@ func (r *lineApplyReader) delStep() error {
 	}
 	r.delOff += len(seg)
 	if complete {
-		r.src.Discard(len(seg) + 1)
+		r.discard(len(seg) + 1)
 		r.delMid = false
 		r.delOff = 0
 		r.delLeft--
 		r.pos++
 	} else {
-		r.src.Discard(len(w))
+		r.discard(len(w))
 		r.delMid = true
 	}
 	return nil

@@ -242,9 +242,9 @@ func TestCacheSettingSurvivesSwap(t *testing.T) {
 	if _, err := r.Checkout(3); err != nil {
 		t.Fatalf("Checkout: %v", err)
 	}
-	hits, misses := r.CacheStats()
-	if hits == 0 {
-		t.Errorf("post-swap cache recorded no hits (hits=%d misses=%d) — capacity was not re-applied", hits, misses)
+	cs := r.CacheMetrics()
+	if cs.Hits == 0 {
+		t.Errorf("post-swap cache recorded no hits (hits=%d misses=%d) — capacity was not re-applied", cs.Hits, cs.Misses)
 	}
 }
 

@@ -369,12 +369,6 @@ func (c servingConfig) newCache() *store.VersionCache {
 	return store.NewVersionCache(c.cacheSize)
 }
 
-// CacheStats returns cumulative checkout-cache hits and misses.
-func (r *Repo) CacheStats() (hits, misses uint64) {
-	m := r.CacheMetrics()
-	return m.Hits, m.Misses
-}
-
 // CacheMetrics returns the full checkout-cache counter snapshot —
 // hits, misses, evictions, resident entries and bytes, and the configured
 // bounds. All zeros when the cache is disabled.

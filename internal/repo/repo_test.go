@@ -333,8 +333,7 @@ func TestCacheSurvivesOptimize(t *testing.T) {
 	if _, err := r.Checkout(last); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := r.CacheStats()
-	if hits == 0 {
+	if r.CacheMetrics().Hits == 0 {
 		t.Fatalf("no cache hit before optimize")
 	}
 	if _, err := r.Optimize(context.Background(), OptimizeOptions{RevealHops: 4}); err != nil {
@@ -343,14 +342,14 @@ func TestCacheSurvivesOptimize(t *testing.T) {
 	// The rebuilt layout gets a fresh cache of the same capacity, warmed
 	// with the telemetry's hot set before the flip: checkouts after the
 	// swap hit the cache, and content stays intact.
-	preHits, _ := r.CacheStats()
+	preHits := r.CacheMetrics().Hits
 	for i := 0; i < 2; i++ {
 		got, err := r.Checkout(last)
 		if err != nil || !bytes.Equal(got, payloads[last]) {
 			t.Fatalf("Checkout after optimize: %v", err)
 		}
 	}
-	if hits, _ := r.CacheStats(); hits <= preHits {
+	if hits := r.CacheMetrics().Hits; hits <= preHits {
 		t.Errorf("cache disabled after optimize: hits %d → %d", preHits, hits)
 	}
 }

@@ -11,7 +11,9 @@ import (
 //
 // On the serving path it caps the effective recreation cost Φ: a checkout
 // whose version (or any chain ancestor) is cached replays only the deltas
-// below the cached node — zero for an exact hit.
+// below the cached node — zero for an exact hit. Entries arrive by one
+// rule: a cold checkout Puts the version asked for, never the chain nodes
+// it replays through.
 //
 // The cache is bounded one of two ways. The compatibility mode bounds the
 // *number* of resident entries (NewVersionCache); the byte-budget mode
@@ -147,31 +149,6 @@ func (c *LRU[K]) Put(k K, payload []byte) {
 	}
 }
 
-// TryPut admits k's payload only if it fits without evicting any resident
-// entry — the opportunistic admission used for intermediate chain nodes,
-// which must never flush the hot set to make room for themselves (a deep
-// cold chain would otherwise cycle the whole LRU). An already-resident k
-// is promoted to most recently used without rewriting its bytes (version
-// payloads are immutable content). Reports whether k is resident
-// afterwards.
-func (c *LRU[K]) TryPut(k K, payload []byte) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		return true
-	}
-	if (c.capVersions > 0 && c.ll.Len() >= c.capVersions) ||
-		(c.budgetBytes > 0 && c.bytes+int64(len(payload)) > c.budgetBytes) {
-		return false
-	}
-	c.insertLocked(k, payload)
-	return true
-}
-
 // Remove drops k's entry, if resident, releasing its byte charge. It is
 // not an eviction.
 func (c *LRU[K]) Remove(k K) {
@@ -214,12 +191,6 @@ func (c *LRU[K]) admissionLimit() int64 {
 	}
 	return -1
 }
-
-// Len returns the number of cached payloads.
-func (c *LRU[K]) Len() int { return c.Stats().Entries }
-
-// Bytes returns the resident payload bytes.
-func (c *LRU[K]) Bytes() int64 { return c.Stats().BytesResident }
 
 // Stats returns a snapshot of the cache's counters and occupancy. A nil
 // cache reports all zeros.

@@ -196,10 +196,10 @@ func (l *Layout) BlobReads() int64 { return l.blobReads.Load() }
 // Checkout reconstructs version v by walking its delta chain down from the
 // nearest materialized ancestor — or the nearest cached one, whichever
 // comes first. Concurrent checkouts of the same cold version coalesce onto
-// one materialization; intermediate chain nodes are opportunistically
-// admitted to the cache so a later checkout of a sibling pays only the
-// chain suffix below the shared ancestor. Results land in the cache;
-// callers must treat the returned slice as read-only.
+// one materialization. Only v itself is admitted to the cache — the one
+// admission rule the streaming path shares — so a deep cold chain never
+// displaces the hot set with nodes nobody asked for. Callers must treat
+// the returned slice as read-only.
 func (l *Layout) Checkout(v int) ([]byte, error) {
 	if v < 0 || v >= len(l.Entries) {
 		return nil, fmt.Errorf("store: checkout version %d out of range [0,%d)", v, len(l.Entries))
@@ -256,11 +256,14 @@ func (l *Layout) checkoutCold(v int) ([]byte, error) {
 }
 
 // materialize replays v's delta chain from the nearest cached or
-// materialized ancestor, admitting every intermediate node to the cache.
+// materialized ancestor and admits v, the version asked for, to the cache.
 func (l *Layout) materialize(v int) ([]byte, error) {
 	chain, cur, _, err := l.chainTo(v, l.cache)
 	if err != nil {
 		return nil, err
+	}
+	if len(chain) == 0 {
+		return cur, nil // v itself is cached: nothing to replay or admit
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		u := chain[i]
@@ -278,18 +281,8 @@ func (l *Layout) materialize(v int) ([]byte, error) {
 			}
 			l.deltas.Add(1)
 		}
-		// Opportunistic admission: a sibling checking out later replays
-		// only the suffix below the deepest admitted node. Intermediates
-		// take spare room only (TryPut) — a deep cold chain must not
-		// flush the hot set — while v itself, the version actually
-		// requested, is admitted unconditionally and ends up most
-		// recently used.
-		if u == v {
-			l.cache.Put(u, cur)
-		} else {
-			l.cache.TryPut(u, cur)
-		}
 	}
+	l.cache.Put(v, cur)
 	return cur, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -112,24 +113,34 @@ func TestConcurrentColdCheckoutsCoalesce(t *testing.T) {
 	}
 }
 
-// TestCheckoutIntermediateAdmission: a cold checkout admits every chain
-// node, so a sibling (or shallower ancestor) checkout afterwards replays
-// only the suffix — here, nothing at all.
-func TestCheckoutIntermediateAdmission(t *testing.T) {
+// TestCheckoutAdmitsOnlyRequested: a buffered cold checkout admits the
+// version asked for and no chain node below it, even with room to spare —
+// the one admission rule the streaming path shares — and a stream of that
+// version afterwards is an exact hit that replays nothing.
+func TestCheckoutAdmitsOnlyRequested(t *testing.T) {
 	const n = 6
 	l, payloads := linearLayout(t, NewMemStore(), n)
 	l.SetCache(NewVersionCacheBytes(1 << 20))
-	if _, err := l.Checkout(n - 1); err != nil {
-		t.Fatal(err)
+	if got, err := l.Checkout(n - 1); err != nil || !bytes.Equal(got, payloads[n-1]) {
+		t.Fatalf("cold Checkout(%d): %v", n-1, err)
 	}
-	d := l.DeltaApplications()
-	// Every ancestor on the chain is now cached: checking one out is free.
-	got, err := l.Checkout(n / 2)
-	if err != nil || !bytes.Equal(got, payloads[n/2]) {
-		t.Fatalf("Checkout(%d): %v", n/2, err)
+	if e := l.Cache().Stats().Entries; e != 1 {
+		t.Fatalf("cold checkout left %d entries resident, want 1 (the requested version)", e)
 	}
-	if l.DeltaApplications() != d {
-		t.Errorf("ancestor checkout replayed %d deltas, want 0 (admitted mid-chain)", l.DeltaApplications()-d)
+	deltas, reads := l.DeltaApplications(), l.BlobReads()
+	rc, size, err := l.CheckoutStream(n - 1)
+	if err != nil {
+		t.Fatalf("CheckoutStream(%d): %v", n-1, err)
+	}
+	defer rc.Close()
+	if size != int64(len(payloads[n-1])) {
+		t.Errorf("stream size = %d, want %d (an exact hit knows its size)", size, len(payloads[n-1]))
+	}
+	if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, payloads[n-1]) {
+		t.Fatalf("stream of %d: %v", n-1, err)
+	}
+	if d, r := l.DeltaApplications()-deltas, l.BlobReads()-reads; d != 0 || r != 0 {
+		t.Errorf("exact-hit stream applied %d deltas and read %d blobs, want 0 and 0", d, r)
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 // reader stack instead of repeated full materializations. The base of the
 // stack is the nearest cached ancestor's payload (or the materialized chain
 // root, streamed from the backend); each chain edge above it contributes
-// one delta.ApplyReader stage holding only its encoded delta, read in
-// place, plus a bounded window. Per-request memory is therefore O(chain × window), independent of
-// payload size — the property that lets a large artifact be served without
-// ever existing in server memory whole.
+// one delta.ApplyReader stage — the applier the buffered path runs over
+// memory — holding only its encoded delta, read in place, plus a bounded
+// window. Per-request memory is therefore O(chain × window), independent
+// of payload size — the property that lets a large artifact be served
+// without ever existing in server memory whole. Admission follows the
+// buffered path's one rule: only the version asked for enters the cache.
 
 // CheckoutStream reconstructs version v as a stream. It returns the payload
 // reader, the payload size in bytes when known (-1 when it is not — cold
@@ -155,8 +157,8 @@ func (s *stackedCloser) Close() error {
 }
 
 // cacheTee mirrors a cold stream's bytes into a bounded buffer and admits
-// the complete payload to the cache on clean EOF — the streaming analogue
-// of the buffered path's unconditional admission of the requested version.
+// the complete payload to the cache on clean EOF — the streaming form of
+// the one admission rule: the requested version, and nothing below it.
 // The buffer honors the cache's admission cap: once the payload provably
 // exceeds what Put could ever admit, the buffer is dropped and the stream
 // continues untouched, so an oversized payload is never held whole just to

@@ -152,7 +152,7 @@ func TestCheckoutStreamOversizedSkipsAdmission(t *testing.T) {
 	if _, ok := l.cache.peek(0); ok {
 		t.Fatal("oversized payload was admitted past the byte budget")
 	}
-	if bb := l.cache.Bytes(); bb != 0 {
+	if bb := l.cache.Stats().BytesResident; bb != 0 {
 		t.Fatalf("cache holds %d bytes after an oversized stream", bb)
 	}
 }

@@ -140,8 +140,7 @@ func TestConcurrentCheckoutsHitCache(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	hits, _ := r.CacheStats()
-	if hits == 0 {
+	if r.CacheMetrics().Hits == 0 {
 		t.Errorf("40 checkouts of one version produced zero cache hits")
 	}
 	st, err := c.Stats()

@@ -89,7 +89,7 @@ func TestEmptyPayloadOverHTTP(t *testing.T) {
 			t.Fatalf("pass %d: Checkout(%d) = %q, want empty", pass, v, got)
 		}
 	}
-	if hits, _ := r.CacheStats(); hits == 0 {
+	if r.CacheMetrics().Hits == 0 {
 		t.Error("second checkout of the empty version missed the cache")
 	}
 }

@@ -66,8 +66,8 @@
 // bounds it by resident payload bytes — a hard memory envelope under
 // which payloads larger than the whole budget bypass admission.
 // Concurrent cold checkouts of the same version coalesce onto a single
-// chain materialization, and intermediate chain nodes are admitted to the
-// cache so sibling checkouts pay only their chain suffix. A Repo is a
+// chain materialization, and a cold checkout admits only the version asked
+// for, never the chain nodes it replays through. A Repo is a
 // multi-reader service: checkouts, logs and stats proceed in parallel
 // under a read lock while commits, merges and optimizations serialize
 // behind the write lock; the HTTP server (internal/vcs) delegates

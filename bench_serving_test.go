@@ -338,7 +338,7 @@ func BenchmarkRemoteTieredCheckout(b *testing.B) {
 // property is CI-enforced alongside the recorded trajectory.
 func BenchmarkReplicaScaleOut(b *testing.B) {
 	sc := bench.DefaultReplicaScale()
-	tput := map[int]float64{}
+	rows := map[int]bench.ReplicaRow{}
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
 			var row bench.ReplicaRow
@@ -349,19 +349,21 @@ func BenchmarkReplicaScaleOut(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			tput[n] = row.Throughput
+			rows[n] = row
 			recordServing(b, map[string]float64{
-				"throughput_rps": row.Throughput,
-				"p50_ms":         float64(row.P50) / float64(time.Millisecond),
-				"p99_ms":         float64(row.P99) / float64(time.Millisecond),
-				"hit_ratio":      row.HitRatio,
-				"replica_share":  row.ReplicaShare,
+				"throughput_rps":    row.Throughput,
+				"p50_ms":            float64(row.P50) / float64(time.Millisecond),
+				"p99_ms":            float64(row.P99) / float64(time.Millisecond),
+				"hit_ratio":         row.HitRatio,
+				"replica_share":     row.ReplicaShare,
+				"max_replica_share": row.MaxShare,
 			})
 		})
 	}
-	if ratio := tput[2] / tput[1]; ratio < 1.6 {
-		b.Fatalf("2 replicas serve only %.2fx the checkout throughput of 1 (want ≥ 1.6x): %.0f vs %.0f rps",
-			ratio, tput[2], tput[1])
+	one, two := rows[1], rows[2]
+	if ratio := two.Throughput / one.Throughput; ratio < 1.6 {
+		b.Fatalf("2 replicas serve only %.2fx the checkout throughput of 1 (want ≥ 1.6x): %.0f vs %.0f rps; hit ratio %.3f vs %.3f; busiest of 2 replicas served %.2f",
+			ratio, two.Throughput, one.Throughput, two.HitRatio, one.HitRatio, two.MaxShare)
 	}
 }
 

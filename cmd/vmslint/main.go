@@ -1,7 +1,8 @@
-// Command vmslint is the repository's lint entrypoint: a multichecker
+// Command vmslint is the repository's invariant linter: a multichecker
 // bundling the custom invariant analyzers (lockorder, lockedcall,
-// ctxloop, senterr) with vet-style passes (copylocks, unusedresult,
-// nilness). Run it from the module root:
+// ctxloop, senterr) with nilness, the one vet-style pass `go vet` does not
+// run. Everything `go vet` checks is left to `go vet`. Run it from the
+// module root:
 //
 //	go run ./cmd/vmslint ./...
 //
@@ -24,8 +25,6 @@ func main() {
 		lockedcall.Analyzer,
 		ctxloop.Analyzer,
 		senterr.Analyzer,
-		vetlite.CopyLocks,
-		vetlite.UnusedResult,
 		vetlite.Nilness,
 	)
 }

@@ -7,8 +7,10 @@
 // convention, the "every solver loop checks ctx" contract, the
 // "sentinels are compared with errors.Is and wrapped with %w" rule —
 // existed only as prose until this package. The analyzers built on top of
-// it (internal/analysis/{lockorder,lockedcall,ctxloop,senterr,vetlite})
-// check them mechanically on every CI run via cmd/vmslint.
+// it (internal/analysis/{lockorder,lockedcall,ctxloop,senterr}) check them
+// mechanically on every CI run via cmd/vmslint, alongside vetlite's
+// nilness, the one vet-style pass `go vet` lacks. Passes `go vet` has are
+// not re-implemented here: CI runs `go vet` itself.
 //
 // Why not golang.org/x/tools itself? The build environment is fully
 // offline (no module proxy, empty module cache), so the real go/analysis

@@ -1,9 +1,11 @@
-// Package vetlite carries small vet-style analyzers — copylocks,
-// unusedresult, and a conservative nilness check — so cmd/vmslint is the
-// repository's single lint entrypoint. They are honest stdlib-only
-// reimplementations of the x/tools passes of the same names (see the
-// internal/analysis package doc for why the originals can't be
-// imported), scoped to the patterns that matter here.
+// Package vetlite carries Nilness, a conservative nilness check and the
+// one vet-style pass that `go vet` does not run. It is an honest
+// stdlib-only reimplementation of the x/tools pass of the same name (see
+// the internal/analysis package doc for why the original can't be
+// imported), scoped to the patterns that matter here. The passes `go vet`
+// already has, copylocks and unusedresult among them, are left to it: CI
+// runs `go vet` with an extended -unusedresult.funcs list beside
+// cmd/vmslint.
 package vetlite
 
 import (
@@ -13,197 +15,6 @@ import (
 
 	"versiondb/internal/analysis"
 )
-
-// CopyLocks flags values of types containing sync primitives being
-// copied: by-value parameters, receivers, results, assignments from
-// non-literal expressions, and range value variables.
-var CopyLocks = &analysis.Analyzer{
-	Name: "copylocks",
-	Doc:  "check for locks erroneously passed or assigned by value",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(pass *analysis.Pass) (any, error) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldLists(pass, n.Recv, "receiver")
-				checkFuncType(pass, n.Type)
-			case *ast.FuncLit:
-				checkFuncType(pass, n.Type)
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if len(n.Lhs) == len(n.Rhs) && isBlank(n.Lhs[i]) {
-						continue // discarding to _ is not a live copy
-					}
-					if isLockCopySource(pass.TypesInfo, rhs) {
-						pass.Reportf(rhs.Pos(), "assignment copies lock value: %s",
-							typeName(pass.TypesInfo, rhs))
-					}
-				}
-			case *ast.RangeStmt:
-				if t := rangeValueType(pass.TypesInfo, n.Value); t != nil && containsLock(t) {
-					pass.Reportf(n.Value.Pos(), "range copies lock value: %s", t.String())
-				}
-			}
-			return true
-		})
-	}
-	return nil, nil
-}
-
-func checkFuncType(pass *analysis.Pass, ft *ast.FuncType) {
-	checkFieldLists(pass, ft.Params, "parameter")
-	checkFieldLists(pass, ft.Results, "result")
-}
-
-func checkFieldLists(pass *analysis.Pass, fl *ast.FieldList, what string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		tv, ok := pass.TypesInfo.Types[field.Type]
-		if !ok {
-			continue
-		}
-		if containsLock(tv.Type) {
-			pass.Reportf(field.Type.Pos(), "%s passes lock by value: %s", what, tv.Type.String())
-		}
-	}
-}
-
-// isLockCopySource reports whether assigning rhs copies a lock:
-// composite literals are initialization (allowed), everything else that
-// carries a lock-containing type is a copy.
-func isLockCopySource(info *types.Info, rhs ast.Expr) bool {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.CompositeLit, *ast.UnaryExpr, *ast.CallExpr, *ast.FuncLit:
-		return false
-	}
-	tv, ok := info.Types[ast.Unparen(rhs)]
-	if !ok {
-		return false
-	}
-	return containsLock(tv.Type)
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// rangeValueType types the range value variable: `:=`-bound idents live
-// in Defs, assignment targets in Types.
-func rangeValueType(info *types.Info, value ast.Expr) types.Type {
-	if value == nil {
-		return nil
-	}
-	if id, ok := ast.Unparen(value).(*ast.Ident); ok {
-		if obj := info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	if tv, ok := info.Types[value]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-func typeName(info *types.Info, e ast.Expr) string {
-	if tv, ok := info.Types[ast.Unparen(e)]; ok {
-		return tv.Type.String()
-	}
-	return "?"
-}
-
-// containsLock reports whether t (by value) embeds a sync primitive.
-func containsLock(t types.Type) bool {
-	return containsLock1(t, map[types.Type]bool{})
-}
-
-func containsLock1(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := types.Unalias(t).(type) {
-	case *types.Named:
-		if pkg := u.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-			switch u.Obj().Name() {
-			case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-		return containsLock1(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock1(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock1(u.Elem(), seen)
-	}
-	return false
-}
-
-// UnusedResult flags expression statements that discard the result of
-// pure functions.
-var UnusedResult = &analysis.Analyzer{
-	Name: "unusedresult",
-	Doc:  "check for unused results of calls to pure functions",
-	Run:  runUnusedResult,
-}
-
-// PureFuncs are the qualified function names whose results must be used.
-var PureFuncs = map[string]bool{
-	"errors.New":        true,
-	"fmt.Errorf":        true,
-	"fmt.Sprint":        true,
-	"fmt.Sprintf":       true,
-	"fmt.Sprintln":      true,
-	"sort.Reverse":      true,
-	"strings.TrimSpace": true,
-	"strings.ToLower":   true,
-	"strings.ToUpper":   true,
-	"strings.Repeat":    true,
-	"strings.Join":      true,
-}
-
-func runUnusedResult(pass *analysis.Pass) (any, error) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			default:
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			key := fn.Pkg().Name() + "." + fn.Name()
-			if PureFuncs[key] {
-				pass.Reportf(call.Pos(), "result of %s call not used", key)
-			}
-			return true
-		})
-	}
-	return nil, nil
-}
 
 // Nilness flags uses that dereference a value inside the branch where it
 // was just compared equal to nil: *x, x[i] on slices, and field access

@@ -7,14 +7,6 @@ import (
 	"versiondb/internal/analysis/vetlite"
 )
 
-func TestCopyLocks(t *testing.T) {
-	analysis.TestAnalyzer(t, "testdata", vetlite.CopyLocks, "cl")
-}
-
-func TestUnusedResult(t *testing.T) {
-	analysis.TestAnalyzer(t, "testdata", vetlite.UnusedResult, "ur")
-}
-
 func TestNilness(t *testing.T) {
 	analysis.TestAnalyzer(t, "testdata", vetlite.Nilness, "nn")
 }

@@ -81,6 +81,10 @@ type ReplicaRow struct {
 	P99          time.Duration
 	HitRatio     float64 // aggregate replica checkout-cache hit ratio
 	ReplicaShare float64 // fraction of checkouts the proxy routed to replicas
+	// MaxShare is the largest share of the measured batches' replica
+	// checkouts that any one replica served: 1/Replicas is an even split,
+	// 1 is every checkout on one replica.
+	MaxShare float64
 }
 
 // Replicas runs the scale-out sweep behind `vbench -exp replicas`: the
@@ -232,6 +236,13 @@ func ReplicasOne(sc ReplicaScale, nReplicas int) (ReplicaRow, error) {
 	if err := run(sc.Warmup, nil); err != nil {
 		return ReplicaRow{}, err
 	}
+	// Each replica's recorded accesses count its served checkouts exactly
+	// (a replica commits nothing, and its follower is not tailing), where
+	// its cache lookups would also count every chain node a miss probes.
+	before := make([]uint64, len(replicas))
+	for i, rep := range replicas {
+		before[i] = rep.Stats().Accesses
+	}
 	// Two measured batches, best kept: the LRU keeps settling through the
 	// first batch, and on a busy machine one batch can absorb unrelated
 	// scheduler noise — the better batch is the steady-state estimate.
@@ -267,6 +278,14 @@ func ReplicasOne(sc ReplicaScale, nReplicas int) (ReplicaRow, error) {
 	}
 	if prim+repl > 0 {
 		row.ReplicaShare = float64(repl) / float64(prim+repl)
+	}
+	var most, all uint64
+	for i, rep := range replicas {
+		n := rep.Stats().Accesses - before[i]
+		most, all = max(most, n), all+n
+	}
+	if all > 0 {
+		row.MaxShare = float64(most) / float64(all)
 	}
 	return row, nil
 }

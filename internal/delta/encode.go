@@ -35,20 +35,12 @@ func Encode(d *LineDelta, oneWay bool) []byte {
 		putUv(0)
 	}
 	for _, h := range d.Hunks {
-		nd := h.NumDel()
 		putUv(uint64(h.SrcPos))
-		putUv(uint64(nd))
+		putUv(uint64(len(h.Del)))
 		putUv(uint64(len(h.Ins)))
 		if !oneWay {
-			// Count-only hunks (one-way decodes) have no content to
-			// upgrade into a two-way encoding; pad with empty lines so the
-			// header stays consistent and a later Apply fails loudly on
-			// the context check instead of silently skipping deletions.
 			for _, l := range h.Del {
 				putStr(l)
-			}
-			for i := len(h.Del); i < nd; i++ {
-				putStr("")
 			}
 		}
 		for _, l := range h.Ins {

@@ -21,16 +21,16 @@ import (
 )
 
 // matchesReference asserts that ApplyEncoded and ApplyReader each agree
-// with the string reference form, Decode followed by LineDelta.Apply: the
+// with the string reference form, Decode followed by LineDelta.apply: the
 // same success or failure, the same bytes, and for the buffered path the
 // same nil for an empty result. The robustness half of the contract rides
 // along — a corrupt enc or src must error, never panic or hang.
 func matchesReference(t *testing.T, enc, src []byte) {
 	t.Helper()
 	var want []byte
-	d, _, wantErr := Decode(enc)
+	d, oneWay, wantErr := Decode(enc)
 	if wantErr == nil {
-		want, wantErr = d.Apply(src)
+		want, wantErr = d.apply(src, oneWay)
 	}
 	got, err := ApplyEncoded(enc, src)
 	if (err == nil) != (wantErr == nil) {
@@ -68,7 +68,7 @@ func deltasEqual(a, b *LineDelta, withDel bool) bool {
 	}
 	for i := range a.Hunks {
 		ha, hb := a.Hunks[i], b.Hunks[i]
-		if ha.SrcPos != hb.SrcPos || ha.NumDel() != hb.NumDel() || len(ha.Ins) != len(hb.Ins) {
+		if ha.SrcPos != hb.SrcPos || len(ha.Del) != len(hb.Del) || len(ha.Ins) != len(hb.Ins) {
 			return false
 		}
 		for j := range ha.Ins {

@@ -30,25 +30,11 @@ import (
 
 // Hunk is one contiguous modification: at line SrcPos of the source
 // (0-based, in the original coordinate space), Del lines are removed and
-// Ins lines are inserted. Hunks decoded from a one-way encoding carry no
-// deleted content — only DelCount survives (the count of source lines the
-// hunk consumes); for every other hunk DelCount is 0 and len(Del) is
-// authoritative. Use NumDel for the count regardless of origin.
+// Ins lines are inserted.
 type Hunk struct {
-	SrcPos   int
-	Del      []string
-	DelCount int
-	Ins      []string
-}
-
-// NumDel returns the number of source lines this hunk deletes, whether
-// the hunk carries their content (Del) or only their count (DelCount,
-// one-way decodes).
-func (h *Hunk) NumDel() int {
-	if h.Del != nil {
-		return len(h.Del)
-	}
-	return h.DelCount
+	SrcPos int
+	Del    []string
+	Ins    []string
 }
 
 // LineDelta is a line-based edit script transforming a source byte slice
@@ -299,10 +285,7 @@ func sesToHunks(a, b []string, ops []opKind) *LineDelta {
 }
 
 // Invert returns the delta transforming b back into a (swap of Del/Ins with
-// positions mapped into b's coordinate space). Inversion requires deleted
-// content, so it is only meaningful for deltas that carry it (fresh
-// DiffLines output or a two-way decode) — a one-way decode's count-only
-// hunks have no content to re-insert.
+// positions mapped into b's coordinate space).
 func (d *LineDelta) Invert() *LineDelta {
 	inv := &LineDelta{Hunks: make([]Hunk, len(d.Hunks))}
 	shift := 0 // cumulative (ins - del) so far: position adjustment into b
@@ -312,7 +295,7 @@ func (d *LineDelta) Invert() *LineDelta {
 			Del:    append([]string(nil), h.Ins...),
 			Ins:    append([]string(nil), h.Del...),
 		}
-		shift += len(h.Ins) - h.NumDel()
+		shift += len(h.Ins) - len(h.Del)
 	}
 	return inv
 }

@@ -27,12 +27,19 @@ func JoinLines(lines []string) []byte {
 	return buf.Bytes()
 }
 
+// maxOneWayLines bounds the source span a one-way delta may claim here, so
+// that its placeholder lines (see Decode) stay small whatever its header
+// says. No test source has that many lines, and against a shorter source
+// ApplyEncoded refuses such a delta too, as deleting past the end.
+const maxOneWayLines = 1 << 20
+
 // Decode parses an encoded LineDelta, reporting whether it was one-way.
-// One-way deltas decode with nil Del content and the deleted-line count in
-// Hunk.DelCount, so Apply still consumes the right lines (the context
-// check is skipped for them). Corrupt input — truncated varints, counts
-// that exceed the remaining bytes, hunks out of order — returns an error,
-// never panics, and never allocates more than O(len(enc)).
+// A one-way encoding keeps only the count of deleted lines, so each of its
+// hunks decodes with that many empty placeholder Del lines; apply with
+// oneWay set consumes them without the context check. Corrupt input —
+// truncated varints, counts that exceed the remaining bytes, hunks out of
+// order — returns an error, never panics, and never allocates more than
+// O(len(enc) + maxOneWayLines).
 func Decode(enc []byte) (*LineDelta, bool, error) {
 	r := bytes.NewReader(enc)
 	getUv := func() (uint64, error) { return binary.ReadUvarint(r) }
@@ -87,21 +94,20 @@ func Decode(enc []byte) (*LineDelta, bool, error) {
 		}
 		pos = sp + nd
 		// Inserted lines (and two-way deleted lines) each consume at least
-		// one encoded byte; one-way deletions are a bare count (DelCount),
-		// so they allocate nothing no matter what the header claims.
+		// one encoded byte; one-way deletions are a bare count, whose
+		// placeholders maxOneWayLines bounds in total, as hunks do not
+		// overlap.
 		if ni > uint64(r.Len()) || (!oneWay && nd > uint64(r.Len())) {
 			return nil, false, fmt.Errorf("delta: decode hunk %d: %d+%d lines claimed in %d bytes", i, nd, ni, r.Len())
 		}
-		h := Hunk{SrcPos: int(sp)}
-		if !oneWay {
-			h.Del = make([]string, nd)
-			for j := range h.Del {
-				if h.Del[j], err = getStr(); err != nil {
-					return nil, false, fmt.Errorf("delta: decode hunk %d del %d: %w", i, j, err)
-				}
+		if oneWay && pos > maxOneWayLines {
+			return nil, false, fmt.Errorf("delta: decode hunk %d: one-way span ends at line %d, past %d", i, pos, maxOneWayLines)
+		}
+		h := Hunk{SrcPos: int(sp), Del: make([]string, nd)}
+		for j := 0; !oneWay && j < len(h.Del); j++ {
+			if h.Del[j], err = getStr(); err != nil {
+				return nil, false, fmt.Errorf("delta: decode hunk %d del %d: %w", i, j, err)
 			}
-		} else {
-			h.DelCount = int(nd) // count only; no content to carry
 		}
 		h.Ins = make([]string, ni)
 		for j := range h.Ins {
@@ -115,7 +121,11 @@ func Decode(enc []byte) (*LineDelta, bool, error) {
 }
 
 // Apply transforms src (which must equal the original a) into the target b.
-func (d *LineDelta) Apply(src []byte) ([]byte, error) {
+func (d *LineDelta) Apply(src []byte) ([]byte, error) { return d.apply(src, false) }
+
+// apply is Apply for a delta as Decode returns it: when oneWay is set, the
+// Del lines are placeholders, so only their count is held to the source.
+func (d *LineDelta) apply(src []byte, oneWay bool) ([]byte, error) {
 	lines := SplitLines(src)
 	var out []string
 	pos := 0
@@ -125,18 +135,15 @@ func (d *LineDelta) Apply(src []byte) ([]byte, error) {
 		}
 		out = append(out, lines[pos:h.SrcPos]...)
 		pos = h.SrcPos
-		// NumDel keeps count-only hunks (one-way decodes) consuming the
-		// right number of source lines; the content context check below
-		// naturally covers only hunks that carry content.
-		if pos+h.NumDel() > len(lines) {
+		if pos+len(h.Del) > len(lines) {
 			return nil, fmt.Errorf("delta: hunk %d deletes past end of source", hi)
 		}
 		for i, dl := range h.Del {
-			if lines[pos+i] != dl {
+			if !oneWay && lines[pos+i] != dl {
 				return nil, fmt.Errorf("delta: hunk %d context mismatch at line %d", hi, pos+i)
 			}
 		}
-		pos += h.NumDel()
+		pos += len(h.Del)
 		out = append(out, h.Ins...)
 	}
 	out = append(out, lines[pos:]...)

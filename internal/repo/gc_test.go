@@ -137,8 +137,8 @@ func TestGCCollectsFailedSwapOrphans(t *testing.T) {
 	if err != nil || res.Collected != 0 {
 		t.Fatalf("second GC = %+v, %v; want nothing left to collect", res, err)
 	}
-	if runs, collected := r.GCStats(); runs != 3 || collected == 0 {
-		t.Errorf("GCStats = %d runs, %d collected; want 3 runs and a nonzero total", runs, collected)
+	if st := r.Stats(); st.GCRuns != 3 || st.GCCollected == 0 {
+		t.Errorf("Stats = %d GC runs, %d collected; want 3 runs and a nonzero total", st.GCRuns, st.GCCollected)
 	}
 }
 

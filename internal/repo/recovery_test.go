@@ -336,7 +336,7 @@ func TestOpenMigratesPreMetalogRepository(t *testing.T) {
 	if got := r.NumVersions(); got != len(payloads) {
 		t.Fatalf("migrated %d versions, want %d", got, len(payloads))
 	}
-	if c := r.LogStats().Compactions; c != 1 {
+	if c := r.Stats().Log.Compactions; c != 1 {
 		t.Errorf("migration wrote %d snapshots, want 1", c)
 	}
 	check(r, 7)

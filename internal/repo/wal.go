@@ -402,14 +402,6 @@ func (r *Repo) dropJob(id string) {
 	r.jobsOrder = order
 }
 
-// LogStats reports the metadata log's counters; all zeros on a replica.
-func (r *Repo) LogStats() metalog.Stats {
-	if r.log == nil {
-		return metalog.Stats{}
-	}
-	return r.log.Stats()
-}
-
 // JobSubmitted implements the job journal (jobs.Journal): a durable job
 // was accepted. Called by the job manager outside all repository locks.
 func (r *Repo) JobSubmitted(id, spec string) error {
@@ -529,12 +521,6 @@ func (r *Repo) GC() (GCResult, error) {
 	r.gcRuns.Add(1)
 	r.gcCollected.Add(int64(res.Collected))
 	return res, nil
-}
-
-// GCStats returns cumulative GC counters: passes run and orphans
-// collected.
-func (r *Repo) GCStats() (runs, collected int64) {
-	return r.gcRuns.Load(), r.gcCollected.Load()
 }
 
 // shadowRecorder wraps the backend for Optimize's shadow build: every blob

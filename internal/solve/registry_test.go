@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"versiondb/internal/costs"
+	"versiondb/internal/graph"
 	"versiondb/internal/workload"
 )
 
@@ -50,10 +52,10 @@ func conformanceRequest(t *testing.T, inst *Instance, info Info) Request {
 }
 
 // TestRegistryConformance runs every registered solver on the four
-// evaluation presets and asserts each result satisfies the constraint its
-// Info declares, plus basic structural sanity.
+// evaluation presets and asserts, through feasible, that each result is a
+// tree of the instance's own edges, reports the costs those edges give,
+// and satisfies the constraint its Info declares on the recomputed costs.
 func TestRegistryConformance(t *testing.T) {
-	const tol = 1e-6
 	for _, preset := range workload.Presets {
 		m, err := workload.Build(preset, 36, true, 1)
 		if err != nil {
@@ -76,24 +78,125 @@ func TestRegistryConformance(t *testing.T) {
 				if res.Solution == nil || res.Tree == nil {
 					t.Fatalf("nil solution/tree")
 				}
-				if err := res.Tree.Validate(); err != nil {
-					t.Errorf("invalid tree: %v", err)
+				bound := req.Theta
+				if info.Constraint == ConstraintStorageLEBudget {
+					bound = req.Budget
 				}
-				switch info.Constraint {
-				case ConstraintStorageLEBudget:
-					if res.Storage > req.Budget*(1+tol) {
-						t.Errorf("storage %g exceeds budget %g", res.Storage, req.Budget)
-					}
-				case ConstraintMaxRLETheta:
-					if res.MaxR > req.Theta*(1+tol) {
-						t.Errorf("maxR %g exceeds θ %g", res.MaxR, req.Theta)
-					}
-				case ConstraintSumRLETheta:
-					if res.SumR > req.Theta*(1+tol) {
-						t.Errorf("ΣR %g exceeds θ %g", res.SumR, req.Theta)
-					}
+				if err := feasible(inst, res.Solution, info.Constraint, bound); err != nil {
+					t.Error(err)
 				}
 			})
+		}
+	}
+}
+
+// feasible executes Lemma 4 on a solver's output: a storage tree is a
+// feasible assignment of the §2.3 ILP exactly when it spans the instance
+// from the dummy root 0 and every tree edge is an edge of the augmented
+// graph with the same (Δ, Φ) weights. It then recomputes storage, ΣΦ and
+// maxΦ from those edges (Tree.RecreationCosts), requires the solution to
+// report the same numbers, and checks constraint c at bound against the
+// recomputed numbers, never the reported ones.
+func feasible(inst *Instance, s *Solution, c Constraint, bound float64) error {
+	t := s.Tree
+	if t.N() != inst.G.N() || t.Root != 0 {
+		return fmt.Errorf("tree spans %d vertices from root %d, instance has %d from root 0", t.N(), t.Root, inst.G.N())
+	}
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	var storage float64
+	for v := 1; v < t.N(); v++ {
+		e := t.EdgeTo(v)
+		if !slices.Contains(inst.G.Out(e.From), e) {
+			return fmt.Errorf("tree edge %d→%d (Δ %g, Φ %g) is not an edge of the instance", e.From, e.To, e.Storage, e.Recreate)
+		}
+		storage += e.Storage
+	}
+	var sumR, maxR float64
+	for _, r := range t.RecreationCosts() {
+		sumR += r
+		maxR = max(maxR, r)
+	}
+	for _, x := range []struct {
+		name                 string
+		reported, recomputed float64
+	}{{"storage", s.Storage, storage}, {"ΣΦ", s.SumR, sumR}, {"maxΦ", s.MaxR, maxR}} {
+		if math.Abs(x.reported-x.recomputed) > 1e-9*max(1, x.recomputed) {
+			return fmt.Errorf("reported %s %g, its tree gives %g", x.name, x.reported, x.recomputed)
+		}
+	}
+	var name string
+	var got float64
+	switch c {
+	case ConstraintStorageLEBudget:
+		name, got = "storage", storage
+	case ConstraintMaxRLETheta:
+		name, got = "maxΦ", maxR
+	case ConstraintSumRLETheta:
+		name, got = "ΣΦ", sumR
+	default:
+		return nil
+	}
+	if got > bound*(1+1e-6) {
+		return fmt.Errorf("%s %g exceeds the bound %g", name, got, bound)
+	}
+	return nil
+}
+
+// TestRegistryFeasibilityCheck runs the feasibility check on the Problem 6
+// solvers at θ = 12000 on the paper's Figure 2 instance, and on trees and
+// reports it must reject.
+func TestRegistryFeasibilityCheck(t *testing.T) {
+	inst := paperInstance(t)
+	for _, name := range []string{"mp", "exact"} {
+		res, err := Solve(context.Background(), inst, Request{Solver: name, Theta: 12000})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := feasible(inst, res.Solution, ConstraintMaxRLETheta, 12000); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	// θ = 10120 is the SPT's max recreation: the SPT fits, the MCA does not.
+	spt, err := MinRecreation(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feasible(inst, spt, ConstraintMaxRLETheta, 10120); err != nil {
+		t.Errorf("SPT rejected at its own bound: %v", err)
+	}
+	mca, err := MinStorage(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluated := func(tr *graph.Tree) *Solution {
+		s := &Solution{Tree: tr}
+		s.Evaluate()
+		return s
+	}
+	foreign := spt.Tree.Clone()
+	foreign.SetEdge(graph.Edge{From: 5, To: 1, Storage: 1, Recreate: 1}) // V5→V1 is not revealed
+	reweighted := spt.Tree.Clone()
+	reweighted.SetEdge(graph.Edge{From: 0, To: 1, Storage: 1, Recreate: 10000})
+	underreported := *spt
+	underreported.MaxR--
+	// Only the first case breaks the bound; the rest must fail on their
+	// own with no constraint to check.
+	for _, tc := range []struct {
+		name string
+		s    *Solution
+		c    Constraint
+	}{
+		{"MCA over θ", mca, ConstraintMaxRLETheta},
+		{"foreign edge", evaluated(foreign), ConstraintNone},
+		{"edge with other weights", evaluated(reweighted), ConstraintNone},
+		{"wrong-size tree", &Solution{Tree: graph.NewTree(3, 0)}, ConstraintNone},
+		{"maxΦ reported below its tree's", &underreported, ConstraintNone},
+	} {
+		if err := feasible(inst, tc.s, tc.c, 10120); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
 }

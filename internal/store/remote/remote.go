@@ -66,9 +66,6 @@ type Options struct {
 	// RetryBackoff is the base exponential backoff between retries; 0
 	// means DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// Chunker overrides the content-defined chunking parameters; zero
-	// fields fall back to DefaultChunkerParams.
-	Chunker ChunkerParams
 	// RetrievalFactor is the per-read cost multiplier this tier reports
 	// through store.CostReporter; 0 means costs.DefaultTierCosts().Remote.
 	RetrievalFactor float64
@@ -106,7 +103,6 @@ const (
 type Store struct {
 	base    string // server URL, no trailing slash
 	hc      *http.Client
-	params  ChunkerParams
 	hedge   time.Duration // <0 off, 0 adaptive, >0 fixed
 	retries int
 	backoff time.Duration
@@ -150,7 +146,6 @@ func New(baseURL string, opts Options) *Store {
 	return &Store{
 		base:    strings.TrimRight(baseURL, "/"),
 		hc:      hc,
-		params:  opts.Chunker.normalize(),
 		hedge:   opts.HedgeAfter,
 		retries: opts.Retries,
 		backoff: opts.RetryBackoff,
@@ -207,7 +202,7 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 		return id, nil
 	}
 	m := manifest{Size: int64(len(data))}
-	for _, chunk := range Split(data, s.params) {
+	for _, chunk := range Split(data, DefaultChunkerParams) {
 		cid := store.HashBytes(chunk)
 		m.Chunks = append(m.Chunks, manifestChunk{ID: cid, Size: int64(len(chunk))})
 		ckey := chunkPrefix + string(cid)

@@ -225,10 +225,10 @@ func TestCheckoutAllCycleWithCleanSubtree(t *testing.T) {
 	}
 }
 
-// TestDeepColdChainDoesNotFlushHotSet: intermediate chain admission is
-// opportunistic — it takes spare room only. A deep cold checkout against
-// a full version-count LRU must cost the hot set at most the one slot the
-// requested version itself claims.
+// TestDeepColdChainDoesNotFlushHotSet: a cold checkout admits only the
+// version asked for, never the intermediate versions its chain replays. A
+// deep cold checkout against a full version-count LRU must cost the hot
+// set at most the one slot the requested version itself claims.
 func TestDeepColdChainDoesNotFlushHotSet(t *testing.T) {
 	const n = 12
 	l, _ := linearLayout(t, NewMemStore(), n)

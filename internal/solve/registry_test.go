@@ -144,10 +144,9 @@ func feasible(inst *Instance, s *Solution, c Constraint, bound float64) error {
 	return nil
 }
 
-// TestRegistryFeasibilityCheck runs the feasibility check on the Problem 6
-// solvers at θ = 12000 on the paper's Figure 2 instance, and on trees and
-// reports it must reject.
-func TestRegistryFeasibilityCheck(t *testing.T) {
+// TestFeasibleAcceptsSolverResults runs the feasibility check on the
+// Problem 6 solvers at θ = 12000 on the paper's Figure 2 instance.
+func TestFeasibleAcceptsSolverResults(t *testing.T) {
 	inst := paperInstance(t)
 	for _, name := range []string{"mp", "exact"} {
 		res, err := Solve(context.Background(), inst, Request{Solver: name, Theta: 12000})
@@ -158,7 +157,12 @@ func TestRegistryFeasibilityCheck(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
 
+// TestFeasibleRejectsViolations requires the feasibility check to accept the
+// SPT at its own bound and to reject trees and reports that break Lemma 4.
+func TestFeasibleRejectsViolations(t *testing.T) {
+	inst := paperInstance(t)
 	// θ = 10120 is the SPT's max recreation: the SPT fits, the MCA does not.
 	spt, err := MinRecreation(inst)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 
 // LRU is the repository's one byte-budget LRU, generic over its key. The
 // serving path keys it by version index (VersionCache); the remote tier
-// keys it by object key for its near-tier chunk and manifest cache.
+// keys it by object key for its near-tier object cache.
 //
 // On the serving path it caps the effective recreation cost Φ: a checkout
 // whose version (or any chain ancestor) is cached replays only the deltas

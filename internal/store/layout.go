@@ -293,15 +293,17 @@ func (l *Layout) materialize(v int) ([]byte, error) {
 // empty when v itself is cached); otherwise chain ends at the materialized
 // root, whose blob is the base. A nil c walks straight to the root.
 //
-// The probe of v itself is uncounted: the checkout fast path already
-// recorded this logical lookup's miss, and double-counting would deflate
-// the hit ratio operators tune the byte budget against. (The re-probe
-// still matters: a leader racing a just-finished flight finds the freshly
-// admitted payload here.) Corrupt chains — cycles and out-of-range
-// parents — are errors rather than endless walks.
+// Every probe here is uncounted, so the cache's hits and misses stay one
+// per checkout: the checkout's own lookup of v has already recorded its
+// miss, and counting each ancestor probed as well would make the hit
+// ratio operators tune the byte budget against a per-ancestor figure.
+// A found ancestor is still promoted, since the replay leans on it. (The
+// re-probe of v still matters: a leader racing a just-finished flight
+// finds the freshly admitted payload here.) Corrupt chains — cycles and
+// out-of-range parents — are errors rather than endless walks.
 func (l *Layout) chainTo(v int, c *VersionCache) (chain []int, base []byte, found bool, err error) {
 	for u := v; ; u = l.Entries[u].Parent {
-		if base, found = c.lookup(u, u != v, true); found {
+		if base, found = c.lookup(u, false, true); found {
 			return chain, base, true, nil
 		}
 		chain = append(chain, u)

@@ -1,11 +1,19 @@
 // Package remote implements the S3-style remote storage tier: a
 // store.Backend whose blobs live in an HTTP object store as
 // content-defined chunks. A blob is split at rolling-hash cut points
-// into chunks addressed by their own SHA-256; a small manifest per blob
-// records the chunk list. Near-identical versions along a delta chain
-// therefore share most of their chunks — uploading a lightly edited
-// payload transfers only the chunks the edit touched, the dedup idiom of
-// git/restic-style chunked remotes.
+// into chunks addressed by their own SHA-256. A blob of one chunk — every
+// blob under the chunker's 2 KiB minimum and most under its 8 KiB average,
+// which covers most deltas — is stored as one object, its own bytes at b/<blob id>, so a
+// cold read is one round trip. A larger blob is a small manifest at
+// b/<blob id> listing chunks stored at c/<chunk id>, and near-identical
+// versions along a delta chain share most of those chunks — uploading a
+// lightly edited payload transfers only the chunks the edit touched, the
+// dedup idiom of git/restic-style chunked remotes. Readers tell the two
+// forms apart by content address: an object whose SHA-256 is the blob id
+// is the blob itself, anything else is a manifest. A store written when
+// every blob had a manifest therefore stays readable, but a reader from
+// before one-chunk blobs became one object cannot parse them: upgrade
+// replicas and readers before the writer.
 //
 // The client (Store) fronts the remote with a byte-budget chunk cache
 // (the near tier below the repository's VersionCache), hedges slow chunk

@@ -22,20 +22,22 @@ import (
 	"versiondb/internal/store"
 )
 
-// Object key namespaces. Chunks and manifests are content-addressed and
+// Object key namespaces. Blobs and chunks are content-addressed and
 // immutable; meta documents and logs are named and mutable.
 const (
-	chunkPrefix    = "c/" // c/<chunk sha256> — chunk bytes
-	manifestPrefix = "b/" // b/<blob sha256>  — chunk-list manifest
-	metaPrefix     = "m/" // m/<name>         — metadata document
-	logPrefix      = "l/" // l/<name>         — append-only log
+	chunkPrefix = "c/" // c/<chunk sha256> — chunk bytes
+	blobPrefix  = "b/" // b/<blob sha256>  — the blob itself if one chunk, else its manifest
+	metaPrefix  = "m/" // m/<name>         — metadata document
+	logPrefix   = "l/" // l/<name>         — append-only log
 )
 
 // errTransient marks failures worth retrying: 5xx responses, connection
 // errors, and torn bodies. 404 and 4xx are authoritative and permanent.
 var errTransient = errors.New("remote: transient failure")
 
-// manifest is the per-blob chunk list stored at b/<blob id>.
+// manifest is the chunk list stored at b/<blob id> for a blob of more
+// than one chunk (and, in stores written before one-chunk blobs became
+// one object, for every blob).
 type manifest struct {
 	Size   int64           `json:"size"`
 	Chunks []manifestChunk `json:"chunks"`
@@ -47,10 +49,10 @@ type manifestChunk struct {
 }
 
 // Options configures a remote Store. The zero value is fully usable:
-// default chunking, a 32 MiB near-tier chunk cache, adaptive hedging,
+// default chunking, a 32 MiB near-tier object cache, adaptive hedging,
 // and a handful of retries.
 type Options struct {
-	// CacheBytes bounds the near-tier chunk/manifest cache; 0 means
+	// CacheBytes bounds the near-tier object cache; 0 means
 	// DefaultCacheBytes, negative disables caching entirely.
 	CacheBytes int64
 	// HedgeAfter is the delay before a second, racing request is sent for
@@ -89,10 +91,13 @@ const (
 )
 
 // Store is the remote-tier client: a content-addressed store.Backend
-// whose blobs live as content-defined chunks in an S3-style HTTP object
-// store. Reads assemble blobs from chunks through a byte-budget
-// near-tier cache, hedge slow fetches, and retry transient failures;
-// writes dedup chunk-wise against the remote before transferring.
+// whose blobs live in an S3-style HTTP object store. A blob the chunker
+// cuts into one chunk — most deltas, being a few KiB — is one object,
+// its own bytes at b/<id>; a larger blob is a manifest at b/<id> listing
+// content-defined chunks at c/<chunk id>. Reads go through a byte-budget near-tier
+// cache, hedge slow fetches, and retry transient failures; writes of a
+// multi-chunk blob dedup chunk-wise against the remote before
+// transferring.
 //
 // A Store also implements store.MetaStore (atomic named documents),
 // store.BlobStreamer (chunk-at-a-time streaming reads, so the zero-copy
@@ -108,7 +113,7 @@ type Store struct {
 	backoff time.Duration
 	factor  float64
 
-	cache *store.LRU[string] // near tier: chunks and manifests by object key
+	cache *store.LRU[string] // near tier: one-object blobs, chunks and manifests by object key
 	lat   *latencyRing
 
 	stats tierCounters
@@ -186,23 +191,35 @@ func (s *Store) TierStats() store.TierStats {
 // relative to a local disk read (see costs.TierCosts).
 func (s *Store) RetrievalCostFactor() float64 { return s.factor }
 
-// Put chunks data, uploads only the chunks the remote does not already
-// hold, and writes the blob's manifest. Idempotent: re-putting an
-// existing blob is a single existence probe.
+// Put stores data. A blob the chunker cuts into one chunk is written as
+// one object, its own bytes at b/<id>, so a fresh one costs two requests:
+// the existence probe and the PUT. A larger blob uploads only the chunks
+// the remote does not already hold, then its manifest. Idempotent:
+// re-putting an existing blob is a single existence probe.
 func (s *Store) Put(data []byte) (store.ID, error) {
 	ctx := context.Background()
 	id := store.HashBytes(data)
-	mkey := manifestPrefix + string(id)
-	if _, ok := s.cache.Get(mkey); ok {
+	key := blobPrefix + string(id)
+	if _, ok := s.cache.Get(key); ok {
 		return id, nil
 	}
-	if ok, err := s.headObject(ctx, mkey); err != nil {
+	if ok, err := s.headObject(ctx, key); err != nil {
 		return "", err
 	} else if ok {
 		return id, nil
 	}
+	chunks := Split(data, DefaultChunkerParams)
+	if len(chunks) == 1 {
+		if err := s.putObject(ctx, key, data); err != nil {
+			return "", err
+		}
+		s.stats.chunksStored.Add(1)
+		s.stats.bytesStored.Add(int64(len(data)))
+		s.cache.Put(key, bytes.Clone(data))
+		return id, nil
+	}
 	m := manifest{Size: int64(len(data))}
-	for _, chunk := range Split(data, DefaultChunkerParams) {
+	for _, chunk := range chunks {
 		cid := store.HashBytes(chunk)
 		m.Chunks = append(m.Chunks, manifestChunk{ID: cid, Size: int64(len(chunk))})
 		ckey := chunkPrefix + string(cid)
@@ -231,20 +248,25 @@ func (s *Store) Put(data []byte) (store.ID, error) {
 	if err != nil {
 		return "", fmt.Errorf("remote: put: %w", err)
 	}
-	if err := s.putObject(ctx, mkey, doc); err != nil {
+	if err := s.putObject(ctx, key, doc); err != nil {
 		return "", err
 	}
-	s.cache.Put(mkey, doc)
+	s.cache.Put(key, doc)
 	return id, nil
 }
 
-// Get assembles the blob from its chunks, verifying each chunk's content
-// address and the whole blob's.
+// Get returns the blob. A one-object blob costs one fetch of b/<id>; a
+// manifest costs that fetch and then its chunks, each verified against
+// its content address, and the whole blob's address is verified as well.
+// The returned bytes belong to the caller.
 func (s *Store) Get(id store.ID) ([]byte, error) {
 	ctx := context.Background()
-	m, err := s.getManifest(ctx, id)
+	obj, m, err := s.getBlobObject(ctx, id)
 	if err != nil {
 		return nil, err
+	}
+	if m == nil {
+		return bytes.Clone(obj), nil
 	}
 	data := make([]byte, 0, m.Size)
 	for _, c := range m.Chunks {
@@ -257,53 +279,61 @@ func (s *Store) Get(id store.ID) ([]byte, error) {
 	if store.HashBytes(data) != id {
 		return nil, fmt.Errorf("remote: get %s: content hash mismatch", shortID(id))
 	}
+	s.cache.Put(blobPrefix+string(id), obj)
 	return data, nil
 }
 
-// GetStream returns an incremental reader over the blob: chunks are
-// fetched lazily as the caller consumes them, so a large base payload
-// never sits in memory whole. The running whole-blob hash is verified at
-// EOF; a mismatch surfaces as a Read error, never as silent truncation.
+// GetStream returns an incremental reader over the blob. A one-object
+// blob is read whole, since it must be fetched to be told from a
+// manifest, and verified before GetStream returns. A manifest's chunks
+// are fetched lazily as the caller consumes them, so a large base payload
+// never sits in memory whole; the running whole-blob hash is verified at
+// EOF, and a mismatch surfaces as a Read error, never as silent
+// truncation.
 func (s *Store) GetStream(id store.ID) (io.ReadCloser, error) {
-	m, err := s.getManifest(context.Background(), id)
+	obj, m, err := s.getBlobObject(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
-	return &chunkReader{s: s, id: id, chunks: m.Chunks, hash: sha256.New()}, nil
+	if m == nil {
+		return io.NopCloser(bytes.NewReader(obj)), nil
+	}
+	return &chunkReader{s: s, id: id, doc: obj, chunks: m.Chunks, hash: sha256.New()}, nil
 }
 
-// Has reports whether the blob's manifest exists (near tier or remote).
+// Has reports whether the blob exists (near tier or remote).
 func (s *Store) Has(id store.ID) bool {
 	if len(id) != 64 {
 		return false
 	}
-	mkey := manifestPrefix + string(id)
-	if _, ok := s.cache.Get(mkey); ok {
+	key := blobPrefix + string(id)
+	if _, ok := s.cache.Get(key); ok {
 		return true
 	}
-	ok, err := s.headObject(context.Background(), mkey)
+	ok, err := s.headObject(context.Background(), key)
 	return err == nil && ok
 }
 
-// Delete removes the blob's manifest. Chunks are shared across blobs (the
-// whole point of content-defined chunking along a delta chain), so they
-// are left behind; reclaiming unreferenced chunks is a server-side sweep,
-// out of scope here. Deleting a missing blob is not an error.
+// Delete removes the object at b/<id>: the whole of a one-object blob, a
+// manifest otherwise. Chunks are shared across blobs (the whole point of
+// content-defined chunking along a delta chain), so they are left
+// behind; reclaiming unreferenced chunks is a server-side sweep, out of
+// scope here. Deleting a missing blob is not an error.
 func (s *Store) Delete(id store.ID) error {
-	mkey := manifestPrefix + string(id)
-	s.cache.Remove(mkey)
-	return s.deleteObject(context.Background(), mkey)
+	key := blobPrefix + string(id)
+	s.cache.Remove(key)
+	return s.deleteObject(context.Background(), key)
 }
 
-// List returns the IDs of all stored blobs (manifests) in sorted order.
+// List returns the IDs of all stored blobs in sorted order.
 func (s *Store) List() ([]store.ID, error) {
-	keys, err := s.listObjects(context.Background(), manifestPrefix)
+	keys, err := s.listObjects(context.Background(), blobPrefix)
 	if err != nil {
 		return nil, err
 	}
 	ids := make([]store.ID, 0, len(keys))
 	for _, k := range keys {
-		ids = append(ids, store.ID(strings.TrimPrefix(k, manifestPrefix)))
+		ids = append(ids, store.ID(strings.TrimPrefix(k, blobPrefix)))
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, nil
@@ -331,26 +361,56 @@ func (s *Store) OpenLog(name string) (store.LogDevice, error) {
 	return &logDevice{s: s, key: logPrefix + name}, nil
 }
 
-// getManifest fetches and decodes the blob's manifest, near tier first.
-func (s *Store) getManifest(ctx context.Context, id store.ID) (manifest, error) {
-	var m manifest
+// getBlobObject fetches the object at b/<id>, near tier first, and tells
+// its two forms apart by content address. An object whose SHA-256 is id
+// is the blob itself: it comes back with a nil manifest, counted as one
+// chunk fetch (or one chunk hit from the near tier), and is admitted to
+// the near tier, having validated. Anything else must be a manifest: it
+// comes back decoded beside its document, which the caller admits only
+// once the chunks it lists reassemble to id, so a corrupt object is never
+// pinned in the near tier.
+func (s *Store) getBlobObject(ctx context.Context, id store.ID) ([]byte, *manifest, error) {
 	if len(id) != 64 {
-		return m, fmt.Errorf("remote: malformed id %q", id)
+		return nil, nil, fmt.Errorf("remote: malformed id %q", id)
 	}
-	mkey := manifestPrefix + string(id)
-	doc, ok := s.cache.Get(mkey)
-	if !ok {
+	key := blobPrefix + string(id)
+	obj, cached := s.cache.Get(key)
+	if !cached {
 		var err error
-		doc, err = s.hedgedGet(ctx, mkey)
-		if err != nil {
-			return m, fmt.Errorf("remote: get %s: %w", shortID(id), err)
+		if obj, err = s.hedgedGet(ctx, key); err != nil {
+			return nil, nil, fmt.Errorf("remote: get %s: %w", shortID(id), err)
 		}
-		s.cache.Put(mkey, doc)
 	}
+	if store.HashBytes(obj) == id {
+		if cached {
+			s.stats.chunkHits.Add(1)
+		} else {
+			s.stats.chunkFetches.Add(1)
+			s.stats.bytesFetched.Add(int64(len(obj)))
+			s.cache.Put(key, obj)
+		}
+		return obj, nil, nil
+	}
+	m, err := parseManifest(obj)
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: get %s: %w", shortID(id), err)
+	}
+	return obj, m, nil
+}
+
+// parseManifest decodes a manifest document. Its size must be one its
+// chunks can hold — Put never writes a chunk longer than the chunker's
+// Max — since Get allocates the blob from it: a corrupt document is
+// refused before anything is allocated on its word.
+func parseManifest(doc []byte) (*manifest, error) {
+	var m manifest
 	if err := json.Unmarshal(doc, &m); err != nil {
-		return m, fmt.Errorf("remote: get %s: bad manifest: %w", shortID(id), err)
+		return nil, fmt.Errorf("object is neither the blob nor a manifest: %w", err)
 	}
-	return m, nil
+	if m.Size < 0 || m.Size > int64(len(m.Chunks))*int64(DefaultChunkerParams.normalize().Max) {
+		return nil, fmt.Errorf("bad manifest: size %d for %d chunks", m.Size, len(m.Chunks))
+	}
+	return &m, nil
 }
 
 // fetchChunk returns one chunk's bytes, near tier first, verifying the
@@ -605,11 +665,13 @@ func (s *Store) listObjects(ctx context.Context, prefix string) ([]string, error
 	return keys, nil
 }
 
-// chunkReader streams a blob chunk by chunk, verifying each chunk's
-// address on fetch and the whole blob's at EOF.
+// chunkReader streams a manifest's blob chunk by chunk, verifying each
+// chunk's address on fetch and the whole blob's at EOF, where the
+// manifest document is admitted to the near tier.
 type chunkReader struct {
 	s      *Store
 	id     store.ID
+	doc    []byte // the manifest document at b/<id>
 	chunks []manifestChunk
 	next   int // index of the next chunk to fetch
 	buf    []byte
@@ -629,6 +691,7 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 			if hex.EncodeToString(r.hash.Sum(nil)) != string(r.id) {
 				r.err = fmt.Errorf("remote: stream %s: content hash mismatch", shortID(r.id))
 			} else {
+				r.s.cache.Put(blobPrefix+string(r.id), r.doc)
 				r.err = io.EOF
 			}
 			return 0, r.err

@@ -65,51 +65,82 @@ func TestRemoteBackendConformance(t *testing.T) {
 	}
 }
 
+// hedgeCase is one shape of blob a hedging or tearing test reads: a
+// payload and the key of the object the test stalls or tears — b/<id>
+// itself for a one-chunk blob, one of its chunks for a multi-chunk blob —
+// with the number of chunk fetches one cold Get of it counts.
+type hedgeCase struct {
+	name    string
+	payload []byte
+	key     string
+	fetches int64
+}
+
+// hedgeCases returns a one-chunk blob, stored as one object, and a blob of
+// at least two chunks, stored as a manifest and its chunks.
+func hedgeCases(t *testing.T) []hedgeCase {
+	t.Helper()
+	one := []byte("hedged payload: small enough to be a single chunk")
+	multi := randomBytes(t, 5, 40<<10)
+	chunks := remote.Split(multi, remote.DefaultChunkerParams)
+	if len(chunks) < 2 {
+		t.Fatalf("multi-chunk payload split into %d chunk(s)", len(chunks))
+	}
+	return []hedgeCase{
+		{"one-object", one, "b/" + string(store.HashBytes(one)), 1},
+		{"multi-chunk", multi, "c/" + string(store.HashBytes(chunks[len(chunks)-1])), int64(len(chunks))},
+	}
+}
+
 // TestHedgedReadBeatsSlowChunk pins the hedging contract: when the first
-// fetch of a chunk stalls, the hedge launched after HedgeAfter returns
+// fetch of an object stalls, the hedge launched after HedgeAfter returns
 // first and wins — and the logical read is still counted ONCE (no
-// double-counted fetches or bytes).
+// double-counted fetches or bytes). The stalled object is a one-chunk
+// blob's only object in one case and a chunk behind a manifest in the
+// other.
 func TestHedgedReadBeatsSlowChunk(t *testing.T) {
-	payload := []byte("hedged payload: small enough to be a single chunk")
-	s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
-		opts.HedgeAfter = 10 * time.Millisecond
-		opts.CacheBytes = -1 // force every read to the remote
-	})
-	id, err := s.Put(payload)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	before := s.TierStats()
+	for _, tc := range hedgeCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
+				opts.HedgeAfter = 10 * time.Millisecond
+				opts.CacheBytes = -1 // force every read to the remote
+			})
+			id, err := s.Put(tc.payload)
+			if err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			before := s.TierStats()
 
-	// Stall the next GET of the payload's only chunk far past the hedge
-	// trigger; the hedge's GET of the same key runs at full speed.
-	cid := store.HashBytes(payload) // single chunk ⇒ chunk id = blob id
-	srv.DelayOnce("c/"+string(cid), 2*time.Second)
+			// Stall the next GET of the object far past the hedge trigger;
+			// the hedge's GET of the same key runs at full speed.
+			srv.DelayOnce(tc.key, 2*time.Second)
 
-	start := time.Now()
-	got, err := s.Get(id)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("Get returned wrong bytes")
-	}
-	if elapsed > time.Second {
-		t.Errorf("hedged Get took %v — waited out the stalled primary instead of hedging", elapsed)
-	}
+			start := time.Now()
+			got, err := s.Get(id)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if !bytes.Equal(got, tc.payload) {
+				t.Fatalf("Get returned wrong bytes")
+			}
+			if elapsed > time.Second {
+				t.Errorf("hedged Get took %v — waited out the stalled primary instead of hedging", elapsed)
+			}
 
-	d := diffStats(before, s.TierStats())
-	if d.Hedged != 1 || d.HedgeWins != 1 {
-		t.Errorf("Hedged = %d, HedgeWins = %d, want 1 and 1", d.Hedged, d.HedgeWins)
-	}
-	// One manifest fetch + one chunk fetch happened logically, even
-	// though two HTTP requests raced for the chunk.
-	if d.ChunkFetches != 1 {
-		t.Errorf("ChunkFetches = %d, want 1 (hedge must not double-count)", d.ChunkFetches)
-	}
-	if d.BytesFetched != int64(len(payload)) {
-		t.Errorf("BytesFetched = %d, want %d (hedge must not double-count bytes)", d.BytesFetched, len(payload))
+			d := diffStats(before, s.TierStats())
+			if d.Hedged != 1 || d.HedgeWins != 1 {
+				t.Errorf("Hedged = %d, HedgeWins = %d, want 1 and 1", d.Hedged, d.HedgeWins)
+			}
+			// Each chunk was fetched once logically, even though two HTTP
+			// requests raced for the stalled one.
+			if d.ChunkFetches != tc.fetches {
+				t.Errorf("ChunkFetches = %d, want %d (hedge must not double-count)", d.ChunkFetches, tc.fetches)
+			}
+			if d.BytesFetched != int64(len(tc.payload)) {
+				t.Errorf("BytesFetched = %d, want %d (hedge must not double-count bytes)", d.BytesFetched, len(tc.payload))
+			}
+		})
 	}
 }
 
@@ -171,27 +202,33 @@ func freshClient(t *testing.T, srv *remote.Server) *remote.Store {
 }
 
 // TestTornResponseRetried: a GET whose body is cut short of its declared
-// Content-Length is detected and retried, not returned truncated.
+// Content-Length is detected and retried, not returned truncated — for a
+// one-chunk blob's only object and for a manifest and its chunks.
 func TestTornResponseRetried(t *testing.T) {
-	s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
-		opts.CacheBytes = -1
-		opts.RetryBackoff = time.Millisecond
-	})
-	data := []byte("torn response payload — must arrive whole or not at all")
-	id, err := s.Put(data)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	srv.TearEvery(2) // every 2nd GET tears, so the immediate retry succeeds
-	got, err := s.Get(id)
-	if err != nil {
-		t.Fatalf("Get with torn responses: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("Get returned corrupt bytes after tear+retry")
-	}
-	if s.TierStats().Retries == 0 {
-		t.Errorf("no retry counted despite torn responses")
+	for _, tc := range hedgeCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
+				opts.CacheBytes = -1
+				opts.RetryBackoff = time.Millisecond
+			})
+			id, err := s.Put(tc.payload)
+			if err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			// Every GET tears, except that a torn object is spared from
+			// then on, so each object tears once and its retry succeeds.
+			srv.TearEvery(1)
+			got, err := s.Get(id)
+			if err != nil {
+				t.Fatalf("Get with torn responses: %v", err)
+			}
+			if !bytes.Equal(got, tc.payload) {
+				t.Fatalf("Get returned corrupt bytes after tear+retry")
+			}
+			if s.TierStats().Retries == 0 {
+				t.Errorf("no retry counted despite torn responses")
+			}
+		})
 	}
 }
 
@@ -321,34 +358,37 @@ func TestLogDeviceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdaptiveHedgeDelay: with HedgeAfter = 0 the client hedges only
-// after enough latency samples, then beats an injected straggler.
+// TestAdaptiveHedge: with HedgeAfter = 0 the client hedges only after
+// enough latency samples, then beats an injected straggler — a one-chunk
+// blob's only object, or a chunk behind a manifest.
 func TestAdaptiveHedge(t *testing.T) {
-	payload := []byte("adaptive hedging payload")
-	s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
-		opts.HedgeAfter = 0 // adaptive
-		opts.CacheBytes = -1
-	})
-	id, err := s.Put(payload)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	// Warm the latency ring well past the minimum sample count.
-	for i := 0; i < 16; i++ {
-		if _, err := s.Get(id); err != nil {
-			t.Fatalf("warmup Get: %v", err)
-		}
-	}
-	cid := store.HashBytes(payload)
-	srv.DelayOnce("c/"+string(cid), 2*time.Second)
-	start := time.Now()
-	if _, err := s.Get(id); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("adaptive hedge took %v — straggler not hedged", elapsed)
-	}
-	if s.TierStats().HedgeWins == 0 {
-		t.Errorf("no hedge win recorded against a 2s straggler")
+	for _, tc := range hedgeCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s, srv := newTestStore(t, func(srv *remote.Server, opts *remote.Options) {
+				opts.HedgeAfter = 0 // adaptive
+				opts.CacheBytes = -1
+			})
+			id, err := s.Put(tc.payload)
+			if err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			// Warm the latency ring well past the minimum sample count.
+			for i := 0; i < 16; i++ {
+				if _, err := s.Get(id); err != nil {
+					t.Fatalf("warmup Get: %v", err)
+				}
+			}
+			srv.DelayOnce(tc.key, 2*time.Second)
+			start := time.Now()
+			if _, err := s.Get(id); err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("adaptive hedge took %v — straggler not hedged", elapsed)
+			}
+			if s.TierStats().HedgeWins == 0 {
+				t.Errorf("no hedge win recorded against a 2s straggler")
+			}
+		})
 	}
 }

@@ -63,7 +63,7 @@ func TestDelayOnceStallsOnlyThePrimary(t *testing.T) {
 	if _, err := s.Put(payload); err != nil {
 		t.Fatal(err)
 	}
-	key := "c/" + string(store.HashBytes(payload))
+	key := blobPrefix + string(store.HashBytes(payload)) // the blob's only object
 	srv.DelayOnce(key, 300*time.Millisecond)
 	get := func(hedge bool) time.Duration {
 		t.Helper()

@@ -81,13 +81,12 @@ func TestConcurrentColdCheckoutsCoalesce(t *testing.T) {
 	// The leader is inside backend.Get, holding the flight open.
 	<-entered
 	// Every goroutine records one cache miss on the fast path before it can
-	// join the flight; the leader's chain walk adds n-1 more (its re-probe
-	// of the requested version is deliberately uncounted). Once the total
-	// reaches checkouts+n-1, all followers are committed to coalescing.
+	// join the flight, and the leader's chain walk counts none. Once the
+	// total reaches checkouts, all followers are committed to coalescing.
 	deadline := time.Now().Add(10 * time.Second)
-	for l.Cache().Stats().Misses < uint64(checkouts+n-1) {
+	for l.Cache().Stats().Misses < checkouts {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d cache misses (have %d)", checkouts+n-1, l.Cache().Stats().Misses)
+			t.Fatalf("timed out waiting for %d cache misses (have %d)", checkouts, l.Cache().Stats().Misses)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -222,6 +221,74 @@ func TestCheckoutAllCycleWithCleanSubtree(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("CheckoutAll hung on a cycle whose reachable subtree completes cleanly")
+	}
+}
+
+// TestCacheCountsOneLookupPerCheckout: the cache's hits and misses count
+// checkouts, not the ancestors a chain walk probes. A cold buffered
+// checkout and a cold stream of a 6-deep chain each add exactly one miss,
+// a hit adds exactly one hit, and a cold checkout that finds a cached
+// ancestor adds one miss and no hit — but still promotes that ancestor,
+// so the admission it makes evicts another entry instead.
+func TestCacheCountsOneLookupPerCheckout(t *testing.T) {
+	const n = 7 // version 6 sits 6 deltas below the root
+	l, payloads := linearLayout(t, NewMemStore(), n)
+	counts := func() (uint64, uint64) {
+		cs := l.Cache().Stats()
+		return cs.Hits, cs.Misses
+	}
+	check := func(what string, hits0, misses0, dh, dm uint64) {
+		t.Helper()
+		if h, m := counts(); h-hits0 != dh || m-misses0 != dm {
+			t.Errorf("%s: hits +%d, misses +%d; want +%d, +%d", what, h-hits0, m-misses0, dh, dm)
+		}
+	}
+
+	l.SetCache(NewVersionCacheBytes(1 << 20))
+	h, m := counts()
+	if got, err := l.Checkout(n - 1); err != nil || !bytes.Equal(got, payloads[n-1]) {
+		t.Fatalf("cold Checkout(%d): %v", n-1, err)
+	}
+	check("cold buffered checkout", h, m, 0, 1)
+	h, m = counts()
+	if _, err := l.Checkout(n - 1); err != nil {
+		t.Fatal(err)
+	}
+	check("buffered hit", h, m, 1, 0)
+
+	l.SetCache(NewVersionCacheBytes(1 << 20))
+	h, m = counts()
+	if got := drainStream(t, l, n-1); !bytes.Equal(got, payloads[n-1]) {
+		t.Fatal("cold stream payload diverged")
+	}
+	check("cold stream", h, m, 0, 1)
+	h, m = counts()
+	drainStream(t, l, n-1)
+	check("stream hit", h, m, 1, 0)
+
+	// Two slots: 3 is resident and least recent, 1 most recent. A cold
+	// checkout of 6 replays from 3, which the walk promotes, so admitting 6
+	// evicts 1 rather than 3.
+	l.SetCache(NewVersionCache(2))
+	for _, v := range []int{3, 1} {
+		if _, err := l.Checkout(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, m = counts()
+	deltas := l.DeltaApplications()
+	if got, err := l.Checkout(n - 1); err != nil || !bytes.Equal(got, payloads[n-1]) {
+		t.Fatalf("Checkout(%d) over a cached ancestor: %v", n-1, err)
+	}
+	check("cold checkout over a cached ancestor", h, m, 0, 1)
+	if d := l.DeltaApplications() - deltas; d != n-1-3 {
+		t.Errorf("replay from cached 3 applied %d deltas, want %d", d, n-1-3)
+	}
+	if _, ok := l.cache.peek(3); !ok {
+		t.Errorf("the ancestor the replay started from was not promoted: evicted by the admission of %d", n-1)
+	}
+	if _, ok := l.cache.peek(1); ok {
+		t.Errorf("version 1 survived; the admission of %d should have evicted it", n-1)
 	}
 }
 

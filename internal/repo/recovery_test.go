@@ -19,11 +19,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"versiondb/internal/costs"
-	"versiondb/internal/delta"
 	"versiondb/internal/solve"
 	"versiondb/internal/store"
 	"versiondb/internal/store/faultfs"
@@ -264,96 +264,123 @@ func TestAccessStatsSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestOpenMigratesPreMetalogRepository writes a repository in the
-// whole-document format that preceded the metadata log — meta.json,
-// layout.json and access_stats.json, plus a materialized blob and a
-// two-delta chain — and checks that OpenBackend migrates it: every version
-// checks out byte-identical, access telemetry carries over, and a second
-// open recovers from the log alone.
-func TestOpenMigratesPreMetalogRepository(t *testing.T) {
-	mem := store.NewMemStore()
-	payloads := [][]byte{
-		[]byte("id,name\n1,ada\n2,bob\n"),
-		[]byte("id,name\n1,ada\n2,bob\n3,cy\n"),
-		[]byte("id,name\n1,ada\n3,cy\n"),
-	}
-	put := func(b []byte) (store.ID, int) {
-		id, err := mem.Put(b)
-		if err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		return id, len(b)
-	}
-	b0, s0 := put(payloads[0])
-	b1, s1 := put(delta.Encode(delta.DiffLines(payloads[0], payloads[1]), true))
-	b2, s2 := put(delta.Encode(delta.DiffLines(payloads[1], payloads[2]), true))
-	docs := map[string]string{
-		"meta.json": fmt.Sprintf(`{
-  "versions": [
-    {"id": 0, "parents": [], "message": "root", "branch": "master", "size": %d, "time": "2015-06-01T10:00:00Z"},
-    {"id": 1, "parents": [0], "message": "add cy", "branch": "master", "size": %d, "time": "2015-06-01T11:00:00Z"},
-    {"id": 2, "parents": [1], "message": "drop bob", "branch": "dev", "size": %d, "time": "2015-06-01T12:00:00Z"}
-  ],
-  "branches": {"master": 1, "dev": 2}
-}`, len(payloads[0]), len(payloads[1]), len(payloads[2])),
-		"layout.json": fmt.Sprintf(`{
-  "entries": [
-    {"materialized": true, "parent": -1, "blob": %q, "compressed": false, "stored_bytes": %d},
-    {"materialized": false, "parent": 0, "blob": %q, "compressed": false, "stored_bytes": %d},
-    {"materialized": false, "parent": 1, "blob": %q, "compressed": false, "stored_bytes": %d}
-  ]
-}`, b0, s0, b1, s1, b2, s2),
-		"access_stats.json": fmt.Sprintf(`{"half_life_seconds": 3600, "total": 7, "saved_at": %q, "counts": [1, 5, 1]}`,
-			time.Now().UTC().Format(time.RFC3339)),
-	}
-	for name, doc := range docs {
-		if err := mem.PutMeta(name, []byte(doc)); err != nil {
-			t.Fatalf("PutMeta %s: %v", name, err)
-		}
-	}
-
-	check := func(r *Repo, accesses uint64) {
-		t.Helper()
-		if got := r.Stats().Accesses; got != accesses {
-			t.Errorf("accesses = %d, want %d", got, accesses)
-		}
-		if hot := r.HotVersions(1); len(hot) == 0 || hot[0].Version != 1 {
-			t.Errorf("hot version = %+v, want v1 on top", hot)
-		}
-		if tip, err := r.Tip("dev"); err != nil || tip != 2 {
-			t.Errorf("Tip(dev) = %d, %v; want 2", tip, err)
-		}
-		for v, want := range payloads {
-			if got, err := r.Checkout(v); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("Checkout(%d) = %q, %v; want %q", v, got, err, want)
+// TestOpenRefusesPreMetalogRepository writes a repository in the
+// whole-document format that preceded the metadata log — a meta.json
+// beside a blob, and no log — over both local backends, and checks that
+// neither entry point takes it: OpenBackend fails with an error that names
+// the format and is not "no repository", and InitBackend refuses to start a
+// fresh log over blobs a later GC would collect as orphans. A backend with
+// neither a log nor a meta.json still answers "no repository".
+func TestOpenRefusesPreMetalogRepository(t *testing.T) {
+	backends := map[string]func(t *testing.T) store.Backend{
+		"mem": func(*testing.T) store.Backend { return store.NewMemStore() },
+		"fs": func(t *testing.T) store.Backend {
+			s, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("store.Open: %v", err)
 			}
-		}
+			return s
+		},
 	}
-	r, err := OpenBackend(mem)
+	for name, open := range backends {
+		t.Run(name, func(t *testing.T) {
+			b := open(t)
+			if _, err := OpenBackend(b); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("OpenBackend(empty): err = %v, want fs.ErrNotExist", err)
+			}
+			id, err := b.Put([]byte("id,name\n1,ada\n"))
+			if err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			meta := `{"versions":[{"id":0,"parents":[],"message":"root","branch":"master","size":14}],"branches":{"master":0}}`
+			if err := b.PutMeta("meta.json", []byte(meta)); err != nil {
+				t.Fatalf("PutMeta: %v", err)
+			}
+			_, err = OpenBackend(b)
+			if err == nil {
+				t.Fatal("OpenBackend opened a pre-metalog repository")
+			}
+			if errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "pre-metalog") {
+				t.Errorf("OpenBackend(pre-metalog): err = %v, want one naming the format and not fs.ErrNotExist", err)
+			}
+			if _, err := InitBackend(b); !errors.Is(err, errAlreadyInitialized) {
+				t.Errorf("InitBackend(pre-metalog): err = %v, want errAlreadyInitialized", err)
+			}
+			if !b.Has(id) {
+				t.Errorf("refused open or init lost blob %s", id)
+			}
+		})
+	}
+}
+
+// TestStrayMetaJSONOpensFromLog: a metadata-log repository opens from its
+// log alone, even beside an unreadable meta.json.
+func TestStrayMetaJSONOpensFromLog(t *testing.T) {
+	mem := store.NewMemStore()
+	r, err := InitBackend(mem)
 	if err != nil {
-		t.Fatalf("OpenBackend (migrate): %v", err)
+		t.Fatalf("InitBackend: %v", err)
 	}
-	if got := r.NumVersions(); got != len(payloads) {
-		t.Fatalf("migrated %d versions, want %d", got, len(payloads))
-	}
-	if c := r.Stats().Log.Compactions; c != 1 {
-		t.Errorf("migration wrote %d snapshots, want 1", c)
-	}
-	check(r, 7)
+	payloads := seedRepo(t, r, 3)
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	// The documents are dead weight now: the second open must come from the
-	// log even when they are unreadable.
 	if err := mem.PutMeta("meta.json", []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := OpenBackend(mem)
 	if err != nil {
-		t.Fatalf("OpenBackend (recover): %v", err)
+		t.Fatalf("OpenBackend: %v", err)
 	}
-	check(r2, 7+uint64(len(payloads)))
+	defer r2.Close()
+	for v, want := range payloads {
+		if got, err := r2.Checkout(v); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("Checkout(%d) = %q, %v; want %q", v, got, err, want)
+		}
+	}
+}
+
+// TestOpenRefusesHashlessVersions: every version carries its payload hash,
+// so replay refuses a commit record or a snapshot whose version has none
+// rather than serving an empty ETag.
+func TestOpenRefusesHashlessVersions(t *testing.T) {
+	t.Run("commit record", func(t *testing.T) {
+		mem := store.NewMemStore()
+		r, err := InitBackend(mem)
+		if err != nil {
+			t.Fatalf("InitBackend: %v", err)
+		}
+		seedRepo(t, r, 2)
+		v := r.meta.Versions[1]
+		v.ID, v.Parents, v.Hash = 2, []int{1}, ""
+		if err := r.appendJSON(recCommit, commitRecord{Version: v, Entry: r.layout.Entries[1]}); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if _, err := OpenBackend(mem); err == nil || !strings.Contains(err.Error(), "no payload hash") {
+			t.Errorf("OpenBackend: err = %v, want a refused hashless commit record", err)
+		}
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		mem := store.NewMemStore()
+		r, err := InitBackend(mem)
+		if err != nil {
+			t.Fatalf("InitBackend: %v", err)
+		}
+		seedRepo(t, r, 2)
+		r.meta.Versions[0].Hash = ""
+		if err := r.compact(); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if _, err := OpenBackend(mem); err == nil || !strings.Contains(err.Error(), "no payload hash") {
+			t.Errorf("OpenBackend: err = %v, want a refused hashless snapshot", err)
+		}
+	})
 }
 
 // memoCrashWorkload drives a history whose log carries the pair-size

@@ -13,12 +13,11 @@
 // under a brief write lock with a conflict check — so re-layouts never
 // block checkouts for the duration of a solve. The physical layer is a
 // pluggable store.Backend; metadata is persisted as an append-only record
-// log on the backend's LogStore (see wal.go).
+// log on the backend (see wal.go).
 package repo
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,9 +65,8 @@ type VersionInfo struct {
 	Time    time.Time `json:"time"`
 	// Hash is the hex SHA-256 of the payload, recorded at commit time. It
 	// doubles as the strong ETag of GET /checkout/raw, so a conditional
-	// re-fetch can be answered 304 without touching a single blob. Empty on
-	// repositories written before hashes existed; VersionHash backfills
-	// lazily.
+	// re-fetch can be answered 304 without touching a single blob. Replay
+	// refuses a version without one.
 	Hash string `json:"hash,omitempty"`
 }
 
@@ -93,7 +91,7 @@ type Repo struct {
 	retiredBlobReads atomic.Int64
 
 	// stats is the access telemetry feeding workload-aware optimization:
-	// checkouts and commits record per-version counters (with exponential
+	// serving checkouts record per-version counters (with exponential
 	// decay), Weights derives normalized frequencies from them, and
 	// Optimize feeds those into weight-consuming solvers by default. The
 	// structure has its own lock and is persisted through the metadata log.
@@ -181,37 +179,23 @@ func newRepoShell(b store.Backend) *Repo {
 	}
 }
 
-// logBackend returns b's two persistence capabilities: the MetaStore
-// holding the metadata log's snapshot and the LogStore holding its record
-// device. Every repository persists through both.
-func logBackend(b store.Backend) (store.MetaStore, store.LogStore, error) {
-	ms, ok := b.(store.MetaStore)
-	if !ok {
-		return nil, nil, fmt.Errorf("backend %T does not persist metadata", b)
-	}
-	ls, ok := b.(store.LogStore)
-	if !ok {
-		return nil, nil, fmt.Errorf("backend %T has no metadata log", b)
-	}
-	return ms, ls, nil
-}
+// metaName marks a repository of the whole-document format that preceded
+// the metadata log. Nothing reads it; its presence alone makes OpenBackend
+// and InitBackend refuse the backend, whose blobs a fresh log's GC would
+// collect as orphans.
+const metaName = "meta.json"
 
-// InitBackend creates a new repository over an arbitrary backend. The
-// backend must implement store.MetaStore and store.LogStore and must not
-// already hold a repository; commits append records to its metadata log.
+// InitBackend creates a new repository over an arbitrary backend, which
+// must not already hold one; commits append records to its metadata log.
 func InitBackend(b store.Backend) (*Repo, error) {
-	ms, ls, err := logBackend(b)
-	if err != nil {
-		return nil, fmt.Errorf("repo: init: %w", err)
-	}
-	if _, err := ms.GetMeta(metaName); err == nil {
+	if _, err := b.GetMeta(metaName); err == nil {
 		return nil, fmt.Errorf("repo: backend: %w", errAlreadyInitialized)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// An unreadable meta.json is not license to overwrite a repository
 		// that may exist behind it.
 		return nil, fmt.Errorf("repo: init: %w", err)
 	}
-	l, rec, err := metalog.Open(ms, ls, walName)
+	l, rec, err := metalog.Open(b, b, walName)
 	if err != nil {
 		return nil, fmt.Errorf("repo: init: %w", err)
 	}
@@ -241,86 +225,37 @@ func Open(dir string) (*Repo, error) {
 	return OpenBackend(s)
 }
 
-// OpenBackend loads an existing repository from an arbitrary backend,
-// which must implement store.MetaStore and store.LogStore. It recovers
-// from the metadata log: snapshot load plus tail replay, tolerating a torn
-// final record (the signature of a crash mid-append). A repository written
-// before the metadata log existed is migrated in place: its documents
-// become the log's first snapshot and all further writes are appends.
+// OpenBackend loads an existing repository from an arbitrary backend. It
+// recovers from the metadata log: snapshot load plus tail replay,
+// tolerating a torn final record (the signature of a crash mid-append).
+// A backend with no log answers "no repository", wrapping fs.ErrNotExist,
+// unless it holds a repository of the pre-metalog whole-document format,
+// which this build refuses.
 func OpenBackend(b store.Backend) (*Repo, error) {
-	ms, ls, err := logBackend(b)
+	l, rec, err := metalog.Open(b, b, walName)
 	if err != nil {
 		return nil, fmt.Errorf("repo: open: %w", err)
 	}
-	l, rec, err := metalog.Open(ms, ls, walName)
-	if err != nil {
-		return nil, fmt.Errorf("repo: open: %w", err)
+	if rec.Snapshot == nil && len(rec.Records) == 0 {
+		_ = l.Close()
+		_, err := b.GetMeta(metaName)
+		switch {
+		case err == nil:
+			return nil, fmt.Errorf("repo: open: pre-metalog repository (%s, no metadata log): migrate it with an older build", metaName)
+		case errors.Is(err, fs.ErrNotExist):
+			return nil, fmt.Errorf("repo: open: no repository: %w", err)
+		default:
+			return nil, fmt.Errorf("repo: open: %w", err)
+		}
 	}
 	r := newRepoShell(b)
 	r.log = l
-	if rec.Snapshot != nil || len(rec.Records) > 0 {
-		if err := r.restore(rec); err != nil {
-			_ = l.Close()
-			return nil, err
-		}
-		r.recoveredOrder = append([]string(nil), r.jobsOrder...)
-		return r, nil
-	}
-	// Empty log: either a pre-log repository to migrate, or nothing at all.
-	if err := r.openLegacy(ms); err != nil {
+	if err := r.restore(rec); err != nil {
 		_ = l.Close()
 		return nil, err
 	}
-	r.stats.SetSink(r.accessSink)
-	if err := r.compact(); err != nil {
-		_ = l.Close()
-		return nil, fmt.Errorf("repo: open: migrating to metadata log: %w", err)
-	}
+	r.recoveredOrder = append([]string(nil), r.jobsOrder...)
 	return r, nil
-}
-
-// Documents of the whole-document format that preceded the metadata log.
-// Only openLegacy reads them; nothing writes them.
-const (
-	metaName        = "meta.json"
-	layoutName      = "layout.json"
-	accessStatsName = "access_stats.json"
-)
-
-// openLegacy is the one-way migration reader: it loads a repository from
-// the whole-document meta.json, layout.json and access_stats.json into r,
-// for OpenBackend to compact into the metadata log's first snapshot. A
-// missing meta.json means there is no repository (fs.ErrNotExist).
-func (r *Repo) openLegacy(ms store.MetaStore) error {
-	data, err := ms.GetMeta(metaName)
-	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("repo: open: no repository: %w", err)
-	} else if err != nil {
-		return fmt.Errorf("repo: open: %w", err)
-	}
-	var st snapshotState
-	if err := json.Unmarshal(data, &st.Meta); err != nil {
-		return fmt.Errorf("repo: open: %s: %w", metaName, err)
-	}
-	if len(st.Meta.Versions) > 0 {
-		data, err := ms.GetMeta(layoutName)
-		if err != nil {
-			return fmt.Errorf("repo: open: %w", err)
-		}
-		var doc struct {
-			Entries []store.Entry `json:"entries"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("repo: open: %s: %w", layoutName, err)
-		}
-		st.Entries = doc.Entries
-	}
-	// Telemetry is advisory: a missing or unreadable document restarts it
-	// from zero.
-	if data, err := ms.GetMeta(accessStatsName); err == nil {
-		st.Access = data
-	}
-	return r.resetToState(st)
 }
 
 func emptyLayout(b store.Backend) *store.Layout {
@@ -543,7 +478,7 @@ func (r *Repo) addVersionLocked(branch string, payload []byte, message string, p
 	entry := store.Entry{Parent: -1, Materialized: true}
 	blob := payload
 	if len(parents) > 0 && delta.LineExact(payload) {
-		base, err := r.checkoutLocked(parents[0])
+		base, err := r.layout.Checkout(parents[0])
 		if err != nil {
 			rollback()
 			return 0, err
@@ -562,11 +497,6 @@ func (r *Repo) addVersionLocked(branch string, payload []byte, message string, p
 	entry.Blob = bid
 	entry.StoredBytes = len(blob)
 	r.layout.Entries = append(r.layout.Entries, entry)
-	// A freshly committed version was just materialized by its author —
-	// seed its access counter so recency shows up in the derived weights.
-	// Recorded before save so the save-time flush persists it (telemetry
-	// is advisory: a phantom count from a rolled-back commit is harmless).
-	r.stats.Record(id)
 	if err := r.persistCommit(info, entry); err != nil {
 		r.layout.Entries = r.layout.Entries[:id]
 		rollback()
@@ -598,19 +528,14 @@ func (r *Repo) Repack() (string, error) {
 func (r *Repo) Checkout(v int) ([]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.checkoutLocked(v)
-}
-
-func (r *Repo) checkoutLocked(v int) ([]byte, error) {
 	if v < 0 || v >= len(r.meta.Versions) {
 		return nil, fmt.Errorf("repo: version %d out of range [0,%d): %w", v, len(r.meta.Versions), ErrUnknownVersion)
 	}
 	payload, err := r.layout.Checkout(v)
 	if err == nil {
-		// Telemetry: every materialization counts — serving checkouts and
-		// the commit path reading its parent base alike. AccessStats has
-		// its own lock and performs no blob I/O, so recording under the
-		// read lock does not serialize checkouts.
+		// Telemetry counts serving reads only. AccessStats has its own
+		// lock and performs no blob I/O, so recording under the read lock
+		// does not serialize checkouts.
 		r.stats.Record(v)
 	}
 	return payload, err
@@ -645,39 +570,15 @@ func (r *Repo) CheckoutStream(v int) (io.ReadCloser, int64, error) {
 }
 
 // VersionHash returns the hex SHA-256 of version v's payload — the strong
-// ETag served by GET /checkout/raw. Commits record it up front; versions
-// from repositories that predate hashes get theirs computed on first
-// request and persisted best-effort, so subsequent conditional requests
-// are answered from metadata alone.
+// ETag served by GET /checkout/raw — from the commit record, without
+// touching a blob.
 func (r *Repo) VersionHash(v int) (string, error) {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if v < 0 || v >= len(r.meta.Versions) {
-		n := len(r.meta.Versions)
-		r.mu.RUnlock()
-		return "", fmt.Errorf("repo: version %d out of range [0,%d): %w", v, n, ErrUnknownVersion)
+		return "", fmt.Errorf("repo: version %d out of range [0,%d): %w", v, len(r.meta.Versions), ErrUnknownVersion)
 	}
-	if h := r.meta.Versions[v].Hash; h != "" {
-		r.mu.RUnlock()
-		return h, nil
-	}
-	payload, err := r.layout.Checkout(v)
-	r.mu.RUnlock()
-	if err != nil {
-		return "", err
-	}
-	h := string(store.HashBytes(payload))
-	// Backfill under the write lock, re-checking: a concurrent backfill of
-	// the same version computed the identical hash, so last-write-wins is
-	// safe; persistence is best-effort (the hash is always recomputable).
-	r.mu.Lock()
-	if v < len(r.meta.Versions) && r.meta.Versions[v].Hash == "" {
-		r.meta.Versions[v].Hash = h
-		if !r.replica {
-			_ = r.persistHash(v, h)
-		}
-	}
-	r.mu.Unlock()
-	return h, nil
+	return r.meta.Versions[v].Hash, nil
 }
 
 // Stats summarizes the repository's physical state.
@@ -705,8 +606,7 @@ type Stats struct {
 	// and coalescing did not absorb.
 	BlobReads int64
 	// Accesses is the raw (undecayed) number of version accesses the
-	// telemetry layer has recorded — checkouts plus commit
-	// materializations.
+	// telemetry layer has recorded: serving checkouts only.
 	Accesses uint64
 	// Log is the metadata record log's counters (tail records, device
 	// bytes, appends, compactions, records replayed at startup, torn tails

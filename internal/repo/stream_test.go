@@ -1,7 +1,7 @@
 package repo
 
 // Streaming checkout at the repository layer: byte equality with the
-// buffered path, the persisted per-version hash behind /checkout/raw's
+// buffered path, the recorded per-version hash behind /checkout/raw's
 // strong ETag, and the negative-result TTL surviving a copy-on-write
 // layout swap.
 
@@ -11,11 +11,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"versiondb/internal/solve"
 	"versiondb/internal/store"
+	"versiondb/internal/store/metalog"
 )
 
 func drainRepoStream(t *testing.T, r *Repo, v int) ([]byte, int64) {
@@ -53,63 +55,63 @@ func TestCheckoutStreamMatchesCheckout(t *testing.T) {
 	}
 }
 
-func TestVersionHashRecordedAndBackfilled(t *testing.T) {
+// TestVersionHashRecorded: every commit records its payload hash, and
+// VersionHash serves it from metadata — a read that appends nothing to
+// the log, before or after a reopen.
+func TestVersionHashRecorded(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Init(dir)
 	if err != nil {
 		t.Fatalf("Init: %v", err)
 	}
 	payloads := seedRepo(t, r, 3)
-	for v, p := range payloads {
-		want := string(store.HashBytes(p))
-		got, err := r.VersionHash(v)
-		if err != nil || got != want {
-			t.Fatalf("VersionHash(%d) = %q, %v; want %q (commit-time hash)", v, got, err, want)
+	appends := r.Stats().Log.Appends
+	check := func(r *Repo) {
+		t.Helper()
+		for v, p := range payloads {
+			want := string(store.HashBytes(p))
+			if got, err := r.VersionHash(v); err != nil || got != want {
+				t.Fatalf("VersionHash(%d) = %q, %v; want %q (commit-time hash)", v, got, err, want)
+			}
+		}
+		if _, err := r.VersionHash(99); !errors.Is(err, ErrUnknownVersion) {
+			t.Errorf("VersionHash out of range: err = %v, want ErrUnknownVersion", err)
 		}
 	}
-	// A repository written before hashes existed: wipe the recorded hashes
-	// and demand a lazy backfill that persists.
-	for v := range r.meta.Versions {
-		r.meta.Versions[v].Hash = ""
+	check(r)
+	if got := r.Stats().Log.Appends; got != appends {
+		t.Errorf("VersionHash appended %d log records", got-appends)
 	}
-	if err := r.compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	want := string(store.HashBytes(payloads[1]))
-	if got, err := r.VersionHash(1); err != nil || got != want {
-		t.Fatalf("backfilled VersionHash(1) = %q, %v; want %q", got, err, want)
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	r2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if h := r2.meta.Versions[1].Hash; h != want {
-		t.Errorf("backfilled hash not persisted: %q", h)
-	}
-	if h := r2.meta.Versions[2].Hash; h != "" {
-		t.Errorf("untouched version grew a hash: %q", h)
-	}
-	if _, err := r.VersionHash(99); !errors.Is(err, ErrUnknownVersion) {
-		t.Errorf("VersionHash out of range: err = %v, want ErrUnknownVersion", err)
-	}
+	defer r2.Close()
+	check(r2)
 }
 
-// TestReplicaVersionHashBackfill serves the ETag of a version that
-// predates hashes from a replica: the hash is computed in memory, and
-// nothing is persisted, since a replica has no log of its own.
-func TestReplicaVersionHashBackfill(t *testing.T) {
+// TestReplicaRefusesHashlessVersions: a replica applies the primary's
+// state through the same replay as recovery, so a snapshot or a commit
+// record whose version has no payload hash is refused and leaves the
+// replica as it was.
+func TestReplicaRefusesHashlessVersions(t *testing.T) {
 	mem := store.NewMemStore()
 	r, err := InitBackend(mem)
 	if err != nil {
 		t.Fatalf("InitBackend: %v", err)
 	}
-	payloads := seedRepo(t, r, 2)
+	seedRepo(t, r, 2)
 	st := snapshotState{Meta: r.meta, Entries: r.layout.Entries}
 	st.Meta.Versions = append([]VersionInfo(nil), st.Meta.Versions...)
-	for v := range st.Meta.Versions {
-		st.Meta.Versions[v].Hash = ""
+	good, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap, err := json.Marshal(&st)
+	st.Meta.Versions[1].Hash = ""
+	bad, err := json.Marshal(&st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +119,27 @@ func TestReplicaVersionHashBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReplica: %v", err)
 	}
-	if err := rep.ApplySnapshot(snap, 1); err != nil {
+	if err := rep.ApplySnapshot(bad, 1); err == nil || !strings.Contains(err.Error(), "no payload hash") {
+		t.Errorf("ApplySnapshot(hashless): err = %v, want refusal", err)
+	}
+	if n := rep.NumVersions(); n != 0 {
+		t.Errorf("refused snapshot left %d versions", n)
+	}
+	if err := rep.ApplySnapshot(good, 1); err != nil {
 		t.Fatalf("ApplySnapshot: %v", err)
 	}
-	want := string(store.HashBytes(payloads[1]))
-	if got, err := rep.VersionHash(1); err != nil || got != want {
-		t.Fatalf("replica VersionHash(1) = %q, %v; want %q", got, err, want)
+	v := st.Meta.Versions[1]
+	v.ID, v.Parents = 2, []int{1}
+	data, err := json.Marshal(commitRecord{Version: v, Entry: st.Entries[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, err := rep.ApplyRecords([]metalog.Record{{Seq: 2, Type: recCommit, Data: data}})
+	if err == nil || !strings.Contains(err.Error(), "no payload hash") || applied != 0 {
+		t.Errorf("ApplyRecords(hashless commit) = %d, %v; want 0 and a refusal", applied, err)
+	}
+	if n := rep.NumVersions(); n != 2 {
+		t.Errorf("refused record left %d versions, want 2", n)
 	}
 }
 
@@ -134,8 +151,8 @@ type flakyBackend struct {
 	gets atomic.Int64
 }
 
-// GetStream is shadowed away so the stream path falls back to the counted
-// Get above rather than bypassing the outage via MemStore's BlobStreamer.
+// GetStream goes through the counted Get below, so a stream cannot bypass
+// the outage via MemStore's own GetStream.
 func (f *flakyBackend) GetStream(id store.ID) (io.ReadCloser, error) {
 	blob, err := f.Get(id)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Metadata-log persistence: the repository's durable form, on the
 // backend's append-only logs (store.LogStore). Every state change
-// — a commit, a branch, an Optimize layout swap, a hash backfill, an
-// access-telemetry flush, a job lifecycle event — is one typed record
+// — a commit, a branch, an Optimize layout swap, an access-telemetry
+// flush, a job lifecycle event — is one typed record
 // appended to a metalog.Log. Startup replays the last compaction snapshot
 // plus the record tail; a torn final record (power cut mid-append) is
 // truncated away by the log layer, so the repository always reopens onto
@@ -19,8 +19,8 @@ import (
 )
 
 // walName is the metadata log's device/snapshot name pair
-// ("metalog.wal" on a filesystem backend, "metalog_snapshot.json" in the
-// MetaStore).
+// ("metalog.wal" on a filesystem backend, "metalog_snapshot.json" among
+// the metadata documents).
 const walName = "metalog"
 
 // DefaultCompactEvery is how many tail records may accumulate before the
@@ -33,7 +33,7 @@ const (
 	recBranch       metalog.Type = 2 // branchRecord: a new branch head
 	recLayoutSwap   metalog.Type = 3 // layoutSwapRecord: Optimize replaced the entry table
 	recAccess       metalog.Type = 4 // sparse access-telemetry delta (store.AccessStats)
-	recHash         metalog.Type = 5 // hashRecord: lazy payload-hash backfill
+	_               metalog.Type = 5 // reserved: a retired hash-backfill record; never reuse
 	recJobSubmitted metalog.Type = 6 // jobRecord: a durable job was accepted
 	recJobStarted   metalog.Type = 7 // jobRecord (Spec empty): the job began running
 	recJobFinished  metalog.Type = 8 // jobRecord (Spec empty): the job reached a terminal state
@@ -88,12 +88,6 @@ func (rows pairRows) memo(n int) (costs.PairSizes, error) {
 		p[i] = costs.PairSize{S: int32(row[0]), U: int32(row[1]), Fwd: row[2], Bwd: row[3]}
 	}
 	return p, nil
-}
-
-// hashRecord backfills a pre-hash version's payload hash.
-type hashRecord struct {
-	ID   int    `json:"id"`
-	Hash string `json:"hash"`
 }
 
 // jobRecord tracks a durable background job through its lifecycle.
@@ -179,12 +173,6 @@ func (r *Repo) persistSwap(added costs.PairSizes) error {
 	return nil
 }
 
-// persistHash durably records a hash backfill; callers hold the write
-// lock on a primary.
-func (r *Repo) persistHash(id int, hash string) error {
-	return r.appendJSON(recHash, hashRecord{ID: id, Hash: hash})
-}
-
 // maybeCompact folds the record tail into a fresh snapshot once it has
 // grown past the threshold; callers hold the write lock. Best-effort: a
 // failed compaction leaves a longer tail for the next try, never a broken
@@ -253,14 +241,13 @@ func (r *Repo) resetToSnapshot(snap []byte) error {
 			return fmt.Errorf("repo: restore: snapshot: %w", err)
 		}
 	}
-	return r.resetToState(st)
-}
-
-// resetToState replaces the repository's whole in-memory state with st,
-// under the same locking rules as resetToSnapshot.
-func (r *Repo) resetToState(st snapshotState) error {
 	if len(st.Entries) != len(st.Meta.Versions) {
 		return fmt.Errorf("repo: restore: %d layout entries for %d versions", len(st.Entries), len(st.Meta.Versions))
+	}
+	for _, v := range st.Meta.Versions {
+		if v.Hash == "" {
+			return fmt.Errorf("repo: restore: snapshot: version %d has no payload hash", v.ID)
+		}
 	}
 	if st.Meta.Branches == nil {
 		st.Meta.Branches = map[string]int{}
@@ -316,6 +303,9 @@ func (r *Repo) applyRecord(record metalog.Record) error {
 			return fmt.Errorf("repo: restore: commit record seq %d: version %d after %d versions",
 				record.Seq, cr.Version.ID, len(r.meta.Versions))
 		}
+		if cr.Version.Hash == "" {
+			return fmt.Errorf("repo: restore: commit record seq %d: version %d has no payload hash", record.Seq, cr.Version.ID)
+		}
 		r.meta.Versions = append(r.meta.Versions, cr.Version)
 		r.meta.Branches[cr.Version.Branch] = cr.Version.ID
 		r.layout.Entries = append(r.layout.Entries, cr.Entry)
@@ -342,14 +332,6 @@ func (r *Repo) applyRecord(record metalog.Record) error {
 		r.pairs = r.pairs.With(added)
 	case recAccess:
 		r.stats.ApplyDelta(record.Data)
-	case recHash:
-		var hr hashRecord
-		if err := json.Unmarshal(record.Data, &hr); err != nil {
-			return fmt.Errorf("repo: restore: hash record seq %d: %w", record.Seq, err)
-		}
-		if hr.ID >= 0 && hr.ID < len(r.meta.Versions) {
-			r.meta.Versions[hr.ID].Hash = hr.Hash
-		}
 	case recJobSubmitted:
 		var jr jobRecord
 		if err := json.Unmarshal(record.Data, &jr); err != nil {

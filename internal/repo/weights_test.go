@@ -189,3 +189,34 @@ func TestWeightedPhiTracksSkew(t *testing.T) {
 		t.Fatalf("WeightedPhi after hammering deepest version = %v, want > %v", skewed, uniform)
 	}
 }
+
+// TestCommitsRecordNoAccesses: access telemetry counts serving reads only.
+// A commit reads its parent to diff against it, but that read serves no
+// client, so commits with no checkouts leave every weight at its prior.
+func TestCommitsRecordNoAccesses(t *testing.T) {
+	r := newRepo(t)
+	seedRepo(t, r, 10)
+	if got := r.Stats().Accesses; got != 0 {
+		t.Errorf("10 commits recorded %d accesses, want 0", got)
+	}
+	if w := r.Weights(); w != nil {
+		t.Errorf("Weights() = %v after commits alone, want nil (uniform prior)", w)
+	}
+	if _, err := r.Checkout(3); err != nil {
+		t.Fatalf("Checkout: %v", err)
+	}
+	if got := r.Stats().Accesses; got != 1 {
+		t.Errorf("one checkout recorded %d accesses, want 1", got)
+	}
+}
+
+// TestCommitsWithoutReadsAppendOnce: with nothing read there is no
+// telemetry to flush, so each commit is exactly one metadata-log append.
+func TestCommitsWithoutReadsAppendOnce(t *testing.T) {
+	r := newRepo(t)
+	const n = 10
+	seedRepo(t, r, n)
+	if got := r.Stats().Log.Appends; got != n {
+		t.Errorf("%d commits made %d log appends, want %d", n, got, n)
+	}
+}

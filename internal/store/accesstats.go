@@ -215,10 +215,10 @@ func (a *AccessStats) grow(v int) {
 	}
 }
 
-// Record counts one access of version v (a checkout served, or a commit
-// materializing it). Negative ids are ignored. Every FlushEvery records the
-// counters are persisted; the recording goroutine pays that metadata write,
-// but concurrent recorders are not held behind it (see flushMu).
+// Record counts one access of version v: a checkout served. Negative ids
+// are ignored. Every FlushEvery records the counters are persisted; the
+// recording goroutine pays that metadata write, but concurrent recorders
+// are not held behind it (see flushMu).
 func (a *AccessStats) Record(v int) {
 	if v < 0 {
 		return
@@ -321,17 +321,18 @@ func (a *AccessStats) TopK(k int) []VersionAccess {
 }
 
 // Flush hands the counters touched since the last flush to the sink
-// immediately; without a sink it is a no-op. Counts are folded (decayed) to
-// the flush time so the delta carries a single timestamp. The dirty counter
-// resets before the sink is called: a failing sink postpones the next try
-// until another FlushEvery records (or an explicit Flush) instead of
-// retrying synchronously on every Record — telemetry loss is acceptable,
-// serializing checkouts behind failing I/O is not.
+// immediately; without a sink, or with nothing touched, it is a no-op.
+// Counts are folded (decayed) to the flush time so the delta carries a
+// single timestamp. The dirty counter resets before the sink is called: a
+// failing sink postpones the next try until another FlushEvery records (or
+// an explicit Flush) instead of retrying synchronously on every Record —
+// telemetry loss is acceptable, serializing checkouts behind failing I/O
+// is not.
 func (a *AccessStats) Flush() error {
 	a.flushMu.Lock()
 	defer a.flushMu.Unlock()
 	a.mu.Lock()
-	if a.sink == nil || (a.dirty == 0 && a.total > 0) {
+	if a.sink == nil || a.dirty == 0 {
 		a.mu.Unlock()
 		return nil // nothing to persist, or nothing new since the last flush
 	}

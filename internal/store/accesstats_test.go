@@ -211,6 +211,29 @@ func TestAccessStatsPersistence(t *testing.T) {
 	}
 }
 
+// TestAccessStatsFlushNothingDirty: a Flush with nothing recorded since
+// the last one hands the sink nothing, fresh or not.
+func TestAccessStatsFlushNothingDirty(t *testing.T) {
+	sink := &recordingSink{}
+	as := NewAccessStats()
+	as.SetSink(sink.put)
+	if err := as.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if len(sink.deltas) != 0 {
+		t.Fatalf("fresh Flush sent %d deltas, want 0", len(sink.deltas))
+	}
+	as.Record(0)
+	for i := 0; i < 2; i++ {
+		if err := as.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	if len(sink.deltas) != 1 {
+		t.Fatalf("two Flushes after one Record sent %d deltas, want 1", len(sink.deltas))
+	}
+}
+
 func TestAccessStatsAutoFlush(t *testing.T) {
 	sink := &recordingSink{}
 	as := NewAccessStats()

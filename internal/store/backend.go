@@ -2,16 +2,17 @@ package store
 
 import "io"
 
-// Backend is a content-addressed blob store: the physical substrate every
+// Backend is a content-addressed blob store that also keeps a
+// repository's metadata documents and log: the physical substrate every
 // storage layout is built on. Implementations must be safe for concurrent
 // use by multiple goroutines — the serving path issues parallel reads
 // against a backend while commits write to it.
 //
-// Two implementations ship with the package: ObjectStore (loose objects +
-// packfiles on a local filesystem, the paper's prototype medium) and
-// MemStore (a lock-guarded map, for serving replicas and tests). Remote
-// backends (e.g. an S3-style store) only need these five methods plus
-// MetaStore and LogStore.
+// Three implementations ship: ObjectStore (loose objects + packfiles on a
+// local filesystem, the paper's prototype medium), MemStore (a
+// lock-guarded map, for serving replicas and tests) and remote.Store (an
+// S3-style chunked object tier). The fault-injecting faultfs.Store wraps
+// any of them.
 type Backend interface {
 	// Put writes data idempotently and returns its content address.
 	Put(data []byte) (ID, error)
@@ -23,6 +24,10 @@ type Backend interface {
 	Delete(id ID) error
 	// List returns the IDs of all stored blobs in sorted order.
 	List() ([]ID, error)
+
+	BlobStreamer
+	MetaStore
+	LogStore
 }
 
 // MetaStore persists small named metadata documents (the metadata log's
@@ -30,19 +35,18 @@ type Backend interface {
 // of a name sees either the old or the new document, never a torn mix —
 // the property the metadata log relies on for crash-consistent snapshots.
 // Missing names yield an error satisfying errors.Is(err, fs.ErrNotExist).
-// Every repository needs it.
 type MetaStore interface {
 	PutMeta(name string, data []byte) error
 	GetMeta(name string) ([]byte, error)
 }
 
-// BlobStreamer is an optional Backend extension: an incremental read of a
-// single blob. The streaming checkout path prefers it for chain-base
-// payloads, so a large materialized version never sits in memory whole just
-// to seed a reader stack; backends without it fall back to Get. As with
-// Get, implementations must verify the content address — incrementally is
-// fine, as long as a corrupt blob surfaces as a Read error no later than
-// EOF.
+// BlobStreamer is an incremental read of a single blob. The streaming
+// checkout path reads chain-base payloads through it, so a large
+// materialized version never sits in memory whole just to seed a reader
+// stack. Errors are those of Get: a missing blob satisfies
+// errors.Is(err, fs.ErrNotExist). As with Get, implementations must verify
+// the content address — incrementally is fine, as long as a corrupt blob
+// surfaces as a Read error no later than EOF.
 type BlobStreamer interface {
 	GetStream(id ID) (io.ReadCloser, error)
 }
@@ -66,21 +70,14 @@ type LogDevice interface {
 	Close() error
 }
 
-// LogStore is a backend capability: named append-only logs next to the
-// blobs and metadata documents, holding the repository's metadata record
-// log. Every repository needs it.
+// LogStore holds named append-only logs next to the blobs and metadata
+// documents: the repository's metadata record log.
 type LogStore interface {
 	OpenLog(name string) (LogDevice, error)
 }
 
-// Compile-time conformance of both shipped backends.
+// Compile-time conformance of both local backends.
 var (
-	_ Backend      = (*ObjectStore)(nil)
-	_ MetaStore    = (*ObjectStore)(nil)
-	_ BlobStreamer = (*ObjectStore)(nil)
-	_ LogStore     = (*ObjectStore)(nil)
-	_ Backend      = (*MemStore)(nil)
-	_ MetaStore    = (*MemStore)(nil)
-	_ BlobStreamer = (*MemStore)(nil)
-	_ LogStore     = (*MemStore)(nil)
+	_ Backend = (*ObjectStore)(nil)
+	_ Backend = (*MemStore)(nil)
 )

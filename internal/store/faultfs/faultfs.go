@@ -15,7 +15,6 @@
 package faultfs
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -28,20 +27,12 @@ import (
 // the process.
 var ErrCrashed = errors.New("faultfs: simulated crash")
 
-// Inner is what faultfs wraps: a full backend with metadata documents and
-// append-only logs. Both shipped backends satisfy it.
-type Inner interface {
-	store.Backend
-	store.MetaStore
-	store.LogStore
-}
-
-// Store wraps an Inner backend with a durable-write byte budget. The
+// Store wraps a backend with a durable-write byte budget. The
 // zero-value-like unarmed state (from Wrap) passes everything through
 // while counting bytes; SetCrashAfter arms the cut.
 type Store struct {
 	mu      sync.Mutex
-	inner   Inner
+	inner   store.Backend
 	armed   bool
 	budget  int64 // durable bytes remaining before the cut, when armed
 	crashed bool
@@ -49,7 +40,7 @@ type Store struct {
 }
 
 // Wrap returns an unarmed fault-injecting view of inner.
-func Wrap(inner Inner) *Store {
+func Wrap(inner store.Backend) *Store {
 	return &Store{inner: inner}
 }
 
@@ -159,20 +150,12 @@ func (s *Store) Get(id store.ID) ([]byte, error) {
 	return s.inner.Get(id)
 }
 
-// GetStream reads a blob incrementally when the inner backend can, else
-// falls back to a whole-blob read.
+// GetStream reads a blob incrementally.
 func (s *Store) GetStream(id store.ID) (io.ReadCloser, error) {
 	if err := s.alive(); err != nil {
 		return nil, err
 	}
-	if bs, ok := s.inner.(store.BlobStreamer); ok {
-		return bs.GetStream(id)
-	}
-	data, err := s.inner.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return s.inner.GetStream(id)
 }
 
 // Has reports blob existence; a crashed store reports nothing.
@@ -266,10 +249,4 @@ func (d *logDevice) Truncate(size int64) error {
 func (d *logDevice) Close() error { return d.inner.Close() }
 
 // Compile-time conformance: a wrapped store is a drop-in backend.
-var (
-	_ store.Backend      = (*Store)(nil)
-	_ store.MetaStore    = (*Store)(nil)
-	_ store.BlobStreamer = (*Store)(nil)
-	_ store.LogStore     = (*Store)(nil)
-	_ Inner              = (*Store)(nil)
-)
+var _ store.Backend = (*Store)(nil)

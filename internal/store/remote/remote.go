@@ -99,12 +99,11 @@ const (
 // multi-chunk blob dedup chunk-wise against the remote before
 // transferring.
 //
-// A Store also implements store.MetaStore (atomic named documents),
-// store.BlobStreamer (chunk-at-a-time streaming reads, so the zero-copy
-// checkout path never holds a whole base payload just to seed a reader),
-// store.LogStore (server-side append/truncate, the metadata log's
-// durable medium), store.TierStatsReporter, and store.CostReporter.
-// All methods are safe for concurrent use.
+// Its metadata documents are objects replaced wholesale, its logs are
+// server-side append/truncate, and GetStream fetches a manifest's chunks
+// as they are read. Beyond the Backend contract it reports
+// store.TierStatsReporter and store.CostReporter. All methods are safe for
+// concurrent use.
 type Store struct {
 	base    string // server URL, no trailing slash
 	hc      *http.Client
@@ -160,13 +159,10 @@ func New(baseURL string, opts Options) *Store {
 	}
 }
 
-// Compile-time conformance to every backend capability the repository
-// layer can exploit.
+// Compile-time conformance to the backend contract and to both optional
+// tier capabilities.
 var (
 	_ store.Backend           = (*Store)(nil)
-	_ store.MetaStore         = (*Store)(nil)
-	_ store.BlobStreamer      = (*Store)(nil)
-	_ store.LogStore          = (*Store)(nil)
 	_ store.TierStatsReporter = (*Store)(nil)
 	_ store.CostReporter      = (*Store)(nil)
 )

@@ -1,8 +1,9 @@
 // Package storetest holds the shared store.Backend conformance suite.
 // Every backend — filesystem, in-memory, fault-injecting wrapper, remote
 // — must pass the identical battery: content-addressed round trips,
-// idempotent puts, missing/malformed lookups, delete semantics, sorted
-// listing, atomic metadata documents, and concurrent put/get. The suite
+// streamed reads that agree with Get, idempotent puts, missing/malformed
+// lookups, delete semantics, sorted listing, atomic metadata documents,
+// append-only logs, and concurrent put/get. The suite
 // lives in its own package (not in store's test files) so backend
 // packages that depend on store, like store/remote, can import and run
 // it without an import cycle.
@@ -12,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"sync"
 	"testing"
@@ -21,12 +23,11 @@ import (
 
 // RunBackendConformance runs the full conformance battery against the
 // backend returned by open. open is called once per subtest, so every
-// property starts from a fresh, empty store; backends that also
-// implement store.MetaStore get the metadata contract checked too.
+// property starts from a fresh, empty store.
 func RunBackendConformance(t *testing.T, open func(t *testing.T) store.Backend) {
 	t.Run("put get roundtrip", func(t *testing.T) {
 		b := open(t)
-		data := []byte("conformance payload")
+		data := bytes.Repeat([]byte("conformance payload\n"), 1000)
 		id, err := b.Put(data)
 		if err != nil {
 			t.Fatalf("Put: %v", err)
@@ -42,7 +43,15 @@ func RunBackendConformance(t *testing.T, open func(t *testing.T) store.Backend) 
 			t.Fatalf("Get: %v", err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Errorf("Get = %q, want %q", got, data)
+			t.Errorf("Get = %d bytes differing from the %d put", len(got), len(data))
+		}
+		rc, err := b.GetStream(id)
+		if err != nil {
+			t.Fatalf("GetStream: %v", err)
+		}
+		defer rc.Close()
+		if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("GetStream = %d bytes, %v; want the %d put", len(got), err, len(data))
 		}
 	})
 	t.Run("put idempotent", func(t *testing.T) {
@@ -55,11 +64,18 @@ func RunBackendConformance(t *testing.T, open func(t *testing.T) store.Backend) 
 	})
 	t.Run("missing and malformed", func(t *testing.T) {
 		b := open(t)
-		if _, err := b.Get(store.HashBytes([]byte("never stored"))); err == nil {
-			t.Errorf("Get on missing blob succeeded")
+		missing := store.HashBytes([]byte("never stored"))
+		if _, err := b.Get(missing); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("Get on missing blob: err = %v, want fs.ErrNotExist", err)
 		}
-		if _, err := b.Get("short"); err == nil {
-			t.Errorf("Get on malformed id succeeded")
+		if _, err := b.GetStream(missing); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("GetStream on missing blob: err = %v, want fs.ErrNotExist", err)
+		}
+		if _, err := b.Get("short"); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("Get on malformed id: err = %v, want a non-ErrNotExist error", err)
+		}
+		if _, err := b.GetStream("short"); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("GetStream on malformed id: err = %v, want a non-ErrNotExist error", err)
 		}
 		if b.Has("also-bad") {
 			t.Errorf("Has on malformed id = true")
@@ -106,23 +122,43 @@ func RunBackendConformance(t *testing.T, open func(t *testing.T) store.Backend) 
 	})
 	t.Run("meta roundtrip", func(t *testing.T) {
 		b := open(t)
-		ms, ok := b.(store.MetaStore)
-		if !ok {
-			t.Fatalf("backend %T does not implement MetaStore", b)
-		}
-		if _, err := ms.GetMeta("never.json"); !errors.Is(err, fs.ErrNotExist) {
+		if _, err := b.GetMeta("never.json"); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("GetMeta on missing name: err = %v, want fs.ErrNotExist", err)
 		}
-		if err := ms.PutMeta("doc.json", []byte(`{"a":1}`)); err != nil {
+		if err := b.PutMeta("doc.json", []byte(`{"a":1}`)); err != nil {
 			t.Fatalf("PutMeta: %v", err)
 		}
-		if err := ms.PutMeta("doc.json", []byte(`{"a":2}`)); err != nil {
+		if err := b.PutMeta("doc.json", []byte(`{"a":2}`)); err != nil {
 			t.Fatalf("PutMeta overwrite: %v", err)
 		}
-		got, err := ms.GetMeta("doc.json")
+		got, err := b.GetMeta("doc.json")
 		if err != nil || string(got) != `{"a":2}` {
 			t.Errorf("GetMeta = %q, %v", got, err)
 		}
+	})
+	t.Run("log append truncate reopen", func(t *testing.T) {
+		b := open(t)
+		d, err := b.OpenLog("conformance")
+		step := func(what string, err error, want string) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if got, err := d.ReadAll(); err != nil || string(got) != want {
+				t.Fatalf("after %s: ReadAll = %q, %v; want %q", what, got, err, want)
+			}
+		}
+		step("OpenLog", err, "")
+		step("Append", d.Append([]byte("first,")), "first,")
+		step("Append", d.Append([]byte("second")), "first,second")
+		step("Truncate", d.Truncate(int64(len("first,"))), "first,")
+		step("Append after Truncate", d.Append([]byte("again")), "first,again")
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		d, err = b.OpenLog("conformance")
+		step("second OpenLog", err, "first,again")
+		d.Close()
 	})
 	t.Run("concurrent put get", func(t *testing.T) {
 		b := open(t)

@@ -98,22 +98,12 @@ func (l *Layout) streamCold(v int) (io.ReadCloser, int64, error) {
 }
 
 // blobStream opens one blob for streaming on the serving path, counting it
-// toward BlobReads. Backends without BlobStreamer fall back to a buffered
-// Get; compressed entries inflate on the way through.
+// toward BlobReads; compressed entries inflate on the way through.
 func (l *Layout) blobStream(v int) (io.ReadCloser, error) {
 	e := l.Entries[v]
-	var rc io.ReadCloser
-	if bs, ok := l.backend.(BlobStreamer); ok {
-		var err error
-		if rc, err = bs.GetStream(e.Blob); err != nil {
-			return nil, err
-		}
-	} else {
-		blob, err := l.backend.Get(e.Blob)
-		if err != nil {
-			return nil, err
-		}
-		rc = io.NopCloser(bytes.NewReader(blob))
+	rc, err := l.backend.GetStream(e.Blob)
+	if err != nil {
+		return nil, err
 	}
 	l.blobReads.Add(1)
 	if e.Compressed {

@@ -339,8 +339,8 @@ func TestCheckoutStreamCompressedChain(t *testing.T) {
 	}
 }
 
-// TestStreamUsesBlobStreamer: when the backend implements BlobStreamer the
-// base payload is streamed, not buffered via Get. Observable: a backend
+// TestStreamUsesBlobStreamer: the base payload is streamed through the
+// backend's GetStream, not buffered via Get. Observable: a backend
 // whose Get panics but whose GetStream works still serves the chain base
 // (delta blobs above it legitimately use Get).
 type streamOnlyBackend struct {

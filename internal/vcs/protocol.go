@@ -229,7 +229,7 @@ type StatsResponse struct {
 	// drive down.
 	BlobReads int64 `json:"blob_reads"`
 	// Accesses is the raw number of version accesses recorded by the
-	// telemetry layer (checkouts plus commit materializations).
+	// telemetry layer (serving checkouts only).
 	Accesses uint64 `json:"accesses"`
 	// WeightedPhi estimates the recreation cost the current workload
 	// experiences against the current layout (access-weighted mean cold

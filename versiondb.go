@@ -49,9 +49,10 @@
 // # Storage backends, caching, and concurrency
 //
 // The physical layer is pluggable: every layout reads and writes blobs
-// through the Backend interface (Put/Get/Has/Delete/List over
-// content-addressed blobs, plus atomic named-metadata persistence). Two
-// implementations ship today — the loose-objects+packfile filesystem store
+// through the one Backend interface (Put/Get/GetStream/Has/Delete/List
+// over content-addressed blobs, atomic named-metadata documents, and the
+// append-only log a repository's metadata lives in). Two local
+// implementations ship — the loose-objects+packfile filesystem store
 // (OpenObjectStore) and a concurrency-safe in-memory store (NewMemStore)
 // for serving replicas and tests:
 //
@@ -179,14 +180,13 @@ func NewOnline(opts OnlineOptions) *Online { return solve.NewOnline(opts) }
 // repository and layout.
 type Backend = store.Backend
 
-// MetaStore persists small named metadata documents atomically; both
-// shipped backends implement it, and every repository needs it.
+// MetaStore persists small named metadata documents atomically; it is
+// part of the Backend contract.
 type MetaStore = store.MetaStore
 
 // LogStore is a backend's append-only log support: a repository persists
 // its metadata as an append-only record log with snapshot compaction and
-// crash-recovery replay. Both shipped backends implement it, and every
-// repository needs it.
+// crash-recovery replay. It is part of the Backend contract.
 type LogStore = store.LogStore
 
 // ObjectStore is the filesystem backend (loose objects + packfiles).
@@ -269,8 +269,7 @@ func InitRepo(dir string) (*Repo, error) { return repo.Init(dir) }
 // OpenRepo opens an existing filesystem-backed repository.
 func OpenRepo(dir string) (*Repo, error) { return repo.Open(dir) }
 
-// InitRepoBackend creates a repository over an arbitrary backend (which
-// must also implement MetaStore and LogStore).
+// InitRepoBackend creates a repository over an arbitrary backend.
 func InitRepoBackend(b Backend) (*Repo, error) { return repo.InitBackend(b) }
 
 // OpenRepoBackend opens an existing repository from an arbitrary backend.

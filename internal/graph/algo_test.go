@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -367,18 +368,21 @@ func versionGraphInstance(rng *rand.Rand, n, hops int) *Graph {
 
 var mcaSink *Tree
 
-// BenchmarkMCA times the minimum-cost arborescence on a 500-vertex
-// version-graph-shaped instance with hop-5 neighbourhoods; B/op shows what
-// each contraction level allocates.
+// BenchmarkMCA times the minimum-cost arborescence on version-graph-shaped
+// instances with hop-5 neighbourhoods at two sizes, so ns/op shows how the
+// cost grows with n; B/op and allocs/op show what one call allocates.
 func BenchmarkMCA(b *testing.B) {
-	g := versionGraphInstance(rand.New(rand.NewSource(1)), 500, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := MCA(g, 0, ByStorage)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mcaSink = t
+	for _, n := range []int{500, 4000} {
+		g := versionGraphInstance(rand.New(rand.NewSource(1)), n, 5)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t, err := MCA(g, 0, ByStorage)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mcaSink = t
+			}
+		})
 	}
 }

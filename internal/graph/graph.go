@@ -1,8 +1,8 @@
 // Package graph provides the dual-weighted graph model used throughout the
 // module, plus the classic spanning-structure algorithms the paper builds
 // on: Prim's and Kruskal's minimum spanning trees for the undirected case,
-// the Chu-Liu/Edmonds minimum-cost arborescence for the directed case, and
-// Dijkstra's shortest path tree.
+// the minimum-cost arborescence for the directed case (Tarjan's
+// O(E log V) form of Chu–Liu/Edmonds), and Dijkstra's shortest path tree.
 //
 // Every edge carries two weights, mirroring the ⟨Δ, Φ⟩ annotations of the
 // paper: Storage (the bytes needed to store the delta, Δij) and Recreate

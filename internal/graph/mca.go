@@ -3,12 +3,13 @@ package graph
 import "fmt"
 
 // MCA computes a minimum-cost arborescence (directed minimum spanning tree)
-// rooted at root using the Chu-Liu/Edmonds algorithm with cycle contraction,
-// minimizing the selected weight. This is the directed-case solver for the
-// paper's Problem 1 (§3 cites Edmonds/Tarjan; we implement the classic
-// O(EV) contraction scheme, which is ample at reproduction scale). Each
-// contraction level allocates its arc list once, sized to the level above;
-// the O(E log V) Tarjan/Gabow–Galil–Spencer–Tarjan variant is still open.
+// rooted at root, minimizing the selected weight. This is the directed-case
+// solver for the paper's Problem 1 (§3 cites Edmonds and Tarjan). It runs
+// Tarjan's O(E log V) form of Chu–Liu/Edmonds: every vertex keeps its
+// in-arcs in a mergeable heap, a cycle of cheapest in-arcs is contracted as
+// soon as a walk closes it, and undoing the contractions in reverse reads
+// off the tree. Among in-arcs of equal adjusted weight the one added to g
+// first wins, at every level of contraction.
 //
 // It returns an error when some vertex is unreachable from root.
 func MCA(g *Graph, root int, w Weight) (*Tree, error) {
@@ -21,7 +22,7 @@ func MCA(g *Graph, root int, w Weight) (*Tree, error) {
 	for i, e := range all {
 		arcs[i] = arc{u: e.From, v: e.To, w: e.Cost(w), id: i}
 	}
-	chosen, ok := edmonds(g.N(), root, arcs)
+	chosen, ok := tarjan(g.N(), root, arcs)
 	if !ok {
 		return nil, fmt.Errorf("graph: no arborescence rooted at %d (unreachable vertices)", root)
 	}
@@ -41,120 +42,260 @@ type arc struct {
 	id   int // caller-level arc identifier
 }
 
-// edmonds returns the original-arc ids forming a minimum arborescence over
-// vertices [0,n) rooted at root, or ok=false when none exists. It recurses
-// on contracted graphs; each level translates its chosen ids back through
-// the meta table recorded during contraction.
-func edmonds(n, root int, arcs []arc) ([]int, bool) {
-	const none = -1
-	// Step 1: cheapest in-arc per vertex.
-	bestW := make([]float64, n)
-	bestA := make([]int, n) // index into arcs
-	for v := 0; v < n; v++ {
-		bestW[v] = Inf
-		bestA[v] = none
+// contraction records one contracted cycle: the super-vertex it became,
+// the union-find time before its unions, and its cycle arcs as a range of
+// the cycle-arc list.
+type contraction struct {
+	rep, time, from, to int
+}
+
+// tarjan returns the ids of the arcs forming a minimum arborescence over
+// vertices [0,n) rooted at root, or ok=false when none exists. Ties between
+// arcs of equal adjusted weight go to the lower index in arcs.
+//
+// Walks start from every vertex in turn and follow each super-vertex's
+// cheapest in-arc until they reach the root or an earlier walk, or close a
+// cycle, which is contracted at once: its members' heaps merge, each
+// shifted down by the weight of the member's own cycle arc, and the walk
+// goes on from the new super-vertex.
+func tarjan(n, root int, arcs []arc) ([]int, bool) {
+	const unseen = -1
+	h := newArcHeaps(n, root, arcs)
+	sets := newRollbackUF(n)
+	seen := make([]int, n) // the walk that reached each super-vertex
+	for v := range seen {
+		seen[v] = unseen
 	}
-	for i, a := range arcs {
-		if a.u == a.v || a.v == root {
-			continue
-		}
-		if a.w < bestW[a.v] {
-			bestW[a.v] = a.w
-			bestA[a.v] = i
-		}
-	}
-	for v := 0; v < n; v++ {
-		if v != root && bestA[v] == none {
-			return nil, false
-		}
-	}
-	// Step 2: find cycles in the chosen in-arc graph.
-	id := make([]int, n)   // contracted component id
-	mark := make([]int, n) // walk marker
-	for v := range id {
-		id[v] = none
-		mark[v] = none
-	}
-	comps := 0
-	for v := 0; v < n; v++ {
-		// Walk pre-chain from v until we hit the root, a marked vertex, or
-		// close a cycle within this walk.
-		u := v
-		for u != root && id[u] == none && mark[u] == none {
-			mark[u] = v
-			u = arcs[bestA[u]].u
-		}
-		if u != root && id[u] == none && mark[u] == v {
-			// Found a new cycle through u: assign one component id to it.
-			for x := arcs[bestA[u]].u; x != u; x = arcs[bestA[x]].u {
-				id[x] = comps
+	seen[root] = root
+	in := make([]int, n)             // arc entering each settled super-vertex
+	path := make([]int, 0, n)        // super-vertices of the current walk
+	picked := make([]int, 0, n)      // picked[i] is the arc entering path[i]
+	cycleArcs := make([]int, 0, 2*n) // arcs of every contracted cycle
+	var cycles []contraction
+	for s := 0; s < n; s++ {
+		path, picked = path[:0], picked[:0]
+		for u := s; seen[u] == unseen; {
+			a, w := h.pop(u, func(a int32) bool { return sets.find(arcs[a].u) == u })
+			if a < 0 {
+				return nil, false
 			}
-			id[u] = comps
-			comps++
-		}
-	}
-	if comps == 0 {
-		// No cycles: the chosen in-arcs form the arborescence.
-		res := make([]int, 0, n-1)
-		for v := 0; v < n; v++ {
-			if v != root {
-				res = append(res, arcs[bestA[v]].id)
+			h.shift(u, -w)
+			seen[u] = s
+			path, picked = append(path, u), append(picked, a)
+			u = sets.find(arcs[a].u)
+			if seen[u] != s {
+				continue
 			}
+			// The walk closed a cycle through u: unwind it off the path.
+			c := contraction{time: sets.time(), from: len(cycleArcs)}
+			merged := int32(-1)
+			for {
+				x := path[len(path)-1]
+				merged = h.meld(merged, h.root[x])
+				cycleArcs = append(cycleArcs, picked[len(picked)-1])
+				path, picked = path[:len(path)-1], picked[:len(picked)-1]
+				if !sets.union(u, x) {
+					break
+				}
+			}
+			u = sets.find(u)
+			h.root[u] = merged
+			seen[u] = unseen
+			c.rep, c.to = u, len(cycleArcs)
+			cycles = append(cycles, c)
 		}
-		return res, true
-	}
-	// Assign ids to vertices not on any cycle.
-	cycleComps := comps
-	for v := 0; v < n; v++ {
-		if id[v] == none {
-			id[v] = comps
-			comps++
+		for i, x := range path {
+			in[sets.find(x)] = picked[i]
 		}
 	}
-	// Step 3: build the contracted arc list. meta[i] records, for contracted
-	// arc i, the original arc index and its original head vertex. Neither
-	// can outgrow arcs, so each is allocated once at that capacity.
-	type metaEntry struct{ origIdx, origHead int }
-	contracted := make([]arc, 0, len(arcs))
-	meta := make([]metaEntry, 0, len(arcs))
-	for i, a := range arcs {
-		nu, nv := id[a.u], id[a.v]
-		if nu == nv {
-			continue
+	// Expand: each cycle keeps its arcs except the one into the member the
+	// cycle's own entering arc reaches.
+	for i := len(cycles) - 1; i >= 0; i-- {
+		c := cycles[i]
+		enter := in[c.rep]
+		sets.rollback(c.time)
+		for _, a := range cycleArcs[c.from:c.to] {
+			in[sets.find(arcs[a].v)] = a
 		}
-		nw := a.w
-		if id[a.v] < cycleComps { // head lies on a contracted cycle
-			nw -= bestW[a.v]
-		}
-		contracted = append(contracted, arc{u: nu, v: nv, w: nw, id: len(meta)})
-		meta = append(meta, metaEntry{origIdx: i, origHead: a.v})
-	}
-	sub, ok := edmonds(comps, id[root], contracted)
-	if !ok {
-		return nil, false
-	}
-	// Step 4: expand. Chosen contracted arcs map to original arcs; each
-	// cycle keeps all its internal best arcs except the one entering at the
-	// head of the arc chosen for that cycle.
-	entryHead := make([]int, cycleComps)
-	for c := range entryHead {
-		entryHead[c] = none
+		in[sets.find(arcs[enter].v)] = enter
 	}
 	res := make([]int, 0, n-1)
-	for _, mid := range sub {
-		m := meta[mid]
-		res = append(res, arcs[m.origIdx].id)
-		if c := id[m.origHead]; c < cycleComps {
-			entryHead[c] = m.origHead
-		}
-	}
-	for v := 0; v < n; v++ {
-		if v == root || id[v] >= cycleComps {
-			continue
-		}
-		if entryHead[id[v]] != v {
-			res = append(res, arcs[bestA[v]].id)
+	for v, a := range in {
+		if v != root {
+			res = append(res, arcs[a].id)
 		}
 	}
 	return res, true
+}
+
+// arcHeaps keeps one skew min-heap of in-arcs per super-vertex, all in one
+// node array indexed like the arc list, ordered by (adjusted weight, arc
+// index). A node's add is a shift pending for its whole subtree, the node
+// included, so shifting a heap costs O(1). Melds are amortized O(log E),
+// and no operation recurses.
+type arcHeaps struct {
+	node []heapNode
+	root []int32 // per vertex; -1 is the empty heap
+
+	stack, kept []int32 // pop's scratch
+}
+
+type heapNode struct {
+	key, add    float64
+	left, right int32
+}
+
+func newArcHeaps(n, root int, arcs []arc) *arcHeaps {
+	h := &arcHeaps{node: make([]heapNode, len(arcs)), root: make([]int32, n)}
+	for v := range h.root {
+		h.root[v] = -1
+	}
+	for i, a := range arcs {
+		h.node[i] = heapNode{key: a.w, left: -1, right: -1}
+		if a.u != a.v && a.v != root {
+			h.root[a.v] = h.meld(h.root[a.v], int32(i))
+		}
+	}
+	return h
+}
+
+// settle applies x's pending shift to its key and hands it to its children.
+func (h *arcHeaps) settle(x int32) {
+	nd := &h.node[x]
+	if nd.add == 0 {
+		return
+	}
+	nd.key += nd.add
+	if nd.left >= 0 {
+		h.node[nd.left].add += nd.add
+	}
+	if nd.right >= 0 {
+		h.node[nd.right].add += nd.add
+	}
+	nd.add = 0
+}
+
+// meld merges the heaps rooted at a and b and returns the new root: the
+// top-down skew-heap merge, which walks the right spines once, swapping
+// each visited node's children.
+func (h *arcHeaps) meld(a, b int32) int32 {
+	root := int32(-1)
+	slot := &root
+	for a >= 0 && b >= 0 {
+		h.settle(a)
+		h.settle(b)
+		if ka, kb := h.node[a].key, h.node[b].key; kb < ka || kb == ka && b < a {
+			a, b = b, a
+		}
+		*slot = a
+		nd := &h.node[a]
+		nd.left, nd.right = nd.right, nd.left
+		slot, a = &nd.left, nd.left
+	}
+	if a < 0 {
+		a = b
+	}
+	*slot = a
+	return root
+}
+
+// pop removes v's cheapest in-arc for which loop is false and returns its
+// index and adjusted weight, or -1 when there is none. The arcs loop
+// rejects, self-loops of a contracted super-vertex, are dropped on the
+// way: one walk removes every such arc above the cheapest kept one at O(1)
+// each, and the kept subtrees it uncovers are melded pairwise.
+func (h *arcHeaps) pop(v int, loop func(a int32) bool) (int, float64) {
+	x := h.root[v]
+	if x < 0 {
+		return -1, 0
+	}
+	h.settle(x)
+	if loop(x) {
+		stack, kept := append(h.stack[:0], x), h.kept[:0]
+		for len(stack) > 0 {
+			y := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range [2]int32{h.node[y].left, h.node[y].right} {
+				if c < 0 {
+					continue
+				}
+				h.settle(c)
+				if loop(c) {
+					stack = append(stack, c)
+				} else {
+					kept = append(kept, c)
+				}
+			}
+		}
+		for i := 0; i+1 < len(kept); i += 2 {
+			kept = append(kept, h.meld(kept[i], kept[i+1]))
+		}
+		h.stack, h.kept = stack, kept
+		if len(kept) == 0 {
+			h.root[v] = -1
+			return -1, 0
+		}
+		x = kept[len(kept)-1]
+	}
+	nd := h.node[x]
+	h.root[v] = h.meld(nd.left, nd.right)
+	return int(x), nd.key
+}
+
+// shift adds d to the adjusted weight of every arc left in v's heap.
+func (h *arcHeaps) shift(v int, d float64) {
+	if x := h.root[v]; x >= 0 {
+		h.node[x].add += d
+	}
+}
+
+// rollbackUF is a union-find by size without path compression, so its
+// unions can be undone newest first.
+type rollbackUF struct {
+	parent, size []int32
+	undo         []int32 // roots attached by union, newest last
+}
+
+func newRollbackUF(n int) *rollbackUF {
+	f := &rollbackUF{parent: make([]int32, n), size: make([]int32, n), undo: make([]int32, 0, n)}
+	for v := range f.parent {
+		f.parent[v], f.size[v] = int32(v), 1
+	}
+	return f
+}
+
+func (f *rollbackUF) find(x int) int {
+	for int(f.parent[x]) != x {
+		x = int(f.parent[x])
+	}
+	return x
+}
+
+// union merges the sets of a and b and reports whether they were apart.
+func (f *rollbackUF) union(a, b int) bool {
+	a, b = f.find(a), f.find(b)
+	if a == b {
+		return false
+	}
+	if f.size[a] < f.size[b] {
+		a, b = b, a
+	}
+	f.parent[b] = int32(a)
+	f.size[a] += f.size[b]
+	f.undo = append(f.undo, int32(b))
+	return true
+}
+
+// time is the number of unions not yet undone.
+func (f *rollbackUF) time() int { return len(f.undo) }
+
+// rollback undoes unions, newest first, until only t remain.
+func (f *rollbackUF) rollback(t int) {
+	for len(f.undo) > t {
+		b := f.undo[len(f.undo)-1]
+		f.undo = f.undo[:len(f.undo)-1]
+		a := f.parent[b]
+		f.size[a] -= f.size[b]
+		f.parent[b] = b
+	}
 }

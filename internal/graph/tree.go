@@ -202,11 +202,12 @@ func (t *Tree) Validate() error {
 	}
 	state := make([]byte, n) // 0 unvisited, 1 in progress, 2 done
 	state[t.Root] = 2
+	var path []int
 	for v := 0; v < n; v++ {
 		if state[v] != 0 {
 			continue
 		}
-		var path []int
+		path = path[:0]
 		u := v
 		for state[u] == 0 {
 			state[u] = 1

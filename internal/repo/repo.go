@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,8 +218,13 @@ func InitBackend(b store.Backend) (*Repo, error) {
 	return r, nil
 }
 
-// Open loads an existing filesystem-backed repository.
+// Open loads an existing filesystem-backed repository. A directory that
+// holds no metadata log is refused, with OpenBackend's errors, before
+// anything is created in it.
 func Open(dir string) (*Repo, error) {
+	if err := probeLog(dir); err != nil {
+		return nil, err
+	}
 	s, err := store.Open(dir)
 	if err != nil {
 		return nil, err
@@ -239,14 +246,7 @@ func OpenBackend(b store.Backend) (*Repo, error) {
 	if rec.Snapshot == nil && len(rec.Records) == 0 {
 		_ = l.Close()
 		_, err := b.GetMeta(metaName)
-		switch {
-		case err == nil:
-			return nil, fmt.Errorf("repo: open: pre-metalog repository (%s, no metadata log): migrate it with an older build", metaName)
-		case errors.Is(err, fs.ErrNotExist):
-			return nil, fmt.Errorf("repo: open: no repository: %w", err)
-		default:
-			return nil, fmt.Errorf("repo: open: %w", err)
-		}
+		return nil, noLog(err)
 	}
 	r := newRepoShell(b)
 	r.log = l
@@ -256,6 +256,33 @@ func OpenBackend(b store.Backend) (*Repo, error) {
 	}
 	r.recoveredOrder = append([]string(nil), r.jobsOrder...)
 	return r, nil
+}
+
+// probeLog answers as OpenBackend does when dir holds neither the metadata
+// log's device file nor its snapshot, since store.Open would create
+// objects/ there, and metalog.Open the device file. A file that exists or
+// cannot be examined leaves the answer to the open.
+func probeLog(dir string) error {
+	for _, name := range []string{walName + ".wal", walName + "_snapshot.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+	}
+	_, err := os.Stat(filepath.Join(dir, metaName))
+	return noLog(err)
+}
+
+// noLog is the open error for a location without a metadata log, given
+// what looking up meta.json there returned.
+func noLog(metaErr error) error {
+	switch {
+	case metaErr == nil:
+		return fmt.Errorf("repo: open: pre-metalog repository (%s, no metadata log): migrate it with an older build", metaName)
+	case errors.Is(metaErr, fs.ErrNotExist):
+		return fmt.Errorf("repo: open: no repository: %w", metaErr)
+	default:
+		return fmt.Errorf("repo: open: %w", metaErr)
+	}
 }
 
 func emptyLayout(b store.Backend) *store.Layout {

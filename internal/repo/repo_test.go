@@ -5,7 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"versiondb/internal/dataset"
@@ -246,10 +251,61 @@ func TestNonUTF8MetadataSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestOpenMissingRepo opens three directories that hold no repository, an
+// empty one, a missing path and one with only a pre-metalog meta.json, and
+// checks that Open refuses each with the error OpenBackend gives and
+// creates nothing, not even the missing path.
 func TestOpenMissingRepo(t *testing.T) {
-	if _, err := Open(t.TempDir()); err == nil {
-		t.Errorf("Open on empty dir succeeded")
+	const preMetalog = "repo: open: pre-metalog repository (meta.json, no metadata log): migrate it with an older build"
+	cases := []struct {
+		name    string
+		setup   func(t *testing.T, root string) string // returns the directory to open
+		wantErr func(err error) bool
+	}{
+		{"empty", func(t *testing.T, root string) string { return root }, isNoRepository},
+		{"missing", func(t *testing.T, root string) string { return filepath.Join(root, "nosuchdir", "sub") }, isNoRepository},
+		{"meta.json only", func(t *testing.T, root string) string {
+			if err := os.WriteFile(filepath.Join(root, "meta.json"), []byte(`{"versions":[],"branches":{}}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return root
+		}, func(err error) bool { return err != nil && err.Error() == preMetalog }},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := c.setup(t, root)
+			before := listTree(t, root)
+			if _, err := Open(dir); !c.wantErr(err) {
+				t.Errorf("Open(%s): err = %v", c.name, err)
+			}
+			if after := listTree(t, root); !slices.Equal(after, before) {
+				t.Errorf("Open(%s) changed the tree: before %q, after %q", c.name, before, after)
+			}
+		})
+	}
+}
+
+func isNoRepository(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) && strings.HasPrefix(err.Error(), "repo: open: no repository: ")
+}
+
+// listTree returns every path under root, relative to it.
+func listTree(t *testing.T, root string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(root, func(p string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		paths = append(paths, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 func TestMemBackendRoundTrip(t *testing.T) {

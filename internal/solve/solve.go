@@ -67,7 +67,7 @@ func newSolution(alg string, param float64, t *graph.Tree, start time.Time) *Sol
 // MinStorage solves Problem 1: the minimum total storage cost solution with
 // all recreation costs finite. For undirected instances this is a minimum
 // spanning tree (Lemma 2); for directed instances a minimum-cost
-// arborescence rooted at V0 via Chu-Liu/Edmonds.
+// arborescence rooted at V0 (graph.MCA, Tarjan's O(E log V) contraction).
 func MinStorage(inst *Instance) (*Solution, error) {
 	start := time.Now()
 	var t *graph.Tree

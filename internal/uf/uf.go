@@ -1,7 +1,7 @@
 // Package uf implements a union-find (disjoint set union) structure with
 // union by rank and path compression. It backs Kruskal's minimum spanning
-// tree algorithm and cycle detection in the Chu-Liu/Edmonds arborescence
-// algorithm.
+// tree algorithm. (The arborescence in internal/graph keeps a union-find
+// of its own without path compression, since it must undo its unions.)
 package uf
 
 // UF is a disjoint-set forest over the integers [0, n).

@@ -122,8 +122,8 @@ func run(exp string, scale bench.Scale, csvDir string) error {
 			if err != nil {
 				return err
 			}
-			for name, g := range gaps {
-				fmt.Fprintf(out, "   %s: plain/aware weighted ΣR ratio = %.3f\n", name, g)
+			for _, sub := range fig.Subplots {
+				fmt.Fprintf(out, "   %s: plain/aware weighted ΣR ratio = %.3f\n", sub.Title, gaps[sub.Title])
 			}
 		case "fig17":
 			sizes := []int{100, 250, 500, 1000}

@@ -17,10 +17,15 @@ func MCA(g *Graph, root int, w Weight) (*Tree, error) {
 		// An undirected graph's MCA is its MST.
 		return PrimMST(g, root, w)
 	}
-	all := g.Edges()
-	arcs := make([]arc, len(all))
-	for i, e := range all {
-		arcs[i] = arc{u: e.From, v: e.To, w: e.Cost(w), id: i}
+	// One pass over the out-lists. An arc's id is its index; first[u] is
+	// where u's arcs begin, which leads a chosen id back to its edge.
+	arcs := make([]arc, 0, g.M())
+	first := make([]int, g.N())
+	for u, out := range g.out {
+		first[u] = len(arcs)
+		for _, e := range out {
+			arcs = append(arcs, arc{u: u, v: e.To, w: e.Cost(w), id: len(arcs)})
+		}
 	}
 	chosen, ok := tarjan(g.N(), root, arcs)
 	if !ok {
@@ -28,7 +33,8 @@ func MCA(g *Graph, root int, w Weight) (*Tree, error) {
 	}
 	t := NewTree(g.N(), root)
 	for _, id := range chosen {
-		t.SetEdge(all[id])
+		u := arcs[id].u
+		t.SetEdge(g.out[u][id-first[u]])
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: internal MCA error: %w", err)
@@ -150,11 +156,22 @@ func newArcHeaps(n, root int, arcs []arc) *arcHeaps {
 	for v := range h.root {
 		h.root[v] = -1
 	}
+	// Thread each vertex's in-arcs into a list through right, then meld
+	// each list pairwise: O(in-degree) per vertex, where melding one arc
+	// at a time costs O(log in-degree) per arc.
 	for i, a := range arcs {
 		h.node[i] = heapNode{key: a.w, left: -1, right: -1}
 		if a.u != a.v && a.v != root {
-			h.root[a.v] = h.meld(h.root[a.v], int32(i))
+			h.node[i].right, h.root[a.v] = h.root[a.v], int32(i)
 		}
+	}
+	for v, x := range h.root {
+		q := h.kept[:0]
+		for x >= 0 {
+			q = append(q, x)
+			x, h.node[x].right = h.node[x].right, -1
+		}
+		h.root[v] = h.meldPairs(q)
 	}
 	return h
 }
@@ -227,19 +244,29 @@ func (h *arcHeaps) pop(v int, loop func(a int32) bool) (int, float64) {
 				}
 			}
 		}
-		for i := 0; i+1 < len(kept); i += 2 {
-			kept = append(kept, h.meld(kept[i], kept[i+1]))
-		}
-		h.stack, h.kept = stack, kept
-		if len(kept) == 0 {
+		h.stack = stack
+		if x = h.meldPairs(kept); x < 0 {
 			h.root[v] = -1
 			return -1, 0
 		}
-		x = kept[len(kept)-1]
 	}
 	nd := h.node[x]
 	h.root[v] = h.meld(nd.left, nd.right)
 	return int(x), nd.key
+}
+
+// meldPairs melds the heaps in q pairwise in rounds, each meld's result
+// joining the back of the queue, and returns the one heap left, or -1 when
+// q is empty. q's storage is kept as scratch.
+func (h *arcHeaps) meldPairs(q []int32) int32 {
+	for i := 0; i+1 < len(q); i += 2 {
+		q = append(q, h.meld(q[i], q[i+1]))
+	}
+	h.kept = q
+	if len(q) == 0 {
+		return -1
+	}
+	return q[len(q)-1]
 }
 
 // shift adds d to the adjusted weight of every arc left in v's heap.

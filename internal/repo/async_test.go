@@ -222,9 +222,9 @@ func TestConflictRetriesExhausted(t *testing.T) {
 	}
 }
 
-// TestCacheSettingSurvivesSwap: EnableCache's capacity must be re-applied
-// to the fresh post-swap layout (the paper's hot-checkout regime depends
-// on it).
+// TestCacheSettingSurvivesSwap: the cache EnableCache installed must
+// still serve after the swap (the paper's hot-checkout regime depends on
+// it).
 func TestCacheSettingSurvivesSwap(t *testing.T) {
 	r := newRepo(t)
 	r.EnableCache(8)
@@ -234,8 +234,8 @@ func TestCacheSettingSurvivesSwap(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	// The swap installs a fresh, empty cache of the same capacity: first
-	// checkout misses, a repeat hits.
+	// The swap keeps the cache, which the commits filled: checkouts after
+	// it hit.
 	if _, err := r.Checkout(3); err != nil {
 		t.Fatalf("Checkout: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestCacheSettingSurvivesSwap(t *testing.T) {
 	}
 	cs := r.CacheMetrics()
 	if cs.Hits == 0 {
-		t.Errorf("post-swap cache recorded no hits (hits=%d misses=%d) — capacity was not re-applied", cs.Hits, cs.Misses)
+		t.Errorf("post-swap cache recorded no hits (hits=%d misses=%d) — cache lost in the swap", cs.Hits, cs.Misses)
 	}
 }
 

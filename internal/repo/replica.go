@@ -52,8 +52,9 @@ func (r *Repo) writable() error {
 // ApplySnapshot resets the replica to the primary's compaction snapshot
 // covering baseSeq: the full-state reset a follower performs at bootstrap,
 // and again whenever it falls so far behind that the records it missed
-// were compacted away. The fresh layout keeps the replica's configured
-// cache and negative-TTL settings.
+// were compacted away. It empties the checkout cache, since the snapshot
+// may come from another history; a swap record applied by ApplyRecords
+// keeps it.
 func (r *Repo) ApplySnapshot(snap []byte, baseSeq uint64) error {
 	if !r.replica {
 		return fmt.Errorf("repo: apply snapshot: primary repositories recover from their own log")

@@ -83,9 +83,6 @@ type Repo struct {
 	backend store.Backend
 	layout  *store.Layout
 	meta    meta
-	// serving is the checkout-cache and negative-TTL configuration every
-	// freshly installed layout inherits.
-	serving servingConfig
 
 	// retiredBlobReads accumulates the backend blob reads of layouts
 	// retired by Optimize swaps, so BlobReads stays monotonic across
@@ -292,43 +289,24 @@ func emptyLayout(b store.Backend) *store.Layout {
 
 // EnableCache installs a bounded LRU of materialized versions on the
 // checkout path, counted in versions (n ≤ 0 disables it) — the
-// compatibility mode. The setting survives Optimize, which rebuilds the
-// layout — the fresh layout starts with an empty cache of the same
-// capacity, since old payload associations are stale.
+// compatibility mode. It replaces any earlier cache, and starts empty.
+// The cache lives as long as the repository: the checkout of v and the
+// commit of v both admit v, and Optimize's layout swaps keep it, since a
+// version's bytes do not depend on its layout.
 func (r *Repo) EnableCache(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.serving.cacheSize, r.serving.cacheBytes = n, 0
-	r.layout.SetCache(r.serving.newCache())
+	r.layout.SetCache(store.NewVersionCache(n))
 }
 
 // EnableCacheBytes installs a byte-budgeted LRU on the checkout path:
 // resident payloads never sum to more than budget bytes, and payloads
 // larger than the whole budget bypass admission (budget ≤ 0 disables the
-// cache). Like EnableCache, the setting survives Optimize.
+// cache). In every other respect it is EnableCache.
 func (r *Repo) EnableCacheBytes(budget int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.serving.cacheSize, r.serving.cacheBytes = 0, budget
-	r.layout.SetCache(r.serving.newCache())
-}
-
-// servingConfig is the serving-path configuration a fresh layout inherits
-// at restore and at every Optimize swap. cacheBytes > 0 selects the
-// byte-budgeted cache and wins over cacheSize, the version-count
-// compatibility mode; neither means no cache.
-type servingConfig struct {
-	cacheSize  int
-	cacheBytes int64
-}
-
-// newCache builds a fresh, empty cache per the configured mode; nil when
-// no cache is configured.
-func (c servingConfig) newCache() *store.VersionCache {
-	if c.cacheBytes > 0 {
-		return store.NewVersionCacheBytes(c.cacheBytes)
-	}
-	return store.NewVersionCache(c.cacheSize)
+	r.layout.SetCache(store.NewVersionCacheBytes(budget))
 }
 
 // CacheMetrics returns the full checkout-cache counter snapshot —
@@ -529,6 +507,9 @@ func (r *Repo) addVersionLocked(branch string, payload []byte, message string, p
 		rollback()
 		return 0, err
 	}
+	// Write through: the client's read-back and the next commit on the
+	// branch both read v. The copy keeps the caller free to reuse payload.
+	r.layout.Cache().PutCopy(id, payload)
 	return id, nil
 }
 
@@ -812,8 +793,7 @@ type OptimizeOptions struct {
 	NoAutoWeights bool
 	// Progress, when non-nil, receives coarse phase names as the
 	// optimization advances ("snapshot", "diff", "solve", "rewrite",
-	// "warm" — only when a cache is configured — "swap", "retry"). It is
-	// called without any repository lock held and
+	// "swap", "retry"). It is called without any repository lock held and
 	// must be safe for use from the optimizing goroutine.
 	Progress func(phase string)
 }
@@ -893,11 +873,12 @@ func solveRequest(inst *solve.Instance, versions []VersionInfo, opts OptimizeOpt
 // dispatches the resolved solve.Request through the solver registry, and
 // materializes a shadow layout into the backend. Finally it reacquires the
 // write lock just long enough to verify no commits landed since the
-// snapshot and swap the layout pointer; the fresh checkout cache is warmed
-// off-lock beforehand with the access telemetry's hottest versions, so the
-// flip does not cold-start the serving path. If commits did land mid-solve the attempt is
-// discarded and the whole pipeline re-runs from a fresh snapshot, up to
-// ConflictRetries times, after which ErrOptimizeConflict is returned.
+// snapshot and swap the layout pointer. The new layout takes over the
+// checkout cache as it stands — a version's bytes do not depend on its
+// layout — so the swap costs the serving path no hits. If commits did land
+// mid-solve the attempt is discarded and the whole pipeline re-runs from a
+// fresh snapshot, up to ConflictRetries times, after which
+// ErrOptimizeConflict is returned.
 //
 // Optimize calls serialize with each other (a second Optimize waits, it
 // does not race the swap) but never with readers. It returns the solution
@@ -949,11 +930,6 @@ func (r *Repo) Optimize(ctx context.Context, opts OptimizeOptions) (*solve.Resul
 // attempts that lost to concurrent commits (whether or not a retry later
 // succeeded).
 func (r *Repo) OptimizeConflicts() int64 { return r.optConflicts.Load() }
-
-// warmTopK bounds how many of the telemetry's hottest versions the
-// post-solve cache warmer pre-materializes: enough to cover a skewed hot
-// set, small enough that warming never dominates the optimize pipeline.
-const warmTopK = 64
 
 // optimizeOnce runs one snapshot → solve → swap attempt; the caller holds
 // optMu. sized carries the pairs earlier attempts of the same call sized;
@@ -1051,32 +1027,6 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 	}
 	newLayout := store.NewLayoutFromEntries(r.backend, built.Entries)
 
-	// Phase 2.5 — warm the shadow cache, still off every lock. A fresh
-	// layout used to start cold, so the first post-swap checkout of every
-	// hot version paid a full chain replay right when traffic was hottest.
-	// Instead, install the cache on the shadow layout now and pre-checkout
-	// the access telemetry's top-k through the serving path's own bounded
-	// worker pool, so the flip lands with the hot set already resident.
-	// Cache config is snapshotted here and re-checked at swap time; a
-	// concurrent EnableCache* simply discards the warmed cache for a fresh
-	// one per the new config (no worse than the old cold start).
-	r.mu.RLock()
-	cfg := r.serving
-	stats := r.stats
-	r.mu.RUnlock()
-	newLayout.SetCache(cfg.newCache())
-	if newLayout.Cache() != nil {
-		progress("warm")
-		hot := stats.TopK(warmTopK)
-		warm := make([]int, 0, len(hot))
-		for _, h := range hot {
-			if h.Version < n {
-				warm = append(warm, h.Version)
-			}
-		}
-		newLayout.WarmCache(ctx, warm)
-	}
-
 	// Phase 3 — swap under a brief write lock, but only if the snapshot is
 	// still current. Version ids are append-only indices, so an unchanged
 	// count means an unchanged graph.
@@ -1087,9 +1037,7 @@ func (r *Repo) optimizeOnce(ctx context.Context, opts OptimizeOptions, progress 
 		return nil, fmt.Errorf("repo: optimize: %d versions committed during solve: %w",
 			len(r.meta.Versions)-n, ErrOptimizeConflict)
 	}
-	if r.serving.cacheSize != cfg.cacheSize || r.serving.cacheBytes != cfg.cacheBytes {
-		newLayout.SetCache(r.serving.newCache())
-	}
+	newLayout.SetCache(r.layout.Cache())
 	oldLayout, oldPairs := r.layout, r.pairs
 	r.layout, r.pairs = newLayout, merged
 	if err := r.persistSwap(*sized); err != nil {

@@ -395,9 +395,8 @@ func TestCacheSurvivesOptimize(t *testing.T) {
 	if _, err := r.Optimize(context.Background(), OptimizeOptions{RevealHops: 4}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	// The rebuilt layout gets a fresh cache of the same capacity, warmed
-	// with the telemetry's hot set before the flip: checkouts after the
-	// swap hit the cache, and content stays intact.
+	// The rebuilt layout keeps the cache, so checkouts after the swap hit
+	// it, and content stays intact.
 	preHits := r.CacheMetrics().Hits
 	for i := 0; i < 2; i++ {
 		got, err := r.Checkout(last)

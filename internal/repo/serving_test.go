@@ -14,8 +14,8 @@ import (
 )
 
 // TestByteCacheSettingSurvivesSwap mirrors TestCacheSettingSurvivesSwap
-// for the byte-budgeted mode: the fresh post-swap layout must get an
-// empty byte-budgeted cache, not a version-count one.
+// for the byte-budgeted mode: the post-swap layout must serve from the
+// same byte-budgeted cache, not a version-count one.
 func TestByteCacheSettingSurvivesSwap(t *testing.T) {
 	r := newRepo(t)
 	r.EnableCacheBytes(1 << 20)
@@ -33,7 +33,7 @@ func TestByteCacheSettingSurvivesSwap(t *testing.T) {
 	}
 	m := r.CacheMetrics()
 	if m.Hits == 0 {
-		t.Errorf("post-swap cache recorded no hits (%+v) — budget was not re-applied", m)
+		t.Errorf("post-swap cache recorded no hits (%+v) — cache lost in the swap", m)
 	}
 	if m.BudgetBytes != 1<<20 {
 		t.Errorf("post-swap budget = %d, want %d (mode not preserved)", m.BudgetBytes, 1<<20)
@@ -48,8 +48,10 @@ func TestByteCacheSettingSurvivesSwap(t *testing.T) {
 // cache occupancy the byte-budget tuner needs.
 func TestServingTelemetry(t *testing.T) {
 	r := newRepo(t)
-	r.EnableCacheBytes(1 << 20)
 	seedRepo(t, r, 6)
+	// Installed after the commits, which would have admitted what they
+	// wrote, so the first checkout is cold.
+	r.EnableCacheBytes(1 << 20)
 	if _, err := r.Checkout(5); err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +77,8 @@ func TestServingTelemetry(t *testing.T) {
 	}
 
 	// A swap retires the layout; the counter must not go backwards. The
-	// warmer pre-materializes the telemetry's hot set before the flip, so
-	// version 5's first post-swap checkout is already a cache hit and adds
-	// no serving-path blob reads.
+	// new layout keeps the cache, so version 5's first post-swap checkout
+	// is still a hit and adds no serving-path blob reads.
 	if _, err := r.Optimize(context.Background(), OptimizeOptions{
 		Request: solve.Request{Solver: "mst"},
 	}); err != nil {
@@ -91,7 +92,7 @@ func TestServingTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := r.BlobReads(); got != before {
-		t.Errorf("warmed hot version paid serving-path blob reads after swap (%d → %d)", before, got)
+		t.Errorf("resident hot version paid serving-path blob reads after swap (%d → %d)", before, got)
 	}
 }
 

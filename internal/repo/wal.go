@@ -230,10 +230,11 @@ func (r *Repo) restore(rec *metalog.Recovery) error {
 
 // resetToSnapshot replaces the repository's whole in-memory state with a
 // compaction snapshot (nil means empty). Callers hold the write lock or
-// have exclusive access during construction. The fresh layout is rebuilt
-// with the configured cache and negative-TTL settings (no-ops during
-// recovery, when nothing is configured yet); the retired layout's blob
-// reads fold into the running total so BlobReads stays monotonic.
+// have exclusive access during construction. It is the one place the
+// checkout cache is emptied, in place: the snapshot may come from another
+// history, whose version ids name other bytes (at open there is no cache
+// yet). The retired layout's blob reads fold into the running total so
+// BlobReads stays monotonic.
 func (r *Repo) resetToSnapshot(snap []byte) error {
 	st := snapshotState{}
 	if snap != nil {
@@ -271,16 +272,19 @@ func (r *Repo) resetToSnapshot(snap []byte) error {
 		r.jobsRunning[id] = true
 	}
 	r.jobMu.Unlock()
+	if r.layout != nil {
+		r.layout.Cache().Clear()
+	}
 	r.installLayout(store.NewLayoutFromEntries(r.backend, st.Entries))
 	return nil
 }
 
-// installLayout swaps the served layout pointer, re-applying the cache
-// configuration and folding the retired layout's I/O counter. Callers hold
-// the write lock or have exclusive access.
+// installLayout swaps the served layout pointer, handing the checkout
+// cache on and folding the retired layout's I/O counter. Callers hold the
+// write lock or have exclusive access.
 func (r *Repo) installLayout(l *store.Layout) {
-	l.SetCache(r.serving.newCache())
 	if old := r.layout; old != nil {
+		l.SetCache(old.Cache())
 		r.retiredBlobReads.Add(old.BlobReads())
 	}
 	r.layout = l

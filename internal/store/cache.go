@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 )
@@ -12,8 +13,11 @@ import (
 // On the serving path it caps the effective recreation cost Φ: a checkout
 // whose version (or any chain ancestor) is cached replays only the deltas
 // below the cached node — zero for an exact hit. Entries arrive by one
-// rule: a cold checkout Puts the version asked for, never the chain nodes
-// it replays through.
+// rule: the checkout of v and the commit of v both admit v, never the
+// chain nodes a replay passes through. A version's bytes do not depend on
+// the layout that stores them and ids are append-only, so one cache
+// serves a repository for its whole life, across Optimize's layout swaps;
+// only a reset to another history empties it (Clear).
 //
 // The cache is bounded one of two ways. The compatibility mode bounds the
 // *number* of resident entries (NewVersionCache); the byte-budget mode
@@ -25,8 +29,9 @@ import (
 // for a single value that cannot be hot enough to deserve the whole
 // envelope.
 //
-// The cache is safe for concurrent use. Cached values are shared, not
-// copied; callers must treat them (and checkout results) as read-only.
+// The cache is safe for concurrent use. Put shares the value it is given
+// (PutCopy copies it); callers must treat cached values, and checkout
+// results, as read-only.
 type LRU[K comparable] struct {
 	mu          sync.Mutex
 	capVersions int        // > 0 bounds entry count (compatibility mode)
@@ -36,6 +41,9 @@ type LRU[K comparable] struct {
 	items       map[K]*list.Element
 
 	hits, misses, evictions uint64
+	// gen counts Clears, so an admission prepared before one is refused
+	// (see putSince).
+	gen uint64
 }
 
 // VersionCache is the serving path's LRU of materialized version payloads,
@@ -136,6 +144,53 @@ func (c *LRU[K]) Put(k K, payload []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(k, payload)
+}
+
+// PutCopy puts a private copy of payload, for a caller that keeps its
+// buffer: a commit admitting the bytes it was handed. A payload Put would
+// refuse is not copied.
+func (c *LRU[K]) PutCopy(k K, payload []byte) {
+	if lim := c.admissionLimit(); lim == 0 || lim > 0 && int64(len(payload)) > lim {
+		return
+	}
+	c.Put(k, bytes.Clone(payload))
+}
+
+// putSince is Put for an admission prepared at generation gen: it admits
+// nothing once a Clear has run since, so a cold stream that outlives a
+// reset cannot bring back bytes of the history the reset replaced.
+func (c *LRU[K]) putSince(gen uint64, k K, payload []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen == gen {
+		c.putLocked(k, payload)
+	}
+}
+
+// generation returns the number of Clears so far, for putSince.
+func (c *LRU[K]) generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// Clear drops every entry in place, releasing its byte charge. Bounds and
+// counters stay; dropped entries are not evictions.
+func (c *LRU[K]) Clear() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.items)
+	c.bytes = 0
+	c.gen++
+}
+
+// putLocked is Put's body; the caller holds c.mu.
+func (c *LRU[K]) putLocked(k K, payload []byte) {
 	if el, ok := c.items[k]; ok {
 		c.removeLocked(el)
 	}

@@ -268,3 +268,60 @@ func TestCheckoutWithoutCacheStillCounts(t *testing.T) {
 		t.Errorf("uncached checkouts applied %d deltas, want %d", d, 2*(n-1))
 	}
 }
+
+// TestCacheClear: Clear empties the cache in place — no entries, no bytes
+// charged, and nothing counted as an eviction — while its bound and its
+// hit and miss counters stay, and it admits again afterwards.
+func TestCacheClear(t *testing.T) {
+	var nilCache *VersionCache
+	nilCache.Clear() // a disabled cache clears as a no-op
+	c := NewVersionCacheBytes(64)
+	c.Put(1, []byte("one"))
+	c.Put(2, []byte("two"))
+	c.Get(1)
+	c.Get(3)
+	c.Clear()
+	cs := c.Stats()
+	if cs.Entries != 0 || cs.BytesResident != 0 {
+		t.Fatalf("after Clear: %d entries, %d bytes; want none", cs.Entries, cs.BytesResident)
+	}
+	if cs.Hits != 1 || cs.Misses != 1 || cs.Evictions != 0 || cs.BudgetBytes != 64 {
+		t.Errorf("after Clear: %+v; want 1 hit, 1 miss, 0 evictions, budget 64", cs)
+	}
+	if _, ok := c.peek(1); ok {
+		t.Error("entry 1 survived Clear")
+	}
+	c.Put(1, []byte("uno"))
+	if p, ok := c.Get(1); !ok || string(p) != "uno" {
+		t.Errorf("Get(1) after Clear and Put = %q, %v", p, ok)
+	}
+}
+
+// TestCachePutCopy: PutCopy admits a private copy, so the caller may reuse
+// its buffer; a payload the budget would refuse is neither admitted nor
+// copied.
+func TestCachePutCopy(t *testing.T) {
+	c := NewVersionCacheBytes(8)
+	buf := []byte("abcd")
+	c.PutCopy(1, buf)
+	copy(buf, "wxyz")
+	if p, ok := c.peek(1); !ok || string(p) != "abcd" {
+		t.Fatalf("cached payload = %q, %v; want the bytes as put", p, ok)
+	}
+	big := make([]byte, 9)
+	if a := testing.AllocsPerRun(100, func() { c.PutCopy(2, big) }); a != 0 {
+		t.Errorf("oversized PutCopy allocated %v times per call, want 0", a)
+	}
+	if _, ok := c.peek(2); ok || c.Stats().BytesResident != 4 {
+		t.Errorf("oversized payload admitted: %+v", c.Stats())
+	}
+	var nilCache *VersionCache
+	if a := testing.AllocsPerRun(100, func() { nilCache.PutCopy(1, buf) }); a != 0 {
+		t.Errorf("PutCopy on a disabled cache allocated %v times per call, want 0", a)
+	}
+	counted := NewVersionCache(1)
+	counted.PutCopy(1, big)
+	if p, ok := counted.peek(1); !ok || len(p) != len(big) {
+		t.Errorf("version-count mode refused a payload: %v", ok)
+	}
+}

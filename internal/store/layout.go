@@ -177,7 +177,8 @@ func BuildLayout(b Backend, payloads [][]byte, tree *graph.Tree, compress bool, 
 func (l *Layout) Backend() Backend { return l.backend }
 
 // SetCache installs (or, with nil, removes) the materialized-version LRU
-// consulted by Checkout.
+// consulted by Checkout. A repository hands its one cache on from each
+// layout it retires to the next.
 func (l *Layout) SetCache(c *VersionCache) { l.cache = c }
 
 // Cache returns the installed cache, nil when disabled.
@@ -197,9 +198,9 @@ func (l *Layout) BlobReads() int64 { return l.blobReads.Load() }
 // nearest materialized ancestor — or the nearest cached one, whichever
 // comes first. Concurrent checkouts of the same cold version coalesce onto
 // one materialization. Only v itself is admitted to the cache — the one
-// admission rule the streaming path shares — so a deep cold chain never
-// displaces the hot set with nodes nobody asked for. Callers must treat
-// the returned slice as read-only.
+// admission rule the streaming path and the commit path share — so a deep
+// cold chain never displaces the hot set with nodes nobody asked for.
+// Callers must treat the returned slice as read-only.
 func (l *Layout) Checkout(v int) ([]byte, error) {
 	if v < 0 || v >= len(l.Entries) {
 		return nil, fmt.Errorf("store: checkout version %d out of range [0,%d)", v, len(l.Entries))
@@ -332,7 +333,7 @@ func (l *Layout) Snapshot() *Layout {
 }
 
 // BulkWorkers bounds the worker pools of Optimize's bulk phases — the
-// CheckoutAll snapshot, the pairwise differencing and the cache warm — at
+// CheckoutAll snapshot and the pairwise differencing — at
 // min(GOMAXPROCS, 8): enough to keep the backend and the cores busy, few
 // enough not to monopolize the host during a background optimize.
 func BulkWorkers() int {
@@ -563,52 +564,6 @@ func (l *Layout) ChainRoot(v int) (int, error) {
 		return 0, err
 	}
 	return chain[len(chain)-1], nil
-}
-
-// WarmCache materializes the given versions through the serving path so
-// their payloads are cache-resident before traffic arrives — used after an
-// Optimize swap to seed the fresh layout's cache from access telemetry,
-// and by replicas at startup. Work fans out over the same bounded pool as
-// CheckoutAll. Warming is best-effort: a version that fails to materialize
-// is skipped (the serving path will report the error to a real reader),
-// and cancellation simply stops early. With no cache installed it is a
-// no-op.
-func (l *Layout) WarmCache(ctx context.Context, versions []int) {
-	if l.cache == nil || len(versions) == 0 {
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := BulkWorkers(); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case v, ok := <-work:
-					if !ok {
-						return
-					}
-					_, _ = l.Checkout(v)
-				}
-			}
-		}()
-	}
-	for _, v := range versions {
-		if v < 0 || v >= len(l.Entries) {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-		case work <- v:
-			continue
-		}
-		break
-	}
-	close(work)
-	wg.Wait()
 }
 
 // StoredBytes sums the physical footprint of all entries.

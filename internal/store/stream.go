@@ -91,7 +91,7 @@ func (l *Layout) streamCold(v int) (io.ReadCloser, int64, error) {
 		// A cold stream admits v on clean EOF; buffering respects the
 		// cache's admission cap so an oversized payload is dropped, not
 		// accumulated.
-		r = &cacheTee{r: r, cache: l.cache, v: v, limit: l.cache.admissionLimit()}
+		r = &cacheTee{r: r, cache: l.cache, gen: l.cache.generation(), v: v, limit: l.cache.admissionLimit()}
 	}
 	cl.r = r
 	return cl, size, nil
@@ -152,10 +152,12 @@ func (s *stackedCloser) Close() error {
 // The buffer honors the cache's admission cap: once the payload provably
 // exceeds what Put could ever admit, the buffer is dropped and the stream
 // continues untouched, so an oversized payload is never held whole just to
-// be refused at the door. Abandoned or erroring streams admit nothing.
+// be refused at the door. Abandoned or erroring streams admit nothing,
+// and neither does a stream that outlives a Clear of the cache.
 type cacheTee struct {
 	r       io.Reader
 	cache   *VersionCache
+	gen     uint64 // the cache's generation when the stream was built
 	v       int
 	limit   int64 // admission cap; < 0 unbounded, 0 means "never admit"
 	buf     []byte
@@ -174,7 +176,7 @@ func (t *cacheTee) Read(p []byte) (int, error) {
 	}
 	if err == io.EOF && !t.dropped && !t.done {
 		t.done = true
-		t.cache.Put(t.v, t.buf)
+		t.cache.putSince(t.gen, t.v, t.buf)
 	}
 	return n, err
 }

@@ -129,6 +129,34 @@ func TestCheckoutStreamCacheTee(t *testing.T) {
 	}
 }
 
+// TestCheckoutStreamOutlivesClear: a cold stream built before a Clear and
+// drained after it admits nothing, so bytes read under a history that a
+// reset replaced never come back into the cache.
+func TestCheckoutStreamOutlivesClear(t *testing.T) {
+	const n = 3
+	l, payloads := linearLayout(t, NewMemStore(), n)
+	l.SetCache(NewVersionCacheBytes(1 << 20))
+	rc, _, err := l.CheckoutStream(n - 1)
+	if err != nil {
+		t.Fatalf("CheckoutStream: %v", err)
+	}
+	l.cache.Clear()
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || !bytes.Equal(got, payloads[n-1]) {
+		t.Fatalf("stream across Clear: %d bytes, %v", len(got), err)
+	}
+	if _, ok := l.cache.peek(n - 1); ok {
+		t.Fatal("a stream built before Clear admitted its payload after it")
+	}
+	if got := drainStream(t, l, n-1); !bytes.Equal(got, payloads[n-1]) {
+		t.Fatal("stream after Clear diverged")
+	}
+	if _, ok := l.cache.peek(n - 1); !ok {
+		t.Fatal("a stream built after Clear did not admit its payload")
+	}
+}
+
 // TestCheckoutStreamOversizedSkipsAdmission: a payload larger than the
 // cache's byte budget streams through without being admitted — and without
 // the tee accumulating it (the buffer is dropped the moment the cap is

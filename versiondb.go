@@ -67,8 +67,9 @@
 // bounds it by resident payload bytes — a hard memory envelope under
 // which payloads larger than the whole budget bypass admission.
 // Concurrent cold checkouts of the same version coalesce onto a single
-// chain materialization, and a cold checkout admits only the version asked
-// for, never the chain nodes it replays through. A Repo is a
+// chain materialization. The checkout of v and the commit of v both admit
+// v, never the chain nodes a replay passes through, and the cache outlives
+// Optimize's layout swaps. A Repo is a
 // multi-reader service: checkouts, logs and stats proceed in parallel
 // under a read lock while commits, merges and optimizations serialize
 // behind the write lock; the HTTP server (internal/vcs) delegates

@@ -96,6 +96,9 @@ func FuzzLineDiffRoundTrip(f *testing.F) {
 	f.Add([]byte("no trailing newline"), []byte("no trailing newline either"))
 	f.Add([]byte("\n\n\n"), []byte("\n"))
 	f.Add([]byte{0x00, 0xff, 0x0a, 0x80}, []byte{0xff, 0x00})
+	f.Add([]byte("c0,c1\n1,2\n3,4\n"), []byte("c0,c1\n5,6\n7,8\n9,0\n"))
+	f.Add([]byte("h\ng\na\nh\n"), []byte("h\ng\n"))
+	f.Add([]byte("x\ns\n"), []byte("s\ny\ns\n"))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		d := DiffLines(a, b)
 		wantB := canonicalLines(b)

@@ -67,14 +67,22 @@ func SplitLines(b []byte) []string {
 }
 
 // DiffLines computes a two-way line delta from a to b using Myers' O(ND)
-// greedy algorithm. When the two sides share no line it skips the differ:
-// every op then deletes or inserts, so whatever order Myers would pick the
-// script is one hunk at line 0 (the shortcut LineTable.Sizes takes).
+// greedy algorithm. When the two sides share no line past their common
+// prefix it skips the differ and returns one hunk at the prefix's end
+// (LineTable.Sizes takes the same shortcut). That answer is exact, not a
+// heuristic: round 0 of Myers snakes diagonal 0 through the p common
+// leading lines, every later path extends that point, and the search from
+// (p, p) is Myers on a[p:], b[p:] shifted; on disjoint remainders every op
+// deletes or inserts, so whatever order Myers picks they form one hunk. A
+// common suffix must not be stripped the same way: for a = "x\ns\n" and
+// b = "s\ny\ns\n" Myers keeps s against b's first line and gives two
+// hunks, where prefix-and-suffix stripping would give one.
 func DiffLines(a, b []byte) *LineDelta {
 	al := SplitLines(a)
 	bl := SplitLines(b)
-	if len(al)+len(bl) > 0 && disjointLines(al, bl) {
-		return &LineDelta{Hunks: []Hunk{{Del: al, Ins: bl}}}
+	p := commonPrefix(al, bl)
+	if ra, rb := al[p:], bl[p:]; len(ra)+len(rb) > 0 && disjointLines(ra, rb) {
+		return &LineDelta{Hunks: []Hunk{{SrcPos: p, Del: ra, Ins: rb}}}
 	}
 	s := scratchPool.Get().(*Scratch)
 	d := sesToHunks(al, bl, myers(al, bl, s))
@@ -82,12 +90,24 @@ func DiffLines(a, b []byte) *LineDelta {
 	return d
 }
 
+// commonPrefix is the number of leading lines a and b share.
+func commonPrefix[T comparable](a, b []T) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // disjointLines reports whether a and b share no line, so DiffLines can
-// skip Myers' O(d²) trace on a pair that has nothing in common. A pair
-// sharing its first or last line is rejected before any set is built;
-// otherwise the set holds the shorter side.
+// skip Myers' O(d²) trace on the remainders past a common prefix that have
+// nothing in common. Called on such remainders, a and b differ in their
+// first line; a pair sharing its last line is rejected before any set is
+// built, and otherwise the set holds the shorter side.
 func disjointLines(a, b []string) bool {
-	if len(a) > 0 && len(b) > 0 && (a[0] == b[0] || a[len(a)-1] == b[len(b)-1]) {
+	if len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
 		return false
 	}
 	if len(a) > len(b) {

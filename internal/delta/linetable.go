@@ -65,15 +65,20 @@ func NewLineTable(payloads [][]byte) *LineTable {
 // from payload a to payload b and of its inverse — exactly
 // len(Encode(DiffLines(pa, pb), true)) and
 // len(Encode(DiffLines(pa, pb).Invert(), true)) — computed from the edit
-// script's hunks without building a string, a Hunk or an encoding.
+// script's hunks without building a string, a Hunk or an encoding. A pair
+// that shares no line past its common prefix is sized without running
+// Myers, exactly as DiffLines shortcuts it (see there for why the answer is
+// the one Myers gives, and why a common suffix is not stripped too).
 func (t *LineTable) Sizes(a, b int, s *Scratch) (fwd, bwd int) {
 	x, y := t.lines[a], t.lines[b]
-	if del, ins, ok := t.disjoint(x, y, s); ok && len(x)+len(y) > 0 {
-		// Every op deletes or inserts, so whatever order the differ picks
-		// they form one hunk at line 0 of both sides: the hunk count 1, the
-		// one-way flag and position 0 take a byte each.
-		counts := uvarintLen(len(x)) + uvarintLen(len(y))
-		return 3 + counts + ins, 3 + counts + del
+	p := commonPrefix(x, y)
+	if del, ins, ok := t.disjoint(x[p:], y[p:], s); ok && len(x)+len(y) > 2*p {
+		// Every op past the prefix deletes or inserts, so whatever order
+		// the differ picks they form one hunk at line p of both sides: the
+		// hunk count 1 and the one-way flag take a byte each, then the
+		// hunk's position and counts.
+		head := 2 + uvarintLen(p) + uvarintLen(len(x)-p) + uvarintLen(len(y)-p)
+		return head + ins, head + del
 	}
 	ops := myers(x, y, s)
 	// A hunk is a maximal run of non-keep ops. Forward it encodes

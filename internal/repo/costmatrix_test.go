@@ -326,15 +326,67 @@ func TestUnterminatedPayloadChecksOutExact(t *testing.T) {
 	}
 }
 
-// BenchmarkOptimizeCostMatrix times Optimize's diff phase alone on a
-// §5.1-style dataset of 240 versions at the default differencing radius.
-func BenchmarkOptimizeCostMatrix(b *testing.B) {
-	versions, payloads := generatedVersions(b, 240, 1)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, err := costMatrix(context.Background(), versions, payloads, 5, nil); err != nil {
-			b.Fatal(err)
+// forkedVersions builds perfbench's dataset shape: forks independently
+// generated §5.1-style graphs of perFork versions, each with its own 60-row
+// × 20-column tables under the one header every generated table starts
+// with, and each fork's root a child of the previous fork's root. A pair
+// across two forks shares at most that header line.
+func forkedVersions(tb testing.TB, forks, perFork int, seed int64) ([]VersionInfo, [][]byte) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var versions []VersionInfo
+	var payloads [][]byte
+	root := 0
+	for range forks {
+		vg, err := workload.Generate(workload.GraphParams{
+			Commits: perFork, BranchInterval: 2, BranchProb: 1, BranchLimit: 3,
+			BranchLength: 3, MergeProb: 0.2, Seed: rng.Int63(),
+		})
+		if err != nil {
+			tb.Fatal(err)
 		}
+		c, err := vg.Materialize(workload.ContentParams{Rows: 60, Cols: 20, OpsPerEdge: 1, Seed: rng.Int63()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		base := len(versions)
+		for v, parents := range vg.Parents {
+			shifted := make([]int, len(parents))
+			for i, p := range parents {
+				shifted[i] = base + p
+			}
+			if v == 0 && base > 0 {
+				shifted = []int{root}
+			}
+			versions = append(versions, VersionInfo{ID: base + v, Parents: shifted})
+			payloads = append(payloads, c.Payload[v])
+		}
+		root = base
+	}
+	return versions, payloads
+}
+
+// BenchmarkOptimizeCostMatrix times Optimize's diff phase alone at the
+// default differencing radius, on a §5.1-style dataset of 240 versions and
+// on perfbench's shape of 48 forks of 10, where most revealed pairs cross
+// forks and share only their header.
+func BenchmarkOptimizeCostMatrix(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		gen  func(testing.TB) ([]VersionInfo, [][]byte)
+	}{
+		{"graph", func(tb testing.TB) ([]VersionInfo, [][]byte) { return generatedVersions(tb, 240, 1) }},
+		{"forks", func(tb testing.TB) ([]VersionInfo, [][]byte) { return forkedVersions(tb, 48, 10, 1) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			versions, payloads := bc.gen(b)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := costMatrix(context.Background(), versions, payloads, 5, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
